@@ -67,7 +67,6 @@ from .protocol import (
     runs_fixing,
     splice,
     telephone,
-    validate,
 )
 from .search import (
     ExhaustiveMode,

@@ -309,6 +309,9 @@ def run_cli(argv=None, stdout=None, stderr=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=err)
         return 2
+    except RecursionError:
+        print("error: formula nested too deeply", file=err)
+        return 2
 
 
 def main() -> None:

@@ -359,67 +359,35 @@ def shift_channels(f: Formula, delta: int) -> Formula:
 
 # --- propositional skeleton and truth tables ------------------------------
 
-@dataclass(frozen=True, slots=True)
-class SkelBottom:
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class SkelVar:
-    index: int
-
-
-@dataclass(frozen=True, slots=True)
-class SkelImplies:
-    lhs: "SkelNode"
-    rhs: "SkelNode"
-
-
-SkelNode = SkelBottom | SkelVar | SkelImplies
-
-
 @dataclass(frozen=True)
 class Skeleton:
     """Propositional shape of a formula.
 
-    Maximal box/atom subformulas are replaced by numbered variables;
-    syntactically identical subformulas share one variable. Substituting
-    the bindings back into the template reproduces the input exactly.
+    The bindings are its maximal box/atom subformulas, numbered by first
+    occurrence in a left-to-right traversal; syntactically identical
+    subformulas share one variable.
     """
 
-    template: SkelNode
     bindings: tuple[Formula, ...]
 
     @property
     def num_vars(self) -> int:
         return len(self.bindings)
 
-    def substitute(self) -> Formula:
-        def rebuild(node: SkelNode) -> Formula:
-            if isinstance(node, SkelBottom):
-                return Bottom()
-            if isinstance(node, SkelVar):
-                return self.bindings[node.index]
-            return Implies(rebuild(node.lhs), rebuild(node.rhs))
 
-        return rebuild(self.template)
+def _variables(f: Formula, index: dict[Formula, int]) -> dict[Formula, int]:
+    if isinstance(f, Implies):
+        _variables(f.lhs, index)
+        _variables(f.rhs, index)
+    elif not isinstance(f, Bottom):
+        index.setdefault(f, len(index))
+    return index
 
 
 def skeleton(f: Formula) -> Skeleton:
     """Abstract maximal box/atom subformulas to variables, numbered by
     first occurrence in a left-to-right traversal."""
-    seen: dict[Formula, int] = {}
-
-    def walk(g: Formula) -> SkelNode:
-        if isinstance(g, Bottom):
-            return SkelBottom()
-        if isinstance(g, Implies):
-            return SkelImplies(walk(g.lhs), walk(g.rhs))
-        index = seen.setdefault(g, len(seen))
-        return SkelVar(index)
-
-    template = walk(f)
-    return Skeleton(template, tuple(seen))
+    return Skeleton(tuple(_variables(f, {})))
 
 
 def _variable_mask(i: int, num_vars: int) -> int:
@@ -435,14 +403,27 @@ def _variable_mask(i: int, num_vars: int) -> int:
     return pattern
 
 
-def _template_mask(node: SkelNode, var_masks: list[int], full: int) -> int:
-    if isinstance(node, SkelBottom):
+def _truth_table(f: Formula, max_vars: int):
+    """Skeleton variable numbering of f, each variable's truth-table column
+    as a bitmask over all assignments, and the all-ones mask."""
+    index = _variables(f, {})
+    n = len(index)
+    if n > max_vars:
+        raise VariableLimitError(
+            f"{n} skeleton variables exceed the limit of {max_vars}"
+        )
+    return index, [_variable_mask(i, n) for i in range(n)], (1 << (1 << n)) - 1
+
+
+def _mask(f: Formula, index: dict[Formula, int], masks: list[int], full: int) -> int:
+    """Truth-table column of f, with box/atom subformulas as variables."""
+    if isinstance(f, Bottom):
         return 0
-    if isinstance(node, SkelVar):
-        return var_masks[node.index]
-    return (full ^ _template_mask(node.lhs, var_masks, full)) | _template_mask(
-        node.rhs, var_masks, full
-    )
+    if isinstance(f, Implies):
+        return (full ^ _mask(f.lhs, index, masks, full)) | _mask(
+            f.rhs, index, masks, full
+        )
+    return masks[index[f]]
 
 
 def is_tautology(f: Formula, max_vars: int = DEFAULT_VARIABLE_LIMIT) -> bool:
@@ -452,32 +433,11 @@ def is_tautology(f: Formula, max_vars: int = DEFAULT_VARIABLE_LIMIT) -> bool:
     for propositional consequences and deliberately blind to modal ones.
     Raises VariableLimitError beyond ``max_vars`` distinct variables.
     """
-    sk = skeleton(f)
-    n = sk.num_vars
-    if n > max_vars:
-        raise VariableLimitError(
-            f"{n} skeleton variables exceed the limit of {max_vars}"
-        )
-    full = (1 << (1 << n)) - 1
-    masks = [_variable_mask(i, n) for i in range(n)]
-    return _template_mask(sk.template, masks, full) == full
+    index, masks, full = _truth_table(f, max_vars)
+    return _mask(f, index, masks, full) == full
 
 
 # --- scope-sorted conjunctive normal form ---------------------------------
-
-_TRUE = ("true",)
-_FALSE = ("false",)
-
-
-def _nnf(node: SkelNode, positive: bool):
-    if isinstance(node, SkelBottom):
-        return _FALSE if positive else _TRUE
-    if isinstance(node, SkelVar):
-        return ("lit", node.index, positive)
-    if positive:
-        return ("or", _nnf(node.lhs, False), _nnf(node.rhs, True))
-    return ("and", _nnf(node.lhs, True), _nnf(node.rhs, False))
-
 
 def _merge_clause(left, right):
     seen = set()
@@ -492,19 +452,18 @@ def _merge_clause(left, right):
     return out
 
 
-def _cnf_clauses(node):
-    kind = node[0]
-    if kind == "true":
-        return []
-    if kind == "false":
-        return [[]]
-    if kind == "lit":
-        return [[(node[1], node[2])]]
-    if kind == "and":
-        return _cnf_clauses(node[1]) + _cnf_clauses(node[2])
+def _cnf_clauses(f: Formula, positive: bool, index: dict[Formula, int]):
+    """Clauses of f, or of its negation when not ``positive``, as lists of
+    (variable, polarity) literals."""
+    if isinstance(f, Bottom):
+        return [[]] if positive else []
+    if not isinstance(f, Implies):
+        return [[(index[f], positive)]]
+    if not positive:  # !(a -> b) is a & !b
+        return _cnf_clauses(f.lhs, True, index) + _cnf_clauses(f.rhs, False, index)
     out = []
-    for cl in _cnf_clauses(node[1]):
-        for cr in _cnf_clauses(node[2]):
+    for cl in _cnf_clauses(f.lhs, False, index):
+        for cr in _cnf_clauses(f.rhs, True, index):
             merged = _merge_clause(cl, cr)
             if merged is not None:
                 out.append(merged)
@@ -523,41 +482,29 @@ def scoped_cnf(
     to f at skeleton level; the equivalence is re-checked here by truth
     table and a failure would be an internal error.
     """
-    sk = skeleton(f)
-    n = sk.num_vars
-    if n > max_vars:
-        raise VariableLimitError(
-            f"{n} skeleton variables exceed the limit of {max_vars}"
-        )
-    clauses = _cnf_clauses(_nnf(sk.template, True))
+    index, masks, full = _truth_table(f, max_vars)
     unique: list[list[tuple[int, bool]]] = []
     seen_keys = set()
-    for clause in clauses:
+    for clause in _cnf_clauses(f, True, index):
         key = tuple(clause)
         if key not in seen_keys:
             seen_keys.add(key)
             unique.append(clause)
 
-    full = (1 << (1 << n)) - 1
-    masks = [_variable_mask(i, n) for i in range(n)]
     got = full
     for clause in unique:
         clause_mask = 0
         for var, pol in clause:
             clause_mask |= masks[var] if pol else (full ^ masks[var])
         got &= clause_mask
-    if got != _template_mask(sk.template, masks, full):
+    if got != _mask(f, index, masks, full):
         raise RuntimeError("internal error: CNF is not equivalent to its input")
 
-    out: list[list[Formula]] = []
-    for clause in unique:
-        out.append(
-            [
-                sk.bindings[var] if pol else Implies(sk.bindings[var], Bottom())
-                for var, pol in clause
-            ]
-        )
-    return out
+    bindings = tuple(index)
+    return [
+        [bindings[var] if pol else Implies(bindings[var], Bottom()) for var, pol in clause]
+        for clause in unique
+    ]
 
 
 def cnf_to_formula(clauses: list[list[Formula]]) -> Formula:

@@ -253,6 +253,15 @@ _RULE_KEYS = {
 }
 
 
+def _integer(obj: dict, key: str, where: str) -> int:
+    # JSON booleans are Python ints and floats would be truncated by int(),
+    # so only a genuine integer is accepted.
+    value = obj.get(key)
+    if type(value) is not int:
+        raise ProofFormatError(f'{where}: "{key}" must be an integer, got {value!r}')
+    return value
+
+
 def _rule_from_dict(obj: dict, line_id: int) -> Rule:
     if not isinstance(obj, dict) or "type" not in obj:
         raise ProofFormatError(f'line {line_id}: rule must be an object with "type"')
@@ -268,10 +277,11 @@ def _rule_from_dict(obj: dict, line_id: int) -> Rule:
         return TautologyRule()
     if kind == "premise":
         return PremiseRule()
+    where = f"line {line_id}"
     if kind == "mp":
-        return ModusPonensRule(int(obj["from"]), int(obj["impl"]))
+        return ModusPonensRule(_integer(obj, "from", where), _integer(obj, "impl", where))
     if kind == "nec":
-        return NecessitationRule(int(obj["k"]), int(obj["from"]))
+        return NecessitationRule(_integer(obj, "k", where), _integer(obj, "from", where))
     schema = obj.get("schema")
     if schema not in SCHEMAS:
         raise ProofFormatError(f"line {line_id}: unknown axiom schema {schema!r}")
@@ -279,9 +289,9 @@ def _rule_from_dict(obj: dict, line_id: int) -> Rule:
         raise ProofFormatError(f'line {line_id}: axiom rules need "k" and "phi"')
     return AxiomRule(
         schema=schema,
-        k=int(obj["k"]),
+        k=_integer(obj, "k", where),
         phi=parse(obj["phi"]),
-        n=int(obj["n"]) if "n" in obj else None,
+        n=_integer(obj, "n", where) if "n" in obj else None,
         psi=parse(obj["psi"]) if "psi" in obj else None,
     )
 
@@ -305,14 +315,19 @@ def script_from_dict(doc: dict) -> ProofScript:
             raise ProofFormatError(f"unknown line keys: {', '.join(unknown)}")
         if not {"id", "formula", "rule"} <= set(entry):
             raise ProofFormatError('line entries need "id", "formula", and "rule"')
-        line_id = int(entry["id"])
+        line_id = _integer(entry, "id", "line entry")
         lines.append(
             ProofLine(line_id, parse(entry["formula"]), _rule_from_dict(entry["rule"], line_id))
+        )
+    premises_allowed = doc.get("premises_allowed", False)
+    if not isinstance(premises_allowed, bool):
+        raise ProofFormatError(
+            f'"premises_allowed" must be true or false, got {premises_allowed!r}'
         )
     return ProofScript(
         lines=tuple(lines),
         goal=parse(doc["goal"]),
-        premises_allowed=bool(doc.get("premises_allowed", False)),
+        premises_allowed=premises_allowed,
     )
 
 

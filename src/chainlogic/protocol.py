@@ -165,6 +165,10 @@ class ExplicitChainProtocol(ChainProtocol):
         return value in self._atoms[k][name]
 
     def validate(self, require_continuity: bool = False) -> list[Violation]:
+        """Well-formedness report; empty means the protocol is sound to use.
+
+        Violations are data, not exceptions, so callers can show all of them.
+        """
         out: list[Violation] = []
         lo, hi = self.window
         for k in self.channels():
@@ -289,14 +293,6 @@ def telephone(word_len: int, alphabet, chain_len: int) -> TelephoneProtocol:
 
 # --- run-level operations ---------------------------------------------------
 
-def validate(p: ChainProtocol, require_continuity: bool = False) -> list[Violation]:
-    """Well-formedness report; empty means the protocol is sound to use.
-
-    Violations are data, not exceptions, so callers can show all of them.
-    """
-    return p.validate(require_continuity)
-
-
 def is_run(p: ChainProtocol, assignment) -> bool:
     """True when every adjacent pair of the assignment satisfies its local
     condition. Labels outside a channel's value set raise ValueDomainError."""
@@ -420,20 +416,9 @@ def splice(p: ChainProtocol, r1, r2, k: int):
     return r1[:i] + r2[i:]
 
 
-def prefix_splice(p: ChainProtocol, r, rp, n: int):
-    """Replace everything from channel n on with the values of rp, keeping
-    r's strict prefix. Requires agreement at n; the result is a run."""
-    lo, hi = p.window
-    p._check_channel(n)
-    r, rp = tuple(r), tuple(rp)
-    if len(r) != hi - lo + 1 or len(rp) != hi - lo + 1:
-        raise ValueError("runs must cover exactly the window")
-    i = n - lo
-    if r[i] != rp[i]:
-        raise ValueError(
-            f"runs disagree at channel {n}: {r[i]!r} versus {rp[i]!r}"
-        )
-    return r[:i] + rp[i:]
+# Keeping r's strict prefix and taking everything from channel n on from rp
+# is the same gluing as splice(p, r, rp, n).
+prefix_splice = splice
 
 
 # --- file format -------------------------------------------------------------
@@ -453,7 +438,7 @@ def protocol_from_dict(doc: dict) -> ExplicitChainProtocol:
     """Decode the JSON protocol document shape into an explicit protocol.
 
     Structural errors raise ProtocolFormatError; semantic problems (pair or
-    atom domains) are left to validate().
+    atom domains) are left to the protocol's validate() method.
     """
     if not isinstance(doc, dict):
         raise ProtocolFormatError("protocol document must be a JSON object")
@@ -461,11 +446,12 @@ def protocol_from_dict(doc: dict) -> ExplicitChainProtocol:
     for key in _TOP_KEYS:
         if key not in doc:
             raise ProtocolFormatError(f"missing key {key!r}")
+    # Indices must be genuine integers: JSON true/false are Python ints too.
     window = doc["window"]
     if (
         not isinstance(window, list)
         or len(window) != 2
-        or not all(isinstance(x, int) for x in window)
+        or not all(type(x) is int for x in window)
     ):
         raise ProtocolFormatError('"window" must be [lo, hi] with integer bounds')
     lo, hi = window
@@ -483,7 +469,7 @@ def protocol_from_dict(doc: dict) -> ExplicitChainProtocol:
         if "index" not in entry or "values" not in entry:
             raise ProtocolFormatError('channel entries need "index" and "values"')
         k = entry["index"]
-        if not isinstance(k, int) or not lo <= k <= hi:
+        if type(k) is not int or not lo <= k <= hi:
             raise ProtocolFormatError(f"channel index {k!r} outside the window")
         if k in values:
             raise ProtocolFormatError(f"channel {k} appears more than once")
@@ -516,7 +502,7 @@ def protocol_from_dict(doc: dict) -> ExplicitChainProtocol:
         if "channel" not in entry or "pairs" not in entry:
             raise ProtocolFormatError('local entries need "channel" and "pairs"')
         k = entry["channel"]
-        if not isinstance(k, int) or not lo < k <= hi:
+        if type(k) is not int or not lo < k <= hi:
             raise ProtocolFormatError(
                 f"local condition channel {k!r} must lie in ({lo}, {hi}]"
             )

@@ -4,18 +4,15 @@ Candidate protocols live on the window [0, num_channels - 1] with value
 sets drawn from a fixed label alphabet, every nonempty adjacent relation,
 and every atom truth table. The canonical candidate order is value-set
 sizes ascending, then relation bitmasks ascending, then truth-table
-bitmasks ascending, which pins witnesses across platforms and worker
-counts. Absence of a countermodel within bounds proves nothing beyond the
-explored space.
+bitmasks ascending, which pins witnesses across platforms. Absence of a
+countermodel within bounds proves nothing beyond the explored space.
 """
 
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import random
 from dataclasses import dataclass
-from functools import partial
 
 from .formula import (
     Atom,
@@ -30,8 +27,8 @@ from .formula import (
     shift_channels,
 )
 from .proofcheck import SCHEMAS, instantiate_axiom
-from .protocol import ChainProtocol, ExplicitChainProtocol, run_count, runs
-from .semantics import EvalContext, evaluate
+from .protocol import ExplicitChainProtocol, run_count, runs
+from .semantics import EvalContext, counterexample, evaluate
 
 _VALUE_LABELS = "abcdefghijklmnopqrstuvwxyz"
 _ATOM_NAMES = ("p", "q", "r", "s", "t", "u", "v", "w")
@@ -216,56 +213,18 @@ def _atom_names_used(f: Formula) -> set[str]:
     return set()
 
 
-def _first_falsifying_run(p: ChainProtocol, f: Formula):
-    ctx = EvalContext(p)
-    for r in runs(p):
-        if not evaluate(ctx, r, f):
-            return r
-    return None
-
-
-def _scan_chunk(f: Formula, chunk: list[ExplicitChainProtocol]):
-    for p in chunk:
-        witness = _first_falsifying_run(p, f)
-        if witness is not None:
-            return p, witness
-    return None
-
-
-def _chunks(iterable, size: int):
-    it = iter(iterable)
-    while True:
-        block = list(itertools.islice(it, size))
-        if not block:
-            return
-        yield block
-
-
-def falsify(f: Formula, bounds: SearchBounds, budget: int, workers: int = 1):
+def falsify(f: Formula, bounds: SearchBounds, budget: int):
     """First (protocol, run) in canonical order falsifying f, scanning at
     most ``budget`` candidate protocols; None when nothing is found.
 
     The formula is evaluated after shifting its lowest channel to 0 (use
-    embed_formula to see the shifted form). With ``workers > 1`` candidates
-    are checked in parallel, but the reported witness is still the
-    canonically first one.
+    embed_formula to see the shifted form).
     """
     g = embed_formula(f, bounds)
-    stream = itertools.islice(enumerate_protocols(bounds), budget)
-    if workers <= 1:
-        for p in stream:
-            witness = _first_falsifying_run(p, g)
-            if witness is not None:
-                return p, witness
-        return None
-    scan = partial(_scan_chunk, g)
-    with multiprocessing.Pool(workers) as pool:
-        # Batches keep memory bounded; results stay in candidate order, so
-        # the first hit is the canonical one no matter the worker count.
-        for batch in _chunks(stream, 64 * workers):
-            for hit in pool.map(scan, _chunks(batch, 16)):
-                if hit is not None:
-                    return hit
+    for p in itertools.islice(enumerate_protocols(bounds), budget):
+        witness = counterexample(EvalContext(p), g)
+        if witness is not None:
+            return p, witness
     return None
 
 

@@ -48,9 +48,6 @@ class EvalContext:
         self.memoize = memoize
         self._memo: dict = {}
 
-    def clear_cache(self) -> None:
-        self._memo.clear()
-
 
 def evaluate(ctx: EvalContext, run, f: Formula) -> bool:
     """Truth value of f at a run of ctx.protocol.

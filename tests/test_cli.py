@@ -61,6 +61,12 @@ def test_scope_parse_error_exits_2(capsys):
     assert "offset 1" in err
 
 
+def test_deeply_nested_formula_exits_2(capsys):
+    code, out, err = run(capsys, ["scope", "!" * 5000 + "p@0"])
+    assert (code, out) == (2, "")
+    assert err.strip() == "error: formula nested too deeply"
+
+
 def test_eval_true_and_false(capsys, protocol_file):
     base = ["eval", "--protocol", protocol_file, "--run", "u,x,z"]
     code, out, _ = run(capsys, base + ["--formula", "[1]p@0"])
@@ -117,6 +123,19 @@ def test_prove_malformed_json_exits_2(capsys, tmp_path):
     assert code == 2
     code, _, err = run(capsys, ["prove", "--script", str(tmp_path / "absent.json")])
     assert code == 2
+
+
+def test_prove_string_premises_allowed_exits_2(capsys, tmp_path):
+    doc = {
+        "goal": "p@0",
+        "premises_allowed": "false",
+        "lines": [{"id": 1, "formula": "p@0", "rule": {"type": "premise"}}],
+    }
+    path = tmp_path / "premise.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, ["prove", "--script", str(path)])
+    assert (code, out) == (2, "")
+    assert "premises_allowed" in err
 
 
 def test_protocol_format_error_exits_2(capsys, tmp_path):

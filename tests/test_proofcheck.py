@@ -352,6 +352,38 @@ def test_script_format_rejections(mutate):
         script_from_dict(doc)
 
 
+def _premise_goal_doc(premises_allowed):
+    # A one-line script whose goal is a bare premise: sound only when
+    # premises are allowed.
+    return {
+        "goal": "p@0",
+        "premises_allowed": premises_allowed,
+        "lines": [{"id": 1, "formula": "p@0", "rule": {"type": "premise"}}],
+    }
+
+
+def test_premises_allowed_must_be_a_json_boolean():
+    assert not check_script(script_from_dict(_premise_goal_doc(False))).accepted
+    assert check_script(script_from_dict(_premise_goal_doc(True))).accepted
+    for value in ("false", "true", 0, 1, None, []):
+        with pytest.raises(ProofFormatError):
+            script_from_dict(_premise_goal_doc(value))
+
+
+@pytest.mark.parametrize("bad", [1.7, 1.0, True, False, "1", None])
+@pytest.mark.parametrize(
+    "line_index, field",
+    [(0, "id"), (0, "k"), (0, "n"), (1, "k"), (1, "from"), (3, "from"), (3, "impl")],
+)
+def test_integer_fields_reject_other_json_types(line_index, field, bad):
+    doc = script_to_dict(corpus()["prop4"])
+    script_from_dict(doc)  # the unmodified script loads
+    line = doc["lines"][line_index]
+    (line if field == "id" else line["rule"])[field] = bad
+    with pytest.raises(ProofFormatError):
+        script_from_dict(doc)
+
+
 def test_unknown_schema_in_file_is_format_error():
     doc = script_to_dict(corpus()["prop1"])
     doc["lines"][0]["rule"]["schema"] = "teleportation"

@@ -20,7 +20,6 @@ from chainlogic import (
     sample_protocol,
     splice,
     telephone,
-    validate,
 )
 
 from conftest import (
@@ -34,7 +33,7 @@ from conftest import (
 
 
 def test_validate_clean_protocol():
-    assert validate(two_value_cube(), require_continuity=True) == []
+    assert two_value_cube().validate(require_continuity=True) == []
 
 
 def test_validate_continuity_violation():
@@ -43,8 +42,8 @@ def test_validate_continuity_violation():
         {0: ("u", "v"), 1: ("x",)},
         {1: [("u", "x")]},
     )
-    assert validate(p) == []
-    problems = validate(p, require_continuity=True)
+    assert p.validate() == []
+    problems = p.validate(require_continuity=True)
     assert len(problems) == 1
     assert problems[0].kind == "continuity"
     assert problems[0].channel == 1
@@ -58,7 +57,7 @@ def test_validate_atom_domain_violation():
         {1: [("a", "a")]},
         {0: {"p": ("zzz",)}},
     )
-    problems = validate(p)
+    problems = p.validate()
     assert len(problems) == 1
     assert problems[0].kind == "atom-domain"
 
@@ -69,7 +68,7 @@ def test_validate_pair_domain_violation():
         {0: ("a",), 1: ("a",)},
         {1: [("a", "b")]},
     )
-    kinds = {v.kind for v in validate(p)}
+    kinds = {v.kind for v in p.validate()}
     assert kinds == {"pair-domain"}
 
 
@@ -218,7 +217,7 @@ def test_telephone_atoms():
     assert not t.atom_declared(0, "p")
     assert t.atom_holds(1, "eq_abc", "abc")
     assert not t.atom_holds(1, "eq_abc", "abb")
-    assert validate(t, require_continuity=True) == []
+    assert t.validate(require_continuity=True) == []
 
 
 def test_telephone_preconditions():
@@ -253,6 +252,10 @@ def test_protocol_json_round_trip():
         ),
         lambda d: d["channels"][0].update(values=["u", "u"]),
         lambda d: d["local"][0].update(pairs=[["u", "x", "y"]]),
+        # JSON booleans are Python ints, but never indices
+        lambda d: d.update(window=[False, 2]),
+        lambda d: d["channels"][0].update(index=False),
+        lambda d: d["local"][0].update(channel=True),
     ],
 )
 def test_protocol_format_rejections(mutate):

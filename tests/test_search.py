@@ -109,16 +109,6 @@ def test_falsify_absent_for_sound_gateway_instance():
     assert falsify(f, random_bounds, budget=150) is None
 
 
-def test_falsify_deterministic_across_workers():
-    f = parse("[0](p@1 | p@2) -> ([0]p@1 | [0]p@2)")
-    bounds = SearchBounds(3, 2, 1)
-    sequential = falsify(f, bounds, budget=100_000, workers=1)
-    parallel = falsify(f, bounds, budget=100_000, workers=2)
-    assert sequential is not None and parallel is not None
-    assert protocol_to_dict(sequential[0]) == protocol_to_dict(parallel[0])
-    assert sequential[1] == parallel[1]
-
-
 def test_soundness_sweeps_clean():
     for schema in (
         "distributivity",
