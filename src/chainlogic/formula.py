@@ -36,32 +36,118 @@ class VariableLimitError(ValueError):
 class Bottom:
     """The false constant."""
 
+    _hash = hash("false")  # the finished hash _structural_hash reads; not a field
 
-@dataclass(frozen=True, slots=True)
-class Atom:
+
+def _structural_hash(self) -> int:
+    """Hash of the formula's structure.
+
+    Each node computes it on first use and keeps it in its ``_hash`` slot,
+    which equality and repr ignore, so memo lookups keyed by a formula cost
+    O(1) after the first. The nodes still lacking a hash are collected from
+    an explicit stack and hashed children first, so a deeply nested formula
+    needs no recursion.
+    """
+    h = self._hash
+    if h is not None:
+        return h
+    todo = []
+    stack = [self]
+    while stack:
+        g = stack.pop()
+        if g._hash is None:
+            todo.append(g)
+            if type(g) is Implies:
+                stack.append(g.lhs)
+                stack.append(g.rhs)
+            elif type(g) is Box:
+                stack.append(g.body)
+    for g in reversed(todo):
+        if type(g) is Atom:
+            h = hash((g.channel, g.name))
+        elif type(g) is Implies:
+            h = hash((g.lhs._hash, g.rhs._hash))
+        else:
+            h = hash((g.channel, g.body._hash, None))
+        _set_hash(g, h)
+    return self._hash
+
+
+class _Node:
+    """Holds the cached structural hash of a non-constant formula node.
+
+    The nodes declare their slots by hand, so ``_hash`` is a slot but not a
+    dataclass field, and their constructors fill the slots through the slot
+    descriptors, which costs no more than a frozen dataclass __init__ that
+    sets only the fields.
+    """
+
+    __slots__ = ("_hash",)
+
+    def __reduce__(self):
+        # Copy and pickle rebuild through the constructor: frozen fields
+        # refuse assignment, and the cached hash is not state.
+        return type(self), tuple(getattr(self, name) for name in type(self).__slots__)
+
+
+@dataclass(frozen=True, init=False)
+class Atom(_Node):
     """A proposition about the value of one channel.
 
     The channel index is part of the atom's identity, so p@1 and p@2 are
     distinct atoms even though they share a name.
     """
 
+    __slots__ = ("channel", "name")
     channel: int
     name: str
 
+    def __init__(self, channel: int, name: str):
+        _set_atom_channel(self, channel)
+        _set_atom_name(self, name)
+        _set_hash(self, None)
 
-@dataclass(frozen=True, slots=True)
-class Implies:
+    __hash__ = _structural_hash
+
+
+@dataclass(frozen=True, init=False)
+class Implies(_Node):
+    __slots__ = ("lhs", "rhs")
     lhs: "Formula"
     rhs: "Formula"
 
+    def __init__(self, lhs: "Formula", rhs: "Formula"):
+        _set_lhs(self, lhs)
+        _set_rhs(self, rhs)
+        _set_hash(self, None)
 
-@dataclass(frozen=True, slots=True)
-class Box:
+    __hash__ = _structural_hash
+
+
+@dataclass(frozen=True, init=False)
+class Box(_Node):
     """Channel-indexed knowledge: the body holds on every run that agrees
     with the current one at this channel."""
 
+    __slots__ = ("channel", "body")
     channel: int
     body: "Formula"
+
+    def __init__(self, channel: int, body: "Formula"):
+        _set_box_channel(self, channel)
+        _set_body(self, body)
+        _set_hash(self, None)
+
+    __hash__ = _structural_hash
+
+
+_set_hash = _Node._hash.__set__
+_set_atom_channel = Atom.channel.__set__
+_set_atom_name = Atom.name.__set__
+_set_lhs = Implies.lhs.__set__
+_set_rhs = Implies.rhs.__set__
+_set_box_channel = Box.channel.__set__
+_set_body = Box.body.__set__
 
 
 Formula = Bottom | Atom | Implies | Box

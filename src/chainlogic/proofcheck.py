@@ -262,6 +262,14 @@ def _integer(obj: dict, key: str, where: str) -> int:
     return value
 
 
+def _formula(obj: dict, key: str, where: str) -> Formula:
+    # parse() needs a string; anything else is a format error, not a crash.
+    text = obj[key]
+    if not isinstance(text, str):
+        raise ProofFormatError(f'{where}: "{key}" must be a formula string, got {text!r}')
+    return parse(text)
+
+
 def _rule_from_dict(obj: dict, line_id: int) -> Rule:
     if not isinstance(obj, dict) or "type" not in obj:
         raise ProofFormatError(f'line {line_id}: rule must be an object with "type"')
@@ -290,9 +298,9 @@ def _rule_from_dict(obj: dict, line_id: int) -> Rule:
     return AxiomRule(
         schema=schema,
         k=_integer(obj, "k", where),
-        phi=parse(obj["phi"]),
+        phi=_formula(obj, "phi", where),
         n=_integer(obj, "n", where) if "n" in obj else None,
-        psi=parse(obj["psi"]) if "psi" in obj else None,
+        psi=_formula(obj, "psi", where) if "psi" in obj else None,
     )
 
 
@@ -317,7 +325,11 @@ def script_from_dict(doc: dict) -> ProofScript:
             raise ProofFormatError('line entries need "id", "formula", and "rule"')
         line_id = _integer(entry, "id", "line entry")
         lines.append(
-            ProofLine(line_id, parse(entry["formula"]), _rule_from_dict(entry["rule"], line_id))
+            ProofLine(
+                line_id,
+                _formula(entry, "formula", f"line {line_id}"),
+                _rule_from_dict(entry["rule"], line_id),
+            )
         )
     premises_allowed = doc.get("premises_allowed", False)
     if not isinstance(premises_allowed, bool):
@@ -326,7 +338,7 @@ def script_from_dict(doc: dict) -> ProofScript:
         )
     return ProofScript(
         lines=tuple(lines),
-        goal=parse(doc["goal"]),
+        goal=_formula(doc, "goal", "proof script"),
         premises_allowed=premises_allowed,
     )
 

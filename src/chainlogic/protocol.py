@@ -293,9 +293,10 @@ def telephone(word_len: int, alphabet, chain_len: int) -> TelephoneProtocol:
 
 # --- run-level operations ---------------------------------------------------
 
-def is_run(p: ChainProtocol, assignment) -> bool:
-    """True when every adjacent pair of the assignment satisfies its local
-    condition. Labels outside a channel's value set raise ValueDomainError."""
+def check_assignment(p: ChainProtocol, assignment) -> tuple:
+    """The assignment as a tuple, once it has one value per window channel,
+    each in its channel's value set. A wrong length raises ValueError, a
+    label outside a value set ValueDomainError."""
     lo, hi = p.window
     r = tuple(assignment)
     if len(r) != hi - lo + 1:
@@ -306,27 +307,50 @@ def is_run(p: ChainProtocol, assignment) -> bool:
     for k in p.channels():
         if not p.has_value(k, r[k - lo]):
             raise ValueDomainError(k, r[k - lo])
+    return r
+
+
+def is_run(p: ChainProtocol, assignment) -> bool:
+    """True when every adjacent pair of the assignment satisfies its local
+    condition. Checked first by ``check_assignment``."""
+    lo, hi = p.window
+    r = check_assignment(p, assignment)
     return all(
         p.local(k).holds(r[k - lo - 1], r[k - lo]) for k in range(lo + 1, hi + 1)
     )
+
+
+_END = object()
+
+
+def _paths(first, start: int, stop: int, successors):
+    """Every path over channels start..stop, as tuples, in order: the value
+    at ``start`` from ``first``, each next one from ``successors(j, prev)``.
+
+    Iterative, so chain length is not bounded by the recursion limit.
+    """
+    prefix: list = []
+    stack = [iter(first)]
+    while stack:
+        v = next(stack[-1], _END)
+        if v is _END:
+            stack.pop()
+            if prefix:
+                prefix.pop()
+        elif start + len(prefix) == stop:
+            yield (*prefix, v)
+        else:
+            prefix.append(v)
+            stack.append(iter(successors(start + len(prefix), v)))
 
 
 def runs(p: ChainProtocol):
     """Lazily enumerate every run, each exactly once, in lexicographic order
     of the per-channel value order."""
     lo, hi = p.window
-
-    def extend(k: int, prefix: list):
-        if k > hi:
-            yield tuple(prefix)
-            return
-        candidates = p.iter_values(lo) if k == lo else p.local(k).successors(prefix[-1])
-        for v in candidates:
-            prefix.append(v)
-            yield from extend(k + 1, prefix)
-            prefix.pop()
-
-    return extend(lo, [])
+    return _paths(
+        p.iter_values(lo), lo, hi, lambda j, prev: p.local(j).successors(prev)
+    )
 
 
 def run_count(p: ChainProtocol) -> int:
@@ -368,34 +392,15 @@ def runs_fixing(p: ChainProtocol, k: int, v):
             if not prev:
                 return
 
-        def left_paths(j: int, prefix: list):
-            if j > k:
-                yield tuple(prefix)
-                return
-            if j == lo:
-                candidates = sorted(reach[lo])
-            else:
-                candidates = [
-                    u for u in p.local(j).successors(prefix[-1]) if u in reach[j]
-                ]
-            for u in candidates:
-                prefix.append(u)
-                yield from left_paths(j + 1, prefix)
-                prefix.pop()
+        def left_successors(j: int, prev):
+            return [u for u in p.local(j).successors(prev) if u in reach[j]]
 
-        def right_paths(j: int, prefix: list):
-            if j > hi:
-                yield tuple(prefix)
-                return
-            prev = prefix[-1] if prefix else v
-            for u in p.local(j).successors(prev):
-                prefix.append(u)
-                yield from right_paths(j + 1, prefix)
-                prefix.pop()
+        def successors(j: int, prev):
+            return p.local(j).successors(prev)
 
-        for left in left_paths(lo, []):
-            for right in right_paths(k + 1, []):
-                yield left + right
+        for left in _paths(sorted(reach[lo]), lo, k, left_successors):
+            for right in _paths((v,), k, hi, successors):
+                yield left + right[1:]
 
     return generate()
 

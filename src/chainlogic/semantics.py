@@ -1,17 +1,50 @@
-"""Truth evaluation of formulas at protocol runs.
+"""Truth evaluation of formulas at protocol runs, without enumerating runs.
 
 The clauses: false never holds; an atom holds when the channel's current
 value is in its truth set; implication is classical; a box at channel k
 holds when the body holds at every run sharing the current value at k.
 A box whose channel lies outside the protocol window quantifies over all
 runs, because out-of-window channels carry one shared default value.
+
+By locality a box ``[k]φ`` depends only on the value v at channel k, and
+it holds exactly when no run through v falsifies φ. That question, and
+``counterexample``, which asks it with no pinned value, are answered by one
+walk along the chain, never by listing runs. A formula is compiled once
+into its skeleton literals (maximal box and atom subformulas) grouped by
+channel. The walk is depth-first, one channel per level; its state is
+(channel, value, what the formula still needs): the formula with the
+literals of the channels already visited replaced by their truth values
+and simplified away. A state whose formula has become true is dropped, and
+a state shown to have no falsifying completion is never expanded again, so
+a walk costs O(channels · values · degree · states) edge visits instead of
+one evaluation per run. A box literal met on the way is decided by a
+nested walk, once per (channel, value, body) when memoized. No truth table
+is built, so a formula may have any number of literals.
+
+Unpinned, the walk goes lo→hi in successor order, so the first run it
+completes is the first falsifying run in ``protocol.runs`` order: the same
+canonical-first witness an enumeration returns. Pinned at v on channel k,
+it goes from k down to lo through predecessors and then from k+1 up to hi,
+which keeps it to runs through v without computing reachable sets first.
+
+Atom declarations, ``strict_window`` and the run are checked once per
+call, before evaluation, so a branch that evaluation short-circuits does
+not hide an undeclared atom or an out-of-window box.
 """
 
 from __future__ import annotations
 
-from .formula import Atom, Bottom, Box, Formula, Implies
-from .protocol import ChainProtocol, ValueDomainError, runs, runs_fixing
+from functools import lru_cache
 
+from .formula import (
+    Atom,
+    Bottom,
+    Box,
+    Formula,
+    Implies,
+    _variables,
+)
+from .protocol import ChainProtocol, check_assignment
 
 class UndeclaredAtomError(ValueError):
     def __init__(self, name: str, channel: int):
@@ -49,59 +82,241 @@ class EvalContext:
         self._memo: dict = {}
 
 
-def evaluate(ctx: EvalContext, run, f: Formula) -> bool:
-    """Truth value of f at a run of ctx.protocol.
+# --- checks, once per call ----------------------------------------------------
 
-    Atoms must be declared at their channel and the run's labels must lie
-    in the channel value sets; violations raise instead of defaulting.
-    """
+def _leaves(f: Formula) -> dict:
+    """Every distinct atom (channel, name) and box (channel, None) anywhere
+    in f, as dict keys in left-to-right order."""
+    out: dict = {}
+    stack = [f]
+    pop, push = stack.pop, stack.append
+    while stack:
+        g = pop()
+        t = type(g)
+        if t is Implies:
+            push(g.rhs)
+            push(g.lhs)
+        elif t is Box:
+            out[g.channel, None] = None
+            push(g.body)
+        elif t is Atom:
+            out[g.channel, g.name] = None
+    return out
+
+
+def _check_leaves(ctx: EvalContext, leaves: dict) -> None:
+    """Atoms must be declared at an in-window channel; in strict mode every
+    modality must lie in the window."""
     p = ctx.protocol
     lo, hi = p.window
-    if isinstance(f, Bottom):
-        return False
-    if isinstance(f, Atom):
-        k = f.channel
-        if not lo <= k <= hi or not p.atom_declared(k, f.name):
-            raise UndeclaredAtomError(f.name, k)
-        v = run[k - lo]
-        if not p.has_value(k, v):
-            raise ValueDomainError(k, v)
-        return p.atom_holds(k, f.name, v)
-    if isinstance(f, Implies):
-        return (not evaluate(ctx, run, f.lhs)) or evaluate(ctx, run, f.rhs)
-
-    k = f.channel
-    if lo <= k <= hi:
-        key = (k, run[k - lo], f.body)
-        universe = None
-    else:
-        if ctx.strict_window:
+    for k, name in leaves:
+        if lo <= k <= hi:
+            if name is not None and not p.atom_declared(k, name):
+                raise UndeclaredAtomError(name, k)
+        elif name is not None:
+            raise UndeclaredAtomError(name, k)
+        elif ctx.strict_window:
             raise StrictWindowError(
                 f"modality channel {k} is outside the window [{lo}, {hi}]"
             )
-        # All runs share the default value out of window.
-        key = (k, None, f.body)
-        universe = runs(p)
+
+
+# --- compiled bodies ----------------------------------------------------------
+
+class _Plan:
+    """A formula compiled for the walk.
+
+    ``groups`` maps each channel to the formula's skeleton literals there.
+    ``start`` is the formula with constants folded, or None when it cannot
+    be false. ``leaves`` caches ``_leaves`` for a formula checked by
+    ``counterexample``.
+    """
+
+    __slots__ = ("groups", "start", "leaves")
+
+    def __init__(self, groups, start):
+        self.groups = groups
+        self.start = start
+        self.leaves = None
+
+
+@lru_cache(maxsize=64)
+def _compile(f: Formula) -> _Plan:
+    groups: dict[int, list] = {}
+    for lit in _variables(f, {}):
+        groups.setdefault(lit.channel, []).append(lit)
+    start = _partial(f, {})
+    return _Plan(groups, None if start is True else start)
+
+
+def _partial(f, values: dict):
+    """f with the literals in ``values`` replaced by their truth values and
+    simplified: True, False, or the residual formula."""
+    if f is True or f is False:
+        return f
+    if isinstance(f, Bottom):
+        return False
+    if not isinstance(f, Implies):
+        return values.get(f, f)
+    a = _partial(f.lhs, values)
+    if a is False:
+        return True
+    b = _partial(f.rhs, values)
+    if b is True or a is True:
+        return b
+    if a is f.lhs and b is f.rhs:
+        return f
+    return Implies(a, Bottom() if b is False else b)
+
+
+def _literal(ctx: EvalContext, lit, k: int, v) -> bool:
+    if isinstance(lit, Atom):
+        return ctx.protocol.atom_holds(k, lit.name, v)
+    return _box(ctx, k, v, lit.body)
+
+
+def _column(ctx: EvalContext, plan: _Plan, k: int, v) -> dict:
+    """The truth values of the formula's literals at channel k when it
+    carries v (None: out of window)."""
+    return {lit: _literal(ctx, lit, k, v) for lit in plan.groups[k]}
+
+
+def _absorb(state, col: dict):
+    """The walk state after one column, or None once the formula can no
+    longer be false."""
+    state = _partial(state, col)
+    return None if state is True else state
+
+
+def _box(ctx: EvalContext, k: int, v, body: Formula) -> bool:
+    """[k]body where channel k carries v (None: out of window)."""
+    key = (k, v, body)
     if ctx.memoize:
         cached = ctx._memo.get(key, _MISSING)
         if cached is not _MISSING:
             return cached
-    if universe is None:
-        universe = runs_fixing(p, k, key[1])
-    result = all(evaluate(ctx, other, f.body) for other in universe)
+    pin = None if v is None else (k, v)
+    result = _first_falsifying(ctx, _compile(body), pin) is None
     if ctx.memoize:
         ctx._memo[key] = result
     return result
 
 
+# --- the walk -----------------------------------------------------------------
+
+def _first_falsifying(ctx: EvalContext, plan: _Plan, pin):
+    """The values, in walk order, of a run on which the compiled formula is
+    false, or None if there is none; with ``pin`` = (k, v), only runs
+    through v at channel k count. Unpinned, walk order is chain order and
+    the run is the first such run in ``protocol.runs`` order.
+
+    Depth-first with an explicit stack, one channel per level: lo→hi in
+    successor order, or, when pinned, from k down to lo through
+    predecessors and then from k+1 up to hi. Either order reads every
+    channel once and the state (the residual formula) does not depend on
+    the order. The candidates of the next channel depend only on one
+    value, the previous one or, after the downward leg, v; a (channel, that
+    value, state) whose subtree held no falsifying run is never expanded
+    again. Each column, and the state it last led to, is cached per walk.
+    """
+    p = ctx.protocol
+    lo, hi = p.window
+    groups = plan.groups
+    state = plan.start
+    for j in groups:
+        if state is not None and not lo <= j <= hi:
+            state = _absorb(state, _column(ctx, plan, j, None))
+    if state is None:
+        return None
+    if pin is None:
+        # k = lo - 1 sends every channel after the first up the chain.
+        k, v = lo - 1, None
+        order, first = range(lo, hi + 1), p.iter_values(lo)
+    else:
+        k, v = pin
+        order, first = [*range(k, lo - 1, -1), *range(k + 1, hi + 1)], (v,)
+    last = len(order) - 1
+
+    columns: dict = {}
+    dead: set = set()
+    path: list = []
+    frames: list = []  # (candidate iterator, state before it, dead key)
+    it, before, i = iter(first), state, 0
+    while True:
+        j = order[i]
+        for u in it:
+            s = before
+            if j in groups:
+                # [column, last state absorbed into it, the state it gave]
+                step = columns.get((j, u))
+                if step is None:
+                    step = columns[j, u] = [_column(ctx, plan, j, u), None, None]
+                if step[1] is not before:
+                    step[1], step[2] = before, _absorb(before, step[0])
+                s = step[2]
+                if s is None:
+                    continue
+            if i == last:
+                path.append(u)
+                return path
+            nxt = order[i + 1]
+            anchor = v if nxt == k + 1 else u
+            key = (j, anchor, s)
+            if key in dead:
+                continue
+            frames.append((it, before, key))
+            path.append(u)
+            if nxt < k:
+                it = iter(p.local(j).predecessors(u))
+            else:
+                it = iter(p.local(nxt).successors(anchor))
+            before, i = s, i + 1
+            break
+        else:
+            if not frames:
+                return None
+            it, before, key = frames.pop()
+            path.pop()
+            i -= 1
+            dead.add(key)
+
+
+# --- public entry points --------------------------------------------------------
+
+def _holds(ctx: EvalContext, run, f: Formula) -> bool:
+    lo, hi = ctx.protocol.window
+    if isinstance(f, Bottom):
+        return False
+    if isinstance(f, Atom):
+        return ctx.protocol.atom_holds(f.channel, f.name, run[f.channel - lo])
+    if isinstance(f, Implies):
+        return (not _holds(ctx, run, f.lhs)) or _holds(ctx, run, f.rhs)
+    k = f.channel
+    return _box(ctx, k, run[k - lo] if lo <= k <= hi else None, f.body)
+
+
+def evaluate(ctx: EvalContext, run, f: Formula) -> bool:
+    """Truth value of f at a run of ctx.protocol.
+
+    The run must have one value per window channel, each in its channel's
+    value set, and every atom of f must be declared at its channel; these
+    are checked once, before evaluation, and violations raise.
+    """
+    run = check_assignment(ctx.protocol, run)
+    _check_leaves(ctx, _leaves(f))
+    return _holds(ctx, run, f)
+
+
 def valid_in(ctx: EvalContext, f: Formula) -> bool:
     """True when f holds at every run of the protocol."""
-    return all(evaluate(ctx, r, f) for r in runs(ctx.protocol))
+    return counterexample(ctx, f) is None
 
 
 def counterexample(ctx: EvalContext, f: Formula):
     """The first run in enumeration order falsifying f, or None if valid."""
-    for r in runs(ctx.protocol):
-        if not evaluate(ctx, r, f):
-            return r
-    return None
+    plan = _compile(f)
+    if plan.leaves is None:
+        plan.leaves = _leaves(f)
+    _check_leaves(ctx, plan.leaves)
+    path = _first_falsifying(ctx, plan, None)
+    return None if path is None else tuple(path)

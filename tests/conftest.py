@@ -4,9 +4,16 @@ import functools
 import itertools
 
 from chainlogic import (
+    Atom,
+    Bottom,
     ExplicitChainProtocol,
+    Implies,
     SearchBounds,
+    UndeclaredAtomError,
+    ValueDomainError,
     enumerate_protocols,
+    runs,
+    runs_fixing,
 )
 
 
@@ -51,6 +58,48 @@ def brute_force_runs(p):
         ):
             out.append(combo)
     return out
+
+
+def enum_evaluate(p, run, f, memo=None):
+    """The enumeration evaluator, kept as the oracle for the chain walk.
+
+    A box scans ``runs_fixing`` for the run's value at its channel, or every
+    run when the channel is out of window, and evaluates its body on each.
+    ``memo`` maps (channel, value, body) to a box's verdict; None disables it.
+    """
+    lo, hi = p.window
+    if isinstance(f, Bottom):
+        return False
+    if isinstance(f, Atom):
+        k = f.channel
+        if not lo <= k <= hi or not p.atom_declared(k, f.name):
+            raise UndeclaredAtomError(f.name, k)
+        v = run[k - lo]
+        if not p.has_value(k, v):
+            raise ValueDomainError(k, v)
+        return p.atom_holds(k, f.name, v)
+    if isinstance(f, Implies):
+        return (not enum_evaluate(p, run, f.lhs, memo)) or enum_evaluate(
+            p, run, f.rhs, memo
+        )
+    k = f.channel
+    v = run[k - lo] if lo <= k <= hi else None
+    key = (k, v, f.body)
+    if memo is not None and key in memo:
+        return memo[key]
+    universe = runs(p) if v is None else runs_fixing(p, k, v)
+    result = all(enum_evaluate(p, other, f.body, memo) for other in universe)
+    if memo is not None:
+        memo[key] = result
+    return result
+
+
+def enum_counterexample(p, f, memo=None):
+    """The first run in runs() order falsifying f, by scanning every run."""
+    for r in runs(p):
+        if not enum_evaluate(p, r, f, memo):
+            return r
+    return None
 
 
 @functools.lru_cache(maxsize=None)

@@ -138,6 +138,15 @@ def test_prove_string_premises_allowed_exits_2(capsys, tmp_path):
     assert "premises_allowed" in err
 
 
+def test_prove_non_string_formula_exits_2(capsys, tmp_path):
+    doc = {"goal": "p@0", "lines": [{"id": 1, "formula": 5, "rule": {"type": "taut"}}]}
+    path = tmp_path / "numeric.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, ["prove", "--script", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and '"formula"' in err
+
+
 def test_protocol_format_error_exits_2(capsys, tmp_path):
     doc = protocol_to_dict(gateway_countermodel())
     doc["surprise"] = True
@@ -214,6 +223,35 @@ def test_telephone_counterexample(capsys):
     )
     assert code == 1
     assert out.strip() == "b,a"
+
+
+def test_counterexample_on_a_long_chain(capsys):
+    # 1,200 channels: neither the walk nor run enumeration may recurse per channel.
+    code, out, err = run(
+        capsys,
+        [
+            "telephone", "--len", "1", "--alphabet", "ab", "--chain", "1200",
+            "counterexample", "--formula", "eq_b@0",
+        ],
+    )
+    assert (code, err) == (1, "")
+    assert out.strip() == ",".join(["a"] * 1200)
+
+
+@pytest.mark.parametrize(
+    "verb, extra",
+    [("eval", ["--run", "a,a,a"]), ("valid", []), ("counterexample", [])],
+)
+def test_unreached_leaves_exit_2(capsys, verb, extra):
+    # Checked before evaluation, so short-circuiting does not hide them.
+    base = ["telephone", "--len", "1", "--alphabet", "ab", "--chain", "3", verb]
+    for tail in (
+        ["--formula", "false -> eq_zz@0"],
+        ["--formula", "false -> [9]eq_a@0", "--strict-window"],
+    ):
+        code, out, err = run(capsys, base + extra + tail)
+        assert (code, out) == (2, ""), tail
+        assert err
 
 
 def test_usage_error_exits_2(capsys):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -208,3 +210,25 @@ def test_scoped_cnf_properties():
 def test_diamond_roundtrip():
     assert diamond(2, Atom(2, "p")) == parse("<2>p@2")
     assert truth() == parse("true")
+
+
+def test_equal_formulas_built_apart_hash_and_compare_equal():
+    text = "[0](p@1 -> [2]!q@2) & <1>(p@0 | false) -> true"
+    a, b = parse(text), parse(text)
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != parse("[0](p@1 -> [2]!q@2) & <1>(p@0 | false) -> false")
+    # The cache is invisible to equality and repr, and survives reuse.
+    assert repr(a) == repr(b) and "_hash" not in repr(a)
+    assert hash(a) == hash(a) == hash(b)
+    assert {a: 1}[parse(text)] == 1
+    for copied in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert copied == a and hash(copied) == hash(a)
+
+
+def test_deep_formula_hashes_without_recursion():
+    f = parse("p@0")
+    for _ in range(20_000):
+        f = Box(0, Implies(f, Bottom()))
+    assert hash(f) == hash(f)

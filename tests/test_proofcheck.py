@@ -384,6 +384,25 @@ def test_integer_fields_reject_other_json_types(line_index, field, bad):
         script_from_dict(doc)
 
 
+def _distributivity_doc():
+    phi, psi = parse("p@0"), parse("q@1")
+    line, _ = instantiate_axiom("distributivity", {"k": 0, "phi": phi, "psi": psi})
+    rule = {"type": "axiom", "schema": "distributivity", "k": 0, "phi": "p@0", "psi": "q@1"}
+    return {"goal": render(line), "lines": [{"id": 1, "formula": render(line), "rule": rule}]}
+
+
+@pytest.mark.parametrize("bad", [5, 1.5, True, None, ["p@0"], {"text": "p@0"}])
+@pytest.mark.parametrize("key", ["formula", "goal", "phi", "psi"])
+def test_formula_fields_must_be_strings(key, bad):
+    doc = _distributivity_doc()
+    assert check_script(script_from_dict(doc)).accepted  # the unmodified script
+    line = doc["lines"][0]
+    target = doc if key == "goal" else line if key == "formula" else line["rule"]
+    target[key] = bad
+    with pytest.raises(ProofFormatError, match=key):
+        script_from_dict(doc)
+
+
 def test_unknown_schema_in_file_is_format_error():
     doc = script_to_dict(corpus()["prop1"])
     doc["lines"][0]["rule"]["schema"] = "teleportation"

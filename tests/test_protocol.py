@@ -112,6 +112,15 @@ def test_runs_is_lazy():
     assert first == ("aaaa", "aaaa", "aaaa")
 
 
+def test_runs_and_runs_fixing_on_a_long_chain():
+    # More channels than the recursion limit allows frames.
+    t = telephone(1, "ab", 1200)
+    assert next(runs(t)) == ("a",) * 1200
+    fixed = runs_fixing(t, 600, "b")
+    assert next(fixed) == ("a",) * 600 + ("b",) + ("a",) * 599
+    assert next(fixed) == ("a",) * 600 + ("b",) + ("a",) * 598 + ("b",)
+
+
 def test_run_count_examples():
     assert run_count(two_value_cube()) == 8
     assert run_count(telephone(1, "ab", 2)) == 4

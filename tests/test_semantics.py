@@ -3,8 +3,11 @@ import random
 import pytest
 
 from chainlogic import (
+    Atom,
+    Bottom,
     Box,
     EvalContext,
+    Implies,
     RandomMode,
     SearchBounds,
     StrictWindowError,
@@ -12,6 +15,7 @@ from chainlogic import (
     ValueDomainError,
     counterexample,
     evaluate,
+    iff,
     neg,
     parse,
     random_formula,
@@ -21,8 +25,15 @@ from chainlogic import (
     telephone,
     valid_in,
 )
+from chainlogic.formula import DEFAULT_VARIABLE_LIMIT
 
-from conftest import gateway_countermodel, make_protocol, two_value_cube
+from conftest import (
+    enum_counterexample,
+    enum_evaluate,
+    gateway_countermodel,
+    make_protocol,
+    two_value_cube,
+)
 
 
 def small_telephone():
@@ -81,6 +92,32 @@ def test_undeclared_atom_errors():
         evaluate(ctx, ("0", "0", "0"), parse("p@9"))
     with pytest.raises(ValueDomainError):
         evaluate(ctx, ("0", "7", "0"), parse("p@1"))
+
+
+def test_unreached_leaves_are_still_checked():
+    # Atoms and strict-window boxes are checked once per call, before the
+    # formula is evaluated, so a branch that evaluation would short-circuit
+    # does not hide them.
+    t = telephone(1, "ab", 3)
+    ctx = EvalContext(t)
+    strict = EvalContext(t, strict_window=True)
+    run = ("a", "a", "a")
+    for c, text in ((ctx, "false -> eq_zz@0"), (strict, "false -> [9]eq_a@0")):
+        error = UndeclaredAtomError if c is ctx else StrictWindowError
+        f = parse(text)
+        with pytest.raises(error):
+            evaluate(c, run, f)
+        with pytest.raises(error):
+            valid_in(c, f)
+        with pytest.raises(error):
+            counterexample(c, f)
+
+
+def test_wrong_length_run_is_a_value_error():
+    ctx = EvalContext(telephone(1, "ab", 3))
+    for run in (("a",), ("a", "a", "a", "a")):
+        with pytest.raises(ValueError, match=f"assignment has {len(run)} values .* has 3 channels"):
+            evaluate(ctx, run, parse("eq_a@2"))
 
 
 def test_out_of_window_box_quantifies_all_runs():
@@ -159,3 +196,81 @@ def test_eq1_instance_valid_on_sampled_suite():
     for _ in range(200):
         p = sample_protocol(rng, SearchBounds(3, 2, 1))
         assert valid_in(EvalContext(p), f)
+
+
+# --- the chain walk against the enumeration oracle ---------------------------
+
+def _oracle_formula(rng, window, names, depth):
+    """Random core formula whose atoms sit in the window and whose boxes may
+    also sit one channel outside it on either side."""
+    lo, hi = window
+    roll = rng.random()
+    if depth <= 0 or roll < 0.3:
+        if rng.random() < 0.15:
+            return Bottom()
+        return Atom(rng.randint(lo, hi), rng.choice(names))
+    if roll < 0.65:
+        return Implies(
+            _oracle_formula(rng, window, names, depth - 1),
+            _oracle_formula(rng, window, names, depth - 1),
+        )
+    return Box(rng.randint(lo - 1, hi + 1), _oracle_formula(rng, window, names, depth - 1))
+
+
+def _wide_formula(rng, window, names):
+    """A box body with more skeleton literals than a truth table may have,
+    which the walk must still decide."""
+    lo, hi = window
+    lits = {}
+    while len(lits) <= DEFAULT_VARIABLE_LIMIT:
+        a = Atom(rng.randint(lo, hi), rng.choice(names))
+        b = Atom(rng.randint(lo, hi), rng.choice(names))
+        lit = a if rng.random() < 0.5 else Box(rng.randint(lo - 1, hi + 1), Implies(a, b))
+        lits[lit] = None
+    f = Bottom()
+    for lit in lits:
+        f = Implies(neg(f), lit) if rng.random() < 0.5 else neg(Implies(f, neg(lit)))
+    return Box(rng.randint(lo - 1, hi + 1), f)
+
+
+@pytest.mark.parametrize(
+    "bounds, pairs", [(SearchBounds(3, 2, 2), 700), (SearchBounds(4, 2, 1), 400)]
+)
+def test_walk_matches_enumeration_oracle(bounds, pairs):
+    rng = random.Random(20 + bounds.num_channels)
+    refuted = 0
+    for i in range(pairs):
+        p = sample_protocol(rng, bounds)
+        names = bounds.atom_names
+        if i % 10 == 0:
+            f = _wide_formula(rng, p.window, names)
+        elif i % 10 < 4:
+            # Whether a run falsifies an equivalence depends on channels on
+            # both sides of the one in the middle, so the walk state matters.
+            f = iff(*(_oracle_formula(rng, p.window, names, 2) for _ in range(2)))
+            f = Box(rng.randint(p.window[0] - 1, p.window[1] + 1), f) if i % 10 == 3 else f
+        else:
+            f = _oracle_formula(rng, p.window, names, rng.randint(1, 5))
+        memoize = i % 3 != 0
+        ctx = EvalContext(p, memoize=memoize)
+        memo = {} if memoize else None
+        for r in runs(p):
+            assert evaluate(ctx, r, f) == enum_evaluate(p, r, f, memo), (r, f)
+        expected = enum_counterexample(p, f, memo)
+        assert counterexample(ctx, f) == expected, f
+        assert valid_in(ctx, f) == (expected is None)
+        refuted += expected is not None
+    # Both verdicts occur often enough for the comparison to mean something.
+    assert pairs // 5 < refuted < pairs - pairs // 5
+
+
+def test_valid_scales_past_enumeration():
+    # 27 words and 7 neighbours per channel: about 10^33 runs on 40 channels.
+    t = telephone(3, "abc", 40)
+    ctx = EvalContext(t)
+    # Words three letters apart never sit on adjacent channels (gap rule).
+    assert valid_in(ctx, parse("[0]!(eq_ccc@39 & eq_aaa@38)"))
+    # Three letters over 39 hops is allowed; the first run stays on aaa as
+    # long as the remaining hops still reach ccc.
+    witness = counterexample(ctx, parse("!(eq_aaa@0 & eq_ccc@39)"))
+    assert witness == ("aaa",) * 37 + ("aac", "acc", "ccc")
