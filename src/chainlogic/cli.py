@@ -90,36 +90,21 @@ def _eval_on(args, out, protocol) -> int:
     return 0 if value else 1
 
 
-def _valid_on(args, out, protocol) -> int:
+def _witness_on(args, out, protocol, command: str) -> int:
+    """``valid`` or ``counterexample``: one search for the first falsifying
+    run, reported in the verb's own payload and text."""
     ctx = EvalContext(protocol, strict_window=args.strict_window)
     witness = counterexample(ctx, parse(args.formula))
-    payload = {
-        "command": "valid",
-        "formula": args.formula,
-        "valid": witness is None,
-        "counterexample": list(witness) if witness is not None else None,
-    }
-    if witness is None:
-        _emit(args, out, payload, ["valid"])
-        return 0
-    _emit(args, out, payload, ["invalid", "counterexample: " + ",".join(witness)])
-    return 1
-
-
-def _counterexample_on(args, out, protocol) -> int:
-    ctx = EvalContext(protocol, strict_window=args.strict_window)
-    witness = counterexample(ctx, parse(args.formula))
-    payload = {
-        "command": "counterexample",
-        "formula": args.formula,
-        "found": witness is not None,
-        "run": list(witness) if witness is not None else None,
-    }
-    if witness is None:
-        _emit(args, out, payload, ["none: the formula is valid on this protocol"])
-        return 0
-    _emit(args, out, payload, [",".join(witness)])
-    return 1
+    found = witness is not None
+    run = list(witness) if found else None
+    if command == "valid":
+        payload = {"valid": not found, "counterexample": run}
+        lines = ["invalid", "counterexample: " + ",".join(run)] if found else ["valid"]
+    else:
+        payload = {"found": found, "run": run}
+        lines = [",".join(run)] if found else ["none: the formula is valid on this protocol"]
+    _emit(args, out, {"command": command, "formula": args.formula, **payload}, lines)
+    return 1 if found else 0
 
 
 def _cmd_eval(args, out) -> int:
@@ -127,7 +112,7 @@ def _cmd_eval(args, out) -> int:
 
 
 def _cmd_valid(args, out) -> int:
-    return _valid_on(args, out, load_protocol(args.protocol))
+    return _witness_on(args, out, load_protocol(args.protocol), "valid")
 
 
 def _cmd_prove(args, out) -> int:
@@ -203,9 +188,7 @@ def _cmd_telephone(args, out) -> int:
     protocol = telephone(args.len, alphabet, args.chain)
     if args.verb == "eval":
         return _eval_on(args, out, protocol)
-    if args.verb == "valid":
-        return _valid_on(args, out, protocol)
-    return _counterexample_on(args, out, protocol)
+    return _witness_on(args, out, protocol, args.verb)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

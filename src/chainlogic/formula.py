@@ -73,6 +73,52 @@ def _structural_hash(self) -> int:
     return self._hash
 
 
+def _structural_eq(self, other) -> bool:
+    """Structural equality of implications and boxes, from an explicit
+    stack so that deeply nested formulas compare without recursion. Shared
+    subformulas are skipped by identity, and two nodes whose cached hashes
+    differ are unequal at once. Atoms keep the generated field-wise
+    equality: they have no subformulas.
+    """
+    if self is other:
+        return True
+    if type(other) is not type(self):
+        return NotImplemented
+    stack = [self, other]  # pairs to compare, flattened
+    pop, push = stack.pop, stack.append
+    while stack:
+        b = pop()
+        a = pop()
+        t = type(a)
+        if t is not type(b):
+            return False
+        ha = a._hash
+        if ha is not None:
+            hb = b._hash
+            if hb is not None and ha != hb:
+                return False
+        if t is Implies:
+            x, y = a.rhs, b.rhs
+            if x is not y:
+                push(x)
+                push(y)
+            x, y = a.lhs, b.lhs
+            if x is not y:
+                push(x)
+                push(y)
+        elif t is Box:
+            if a.channel != b.channel:
+                return False
+            x, y = a.body, b.body
+            if x is not y:
+                push(x)
+                push(y)
+        elif t is Atom:
+            if a.channel != b.channel or a.name != b.name:
+                return False
+    return True
+
+
 class _Node:
     """Holds the cached structural hash of a non-constant formula node.
 
@@ -110,7 +156,7 @@ class Atom(_Node):
     __hash__ = _structural_hash
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class Implies(_Node):
     __slots__ = ("lhs", "rhs")
     lhs: "Formula"
@@ -121,10 +167,11 @@ class Implies(_Node):
         _set_rhs(self, rhs)
         _set_hash(self, None)
 
+    __eq__ = _structural_eq
     __hash__ = _structural_hash
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class Box(_Node):
     """Channel-indexed knowledge: the body holds on every run that agrees
     with the current one at this channel."""
@@ -138,6 +185,7 @@ class Box(_Node):
         _set_body(self, body)
         _set_hash(self, None)
 
+    __eq__ = _structural_eq
     __hash__ = _structural_hash
 
 

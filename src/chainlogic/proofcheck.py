@@ -274,7 +274,7 @@ def _rule_from_dict(obj: dict, line_id: int) -> Rule:
     if not isinstance(obj, dict) or "type" not in obj:
         raise ProofFormatError(f'line {line_id}: rule must be an object with "type"')
     kind = obj["type"]
-    if kind not in _RULE_KEYS:
+    if not isinstance(kind, str) or kind not in _RULE_KEYS:
         raise ProofFormatError(f"line {line_id}: unknown rule type {kind!r}")
     unknown = sorted(set(obj) - _RULE_KEYS[kind])
     if unknown:

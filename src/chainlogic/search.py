@@ -6,11 +6,20 @@ and every atom truth table. The canonical candidate order is value-set
 sizes ascending, then relation bitmasks ascending, then truth-table
 bitmasks ascending, which pins witnesses across platforms. Absence of a
 countermodel within bounds proves nothing beyond the explored space.
+
+An exhaustive ``falsify`` generates only the truth tables of the atoms its
+formula reads; every other atom keeps the all-zero table. A table the
+formula cannot see cannot change its verdict, so the first countermodel is
+the one a scan of every candidate finds, and ``budget`` still counts
+positions in that full canonical order. Each (sizes, relation masks) block
+builds its local conditions and counts its runs once, and a block without
+runs is skipped whole.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 
@@ -27,8 +36,8 @@ from .formula import (
     shift_channels,
 )
 from .proofcheck import SCHEMAS, instantiate_axiom
-from .protocol import ExplicitChainProtocol, run_count, runs
-from .semantics import EvalContext, counterexample, evaluate
+from .protocol import ExplicitChainProtocol, ExplicitLocal, run_count, runs
+from .semantics import EvalContext, _leaves, counterexample, evaluate
 
 _VALUE_LABELS = "abcdefghijklmnopqrstuvwxyz"
 _ATOM_NAMES = ("p", "q", "r", "s", "t", "u", "v", "w")
@@ -89,23 +98,28 @@ def candidate_count(bounds: SearchBounds) -> int:
     return total
 
 
-def _build_protocol(
-    sizes: tuple[int, ...],
-    relation_masks: tuple[int, ...],
-    truth_masks: tuple[tuple[int, ...], ...],
-    atom_names: tuple[str, ...],
-) -> ExplicitChainProtocol:
-    values = {k: _VALUE_LABELS[:s] for k, s in enumerate(sizes)}
+def _local(sizes: tuple[int, ...], relation_masks: tuple[int, ...]) -> dict:
+    """The local conditions of one (sizes, relation masks) block; bit
+    i * right + j of a mask relates value i on the left to value j."""
     local = {}
     for k, mask in enumerate(relation_masks, start=1):
         left, right = sizes[k - 1], sizes[k]
-        pairs = [
+        local[k] = ExplicitLocal([
             (_VALUE_LABELS[i], _VALUE_LABELS[j])
             for i in range(left)
             for j in range(right)
             if mask >> (i * right + j) & 1
-        ]
-        local[k] = pairs
+        ])
+    return local
+
+
+def _build_protocol(
+    sizes: tuple[int, ...],
+    local: dict,
+    truth_masks: tuple[tuple[int, ...], ...],
+    atom_names: tuple[str, ...],
+) -> ExplicitChainProtocol:
+    values = {k: _VALUE_LABELS[:s] for k, s in enumerate(sizes)}
     atoms = {}
     for k, channel_masks in enumerate(truth_masks):
         atoms[k] = {
@@ -115,24 +129,50 @@ def _build_protocol(
     return ExplicitChainProtocol((0, len(sizes) - 1), values, local, atoms)
 
 
-def _exhaustive_candidates(bounds: SearchBounds):
+def _exhaustive_candidates(bounds: SearchBounds, read):
+    """Yield (position, protocol) for the candidates with runs, in canonical
+    order, where position is the rank among all candidates with runs.
+
+    Only the truth tables of the (channel, atom) pairs in ``read`` vary;
+    every other atom keeps the all-zero table (declared, true nowhere), and
+    the skipped tables still count towards the positions. A formula that
+    reads only ``read`` has the same verdict on every candidate of a
+    (sizes, relation masks) block that differs in the other tables, so the
+    first candidate refuting it is among the ones yielded.
+    """
     c = bounds.num_channels
     names = bounds.atom_names
+    coordinates = [(k, name) for k in range(c) for name in names]
+    position = 0
     for sizes in itertools.product(range(1, bounds.max_values_per_channel + 1), repeat=c):
+        # A coordinate's weight is the number of candidates one step of it
+        # skips: the product of the table counts of the coordinates after it.
+        weights = []
+        block = 1
+        for k, _ in reversed(coordinates):
+            weights.append(block)
+            block <<= sizes[k]
+        weights.reverse()
+        tables = [
+            range(1 << sizes[k]) if (k, name) in read else (0,)
+            for k, name in coordinates
+        ]
         relation_ranges = [
             range(1, 1 << (left * right)) for left, right in zip(sizes, sizes[1:])
         ]
-        truth_ranges = [
-            [range(1 << sizes[k]) for _ in names] for k in range(c)
-        ]
         for relation_masks in itertools.product(*relation_ranges):
-            flat_truth = [r for per_channel in truth_ranges for r in per_channel]
-            for flat in itertools.product(*flat_truth):
+            local = _local(sizes, relation_masks)
+            if run_count(_build_protocol(sizes, local, (), ())) == 0:
+                continue
+            for flat in itertools.product(*tables):
                 truth_masks = tuple(
-                    tuple(flat[k * len(names) + a] for a in range(len(names)))
-                    for k in range(c)
+                    flat[k * len(names) : (k + 1) * len(names)] for k in range(c)
                 )
-                yield _build_protocol(sizes, relation_masks, truth_masks, names)
+                yield (
+                    position + sum(map(operator.mul, flat, weights)),
+                    _build_protocol(sizes, local, truth_masks, names),
+                )
+            position += block
 
 
 def _random_candidate(rng: random.Random, bounds: SearchBounds) -> ExplicitChainProtocol:
@@ -145,7 +185,7 @@ def _random_candidate(rng: random.Random, bounds: SearchBounds) -> ExplicitChain
     truth_masks = tuple(
         tuple(rng.randrange(1 << sizes[k]) for _ in names) for k in range(c)
     )
-    return _build_protocol(sizes, relation_masks, truth_masks, names)
+    return _build_protocol(sizes, _local(sizes, relation_masks), truth_masks, names)
 
 
 def sample_protocol(rng: random.Random, bounds: SearchBounds) -> ExplicitChainProtocol:
@@ -155,6 +195,15 @@ def sample_protocol(rng: random.Random, bounds: SearchBounds) -> ExplicitChainPr
         if run_count(p) > 0:
             return p
     raise SearchSpaceError("could not sample a protocol with runs")
+
+
+def _check_ceiling(bounds: SearchBounds) -> None:
+    total = candidate_count(bounds)
+    if total > bounds.candidate_ceiling:
+        raise SearchSpaceError(
+            f"exhaustive space has {total} candidates, over the ceiling of "
+            f"{bounds.candidate_ceiling}"
+        )
 
 
 def enumerate_protocols(bounds: SearchBounds):
@@ -171,13 +220,11 @@ def enumerate_protocols(bounds: SearchBounds):
                 yield sample_protocol(rng, bounds)
 
         return sampled()
-    total = candidate_count(bounds)
-    if total > bounds.candidate_ceiling:
-        raise SearchSpaceError(
-            f"exhaustive space has {total} candidates, over the ceiling of "
-            f"{bounds.candidate_ceiling}"
-        )
-    return (p for p in _exhaustive_candidates(bounds) if run_count(p) > 0)
+    _check_ceiling(bounds)
+    every_atom = {
+        (k, name) for k in range(bounds.num_channels) for name in bounds.atom_names
+    }
+    return (p for _, p in _exhaustive_candidates(bounds, every_atom))
 
 
 # --- falsification -----------------------------------------------------------
@@ -194,7 +241,7 @@ def embed_formula(f: Formula, bounds: SearchBounds) -> Formula:
             f"{bounds.num_channels}"
         )
     available = set(bounds.atom_names)
-    used = _atom_names_used(g)
+    used = {name for _, name in _leaves(g) if name is not None}
     if not used <= available:
         raise SearchSpaceError(
             f"formula uses atoms {sorted(used - available)} beyond the bounds' "
@@ -203,25 +250,29 @@ def embed_formula(f: Formula, bounds: SearchBounds) -> Formula:
     return g
 
 
-def _atom_names_used(f: Formula) -> set[str]:
-    if isinstance(f, Atom):
-        return {f.name}
-    if isinstance(f, Box):
-        return _atom_names_used(f.body)
-    if isinstance(f, Implies):
-        return _atom_names_used(f.lhs) | _atom_names_used(f.rhs)
-    return set()
-
-
 def falsify(f: Formula, bounds: SearchBounds, budget: int):
     """First (protocol, run) in canonical order falsifying f, scanning at
     most ``budget`` candidate protocols; None when nothing is found.
 
     The formula is evaluated after shifting its lowest channel to 0 (use
-    embed_formula to see the shifted form).
+    embed_formula to see the shifted form). An exhaustive scan generates
+    only the truth tables of the atoms the formula reads, and ``budget``
+    still counts positions in the full canonical order: the candidates
+    with runs, skipped ones included.
     """
     g = embed_formula(f, bounds)
-    for p in itertools.islice(enumerate_protocols(bounds), budget):
+    if budget < 0:
+        raise SearchSpaceError(f"budget must not be negative, got {budget}")
+    if isinstance(bounds.mode, RandomMode):
+        # islice, so no sample is drawn past the budget.
+        scan = enumerate(itertools.islice(enumerate_protocols(bounds), budget))
+    else:
+        _check_ceiling(bounds)
+        read = {leaf for leaf in _leaves(g) if leaf[1] is not None}
+        scan = _exhaustive_candidates(bounds, read)
+    for position, p in scan:
+        if position >= budget:
+            break
         witness = counterexample(EvalContext(p), g)
         if witness is not None:
             return p, witness

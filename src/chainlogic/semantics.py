@@ -318,5 +318,14 @@ def counterexample(ctx: EvalContext, f: Formula):
     if plan.leaves is None:
         plan.leaves = _leaves(f)
     _check_leaves(ctx, plan.leaves)
+    # [k]φ is valid iff φ is, for any k in or out of the window: a run
+    # falsifying φ falsifies [k]φ at every run sharing its value at k. One
+    # unpinned walk of φ settles validity; only a refuted formula needs the
+    # walk of f itself, which finds the first falsifying run of f.
+    body = f
+    while type(body) is Box:
+        body = body.body
+    if body is not f and _first_falsifying(ctx, _compile(body), None) is None:
+        return None
     path = _first_falsifying(ctx, plan, None)
     return None if path is None else tuple(path)

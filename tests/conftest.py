@@ -102,6 +102,41 @@ def enum_counterexample(p, f, memo=None):
     return None
 
 
+def reference_candidates(channels, max_values, atoms):
+    """The canonical candidate stream, built straight from its definition:
+    value-set sizes ascending, then relation bitmasks, then every truth
+    table, last coordinate fastest; protocols without runs left out."""
+    labels = "abcdefghijklmnopqrstuvwxyz"
+    names = ("p", "q", "r", "s", "t", "u", "v", "w")[:atoms]
+    for sizes in itertools.product(range(1, max_values + 1), repeat=channels):
+        relations = [
+            range(1, 1 << (left * right)) for left, right in zip(sizes, sizes[1:])
+        ]
+        tables = [range(1 << s) for s in sizes for _ in names]
+        for masks in itertools.product(*relations):
+            local = {
+                k: [
+                    (labels[i], labels[j])
+                    for i in range(sizes[k - 1])
+                    for j in range(sizes[k])
+                    if mask >> (i * sizes[k] + j) & 1
+                ]
+                for k, mask in enumerate(masks, start=1)
+            }
+            for flat in itertools.product(*tables):
+                atoms_by_channel = {
+                    k: {
+                        name: [labels[j] for j in range(s) if flat[k * len(names) + a] >> j & 1]
+                        for a, name in enumerate(names)
+                    }
+                    for k, s in enumerate(sizes)
+                }
+                values = {k: labels[:s] for k, s in enumerate(sizes)}
+                p = make_protocol((0, channels - 1), values, local, atoms_by_channel)
+                if brute_force_runs(p):
+                    yield p
+
+
 @functools.lru_cache(maxsize=None)
 def exhaustive_suite(channels, max_values, atoms):
     return tuple(enumerate_protocols(SearchBounds(channels, max_values, atoms)))

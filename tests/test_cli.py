@@ -225,6 +225,34 @@ def test_telephone_counterexample(capsys):
     assert out.strip() == "b,a"
 
 
+@pytest.mark.parametrize(
+    "verb, formula, code, text, payload",
+    [
+        ("valid", "eq_a@0 | eq_b@0", 0, "valid\n",
+         {"command": "valid", "formula": "eq_a@0 | eq_b@0", "valid": True, "counterexample": None}),
+        ("valid", "[1]eq_a@0", 1, "invalid\ncounterexample: a,a\n",
+         {"command": "valid", "formula": "[1]eq_a@0", "valid": False, "counterexample": ["a", "a"]}),
+        ("counterexample", "eq_a@0 | eq_b@0", 0, "none: the formula is valid on this protocol\n",
+         {"command": "counterexample", "formula": "eq_a@0 | eq_b@0", "found": False, "run": None}),
+        ("counterexample", "[1]eq_a@0", 1, "a,a\n",
+         {"command": "counterexample", "formula": "[1]eq_a@0", "found": True, "run": ["a", "a"]}),
+    ],
+)
+def test_valid_and_counterexample_reports(capsys, verb, formula, code, text, payload):
+    argv = ["telephone", "--len", "1", "--alphabet", "ab", "--chain", "2", verb, "--formula", formula]
+    assert run(capsys, argv) == (code, text, "")
+    assert run(capsys, argv + ["--json"]) == (code, json.dumps(payload) + "\n", "")
+
+
+def test_falsify_negative_budget_exits_2(capsys):
+    code, out, err = run(
+        capsys,
+        ["falsify", "--formula", "p@0", "--channels", "2", "--max-values", "2", "--budget", "-1"],
+    )
+    assert (code, out) == (2, "")
+    assert "budget" in err
+
+
 def test_counterexample_on_a_long_chain(capsys):
     # 1,200 channels: neither the walk nor run enumeration may recurse per channel.
     code, out, err = run(

@@ -232,3 +232,42 @@ def test_deep_formula_hashes_without_recursion():
     for _ in range(20_000):
         f = Box(0, Implies(f, Bottom()))
     assert hash(f) == hash(f)
+
+
+def _implication_chain(depth, leaf):
+    f = leaf
+    for i in range(depth):
+        f = Implies(Atom(i % 3, "q"), f)
+    return f
+
+
+def test_deep_formulas_compare_without_recursion():
+    a = _implication_chain(3_000, Atom(0, "p"))
+    b = _implication_chain(3_000, Atom(0, "p"))
+    c = _implication_chain(3_000, Atom(0, "r"))
+    assert a is not b
+    assert a == b and not a != b
+    assert a != c and not a == c
+    # The same verdicts once the hashes are cached, when unequal hashes
+    # settle a comparison at the top.
+    assert hash(a) == hash(b) and hash(a) != hash(c)
+    assert a == b and a != c
+    deep_box = Box(0, _implication_chain(20_000, Bottom()))
+    assert deep_box == Box(0, _implication_chain(20_000, Bottom()))
+
+
+def test_equality_is_structural_on_random_pairs():
+    # Rendering is injective on the core forms, so it is an independent
+    # witness of structural equality.
+    rng = random.Random(17)
+    formulas = [random_formula(rng, range(3), ("p", "q"), 3) for _ in range(300)]
+    for i, a in enumerate(formulas):
+        b = formulas[i - 1] if i % 3 else parse(render(a))
+        if i % 2:
+            hash(a)  # one side with a cached hash, the other without
+        same = render(a) == render(b)
+        assert (a == b) is same and (a != b) is not same, (render(a), render(b))
+        assert (b == a) is same
+    assert Atom(0, "p") != Box(0, Atom(0, "p")) and Atom(0, "p") != "p@0"
+    assert Box(0, Atom(0, "p")) != Box(1, Atom(0, "p"))
+    assert Atom(0, "p") != Atom(1, "p") and Bottom() == Bottom()

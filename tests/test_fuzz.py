@@ -1,0 +1,104 @@
+"""Seeded fuzzing of every CLI verb: malformed input must exit 0, 1 or 2
+with a message, never escape as an exception or print a traceback."""
+
+import io
+import json
+import random
+
+from chainlogic import corpus, protocol_to_dict, script_to_dict
+from chainlogic.cli import run_cli
+
+from conftest import gateway_countermodel
+
+FORMULAS = [
+    "[1]p@0 -> [2]p@0",
+    "<0>(p@0 & !p@2) | [2]false",
+    "[0](p@1 | p@2) -> ([0]p@1 | [0]p@2)",
+    "eq_a@0 -> [1]eq_b@2",
+    "true",
+]
+TOKENS = list("[]<>()!&|@-0123456789 ") + ["->", "p", "q", "eq_a", "eq_b", "false", "true", "@9"]
+JSON_VALUES = [None, True, False, 0, -1, 1.5, 10**30, "", "a", "p@0", [], {}, [["a"]], {"x": 1}]
+
+
+def _mangle_formula(rng, text):
+    chars = list(text)
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randint(0, len(chars))
+        roll = rng.random()
+        if roll < 0.4 and chars:
+            del chars[min(i, len(chars) - 1)]
+        elif roll < 0.8:
+            chars.insert(i, rng.choice(TOKENS))
+        elif chars:
+            chars[min(i, len(chars) - 1)] = rng.choice(TOKENS)
+    return "".join(chars)
+
+
+def _mangle_json(rng, doc):
+    """doc with one nested value replaced by a value of a random JSON type."""
+    doc = json.loads(json.dumps(doc))
+    parent, key, node = None, None, doc
+    for _ in range(rng.randint(1, 6)):
+        if not isinstance(node, (dict, list)) or not node:
+            break
+        children = list(node.items()) if isinstance(node, dict) else list(enumerate(node))
+        parent, (key, node) = node, rng.choice(children)
+        if rng.random() < 0.3:
+            break
+    if parent is None:
+        return rng.choice(JSON_VALUES)
+    parent[key] = rng.choice(JSON_VALUES)
+    return doc
+
+
+def _file_text(rng, doc):
+    roll = rng.random()
+    if roll < 0.25:
+        return bytes(rng.randrange(256) for _ in range(rng.randint(0, 80)))
+    text = json.dumps(doc)
+    if roll < 0.5:
+        return text[: rng.randint(0, len(text) - 1)].encode()
+    return json.dumps(_mangle_json(rng, doc)).encode()
+
+
+def _argvs(rng, tmp_path, i, protocol_doc, script_doc):
+    formula = rng.choice(FORMULAS)
+    if rng.random() < 0.6:
+        formula = _mangle_formula(rng, formula)
+    protocol = tmp_path / f"protocol{i}.json"
+    protocol.write_bytes(_file_text(rng, protocol_doc))
+    script = tmp_path / f"script{i}.json"
+    script.write_bytes(_file_text(rng, script_doc))
+    run = rng.choice(["u,x,z", "v,y,z", "u,x", "u,q,z", "", ",,,", "a,a,a"])
+    phone = ["telephone", "--len", "1", "--alphabet", "ab", "--chain", "3"]
+    return [
+        ["scope", formula],
+        ["eval", "--protocol", str(protocol), "--run", run, "--formula", formula],
+        ["valid", "--protocol", str(protocol), "--formula", formula],
+        ["prove", "--script", str(script)],
+        ["falsify", "--formula", formula, "--channels", str(rng.randint(1, 3)),
+         "--max-values", "2", "--budget", str(rng.randint(0, 300))],
+        phone + ["eval", "--run", run, "--formula", formula],
+        phone + ["valid", "--formula", formula],
+        phone + ["counterexample", "--strict-window", "--formula", formula],
+    ]
+
+
+def test_malformed_input_exits_cleanly(tmp_path, capsys):
+    rng = random.Random(1000)
+    docs = protocol_to_dict(gateway_countermodel()), script_to_dict(corpus()["prop4"])
+    codes = set()
+    for i in range(60):
+        extra = ["--json"] if i % 2 else []
+        for argv in _argvs(rng, tmp_path, i, *docs):
+            out, err = io.StringIO(), io.StringIO()
+            code = run_cli(argv + extra, stdout=out, stderr=err)
+            # argparse reports its usage errors on sys.stderr itself.
+            message = err.getvalue() + capsys.readouterr().err
+            assert code in (0, 1, 2), argv
+            assert "Traceback" not in message, argv
+            assert ("error: " in message) == (code == 2), argv
+            codes.add(code)
+    # The inputs reach past the parsers: every exit code occurs.
+    assert codes == {0, 1, 2}

@@ -342,6 +342,8 @@ def test_script_file_loading(tmp_path):
         lambda d: d["lines"][0].update(note="x"),
         lambda d: d["lines"][0]["rule"].update(bogus=1),
         lambda d: d["lines"][0]["rule"].update(type="smash"),
+        lambda d: d["lines"][0]["rule"].update(type=["axiom"]),
+        lambda d: d["lines"][0]["rule"].update(type={"axiom": 1}),
         lambda d: d.pop("goal"),
     ],
 )

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from chainlogic import (
@@ -8,6 +11,7 @@ from chainlogic import (
     SearchSpaceError,
     candidate_count,
     check_script,
+    counterexample,
     corpus,
     display_gateway_family,
     embed_formula,
@@ -17,12 +21,13 @@ from chainlogic import (
     is_run,
     parse,
     protocol_to_dict,
+    random_formula,
     render,
     soundness_sweep,
     valid_in,
 )
 
-from conftest import exhaustive_suite
+from conftest import exhaustive_suite, reference_candidates
 
 
 def test_bounds_validation():
@@ -75,6 +80,70 @@ def test_candidate_count_matches_generation():
     generated = len(list(enumerate_protocols(bounds)))
     assert generated <= candidate_count(bounds)
     assert len(exhaustive_suite(2, 2, 0)) == 22
+
+
+@pytest.mark.parametrize("bounds", [(2, 2, 1), (3, 1, 2), (3, 2, 0), (2, 2, 2)])
+def test_enumerate_matches_reference_stream(bounds):
+    got = [protocol_to_dict(p) for p in enumerate_protocols(SearchBounds(*bounds))]
+    assert got == [protocol_to_dict(p) for p in reference_candidates(*bounds)]
+
+
+def _reference_falsify(g, bounds, budget):
+    """falsify by definition: counterexample on each candidate of the full
+    canonical stream, cut at the budget. Also returns the position."""
+    stream = itertools.islice(enumerate_protocols(bounds), budget)
+    for position, p in enumerate(stream):
+        run = counterexample(EvalContext(p), g)
+        if run is not None:
+            return position, (p, run)
+    return None, None
+
+
+@pytest.mark.parametrize("bounds, cases", [(SearchBounds(2, 2, 2), 60), (SearchBounds(3, 2, 1), 40)])
+def test_skip_scan_matches_full_scan(bounds, cases):
+    # falsify generates only the truth tables its formula reads; the hit,
+    # the protocol's full document and the budget cut must match a scan of
+    # every candidate.
+    rng = random.Random(5 + bounds.num_channels)
+    window = range(bounds.num_channels)
+    no_atoms = [parse("[0]false"), parse("false"), parse("[1]false -> <0>true")]
+    late_witnesses = 0
+    for i in range(cases):
+        if i < len(no_atoms):
+            f = no_atoms[i]
+        else:
+            names = bounds.atom_names[: 1 + i % bounds.atoms_per_channel]
+            f = random_formula(rng, window, names, rng.randint(1, 3))
+        g = embed_formula(f, bounds)
+        position, hit = _reference_falsify(g, bounds, 3_000)
+        budgets = [rng.randint(1, 3_000)]
+        if position is not None:
+            # At the witness's own position the scan must stop just short.
+            budgets += [position, position + 1]
+            late_witnesses += position > 0
+        for budget in budgets:
+            _, expected = _reference_falsify(g, bounds, budget)
+            got = falsify(f, bounds, budget)
+            if expected is None:
+                assert got is None, (render(f), budget)
+            else:
+                assert got is not None, (render(f), budget)
+                assert protocol_to_dict(got[0]) == protocol_to_dict(expected[0])
+                assert got[1] == expected[1]
+    assert late_witnesses >= cases // 4
+
+
+def test_falsify_keeps_the_ceiling_and_rejects_negative_budgets():
+    bounds = SearchBounds(3, 2, 2)
+    with pytest.raises(SearchSpaceError) as listed:
+        enumerate_protocols(bounds)
+    with pytest.raises(SearchSpaceError) as scanned:
+        falsify(parse("p@0"), bounds, budget=1)
+    assert str(scanned.value) == str(listed.value)
+    assert "over the ceiling of 1000000" in str(scanned.value)
+    with pytest.raises(SearchSpaceError, match="budget"):
+        falsify(parse("p@0"), SearchBounds(2, 2, 1), budget=-1)
+    assert falsify(parse("false"), SearchBounds(2, 2, 1), budget=0) is None
 
 
 def test_falsify_finds_and_reverifies_witness():

@@ -264,6 +264,36 @@ def test_walk_matches_enumeration_oracle(bounds, pairs):
     assert pairs // 5 < refuted < pairs - pairs // 5
 
 
+@pytest.mark.parametrize("bounds, pairs", [(SearchBounds(3, 2, 2), 400)])
+def test_box_prefixed_formulas_match_oracle(bounds, pairs):
+    # counterexample settles a formula under leading boxes by one walk of
+    # its body first; the verdict and the witness must not change.
+    rng = random.Random(41)
+    refuted = 0
+    for i in range(pairs):
+        p = sample_protocol(rng, bounds)
+        lo, hi = p.window
+        f = _oracle_formula(rng, p.window, bounds.atom_names, rng.randint(0, 3))
+        for _ in range(1 + i % 3):
+            f = Box(rng.randint(lo - 1, hi + 1), f)
+        memoize = i % 2 == 0
+        ctx = EvalContext(p, memoize=memoize)
+        expected = enum_counterexample(p, f, {} if memoize else None)
+        assert counterexample(ctx, f) == expected, f
+        assert valid_in(ctx, f) == (expected is None)
+        refuted += expected is not None
+    assert pairs // 5 < refuted < pairs - pairs // 5
+
+
+def test_box_prefix_does_not_skip_leaf_checks():
+    t = telephone(1, "ab", 3)
+    with pytest.raises(UndeclaredAtomError):
+        counterexample(EvalContext(t), parse("[0][1](true | eq_zz@0)"))
+    with pytest.raises(StrictWindowError):
+        valid_in(EvalContext(t, strict_window=True), parse("[0][9]true"))
+    assert valid_in(EvalContext(t), parse("[0][9]true"))
+
+
 def test_valid_scales_past_enumeration():
     # 27 words and 7 neighbours per channel: about 10^33 runs on 40 channels.
     t = telephone(3, "abc", 40)
