@@ -10,6 +10,7 @@ stdout with the same verdict as the text output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -265,12 +266,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None  # built by the first run_cli call, then shared
+
+
 def run_cli(argv=None, stdout=None, stderr=None) -> int:
+    """Run one command and return its exit code. Everything it prints, the
+    argparse usage errors and --help included, goes to ``stdout`` and
+    ``stderr`` (sys.stdout and sys.stderr when omitted)."""
+    global _parser
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    parser = build_parser()
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # argparse prints usage errors and --help on sys.stderr and
+        # sys.stdout; the shared parser cannot hold the caller's streams.
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = _parser.parse_args(argv)
     except SystemExit as exc:
         # argparse already printed usage; normalize its exit code
         return 2 if exc.code not in (0, None) else 0

@@ -10,6 +10,7 @@ parsing, so every analysis below sees the four core forms only.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 # Channel indices are kept inside the signed 64-bit range; anything wider
@@ -235,178 +236,127 @@ def diamond(channel: int, f: Formula) -> Formula:
 #
 # Whitespace between tokens is ignored.
 
-_SINGLE_CHAR_TOKENS = {
-    "[": "LBRACK",
-    "]": "RBRACK",
-    "<": "LANGLE",
-    ">": "RANGLE",
-    "(": "LPAREN",
-    ")": "RPAREN",
-    "!": "BANG",
-    "&": "AMP",
-    "|": "PIPE",
-    "@": "AT",
-}
+# One regular expression splits the text into lexemes, and one loop with an
+# explicit operator stack (operator precedence, as in Dijkstra's shunting
+# yard) builds the core AST from them, so nesting costs heap, not recursion.
+# The whole text is split before parsing, so a lexical error anywhere is
+# reported ahead of a syntax error.
+
+_LEXEME = re.compile(
+    r"\s*(?:(->|[\][<>()!&|@])|(-?[0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|(\S))"
+)
+_PUNCT, _INT, _IDENT = 1, 2, 3
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str
-    text: str
-    pos: int
+def _lex(text: str) -> list[tuple]:
+    """(kind, value, offset) per lexeme, then ("", None, len(text)).
+
+    The kind of punctuation is the lexeme itself; integers are "INT" with
+    their value and identifiers "ID" with their text.
+    """
+    lexemes = []
+    append = lexemes.append
+    for m in _LEXEME.finditer(text):
+        group = m.lastindex
+        lexeme, pos = m[group], m.start(group)
+        if group == _PUNCT:
+            append((lexeme, None, pos))
+        elif group == _IDENT:
+            append(("ID", lexeme, pos))
+        elif group == _INT:
+            value = int(lexeme)
+            if not CHANNEL_MIN <= value <= CHANNEL_MAX:
+                raise FormulaSyntaxError("channel index outside the representable range", pos)
+            append(("INT", value, pos))
+        elif lexeme == "-":
+            raise FormulaSyntaxError("unexpected '-'", pos)
+        else:
+            raise FormulaSyntaxError(f"unexpected character {lexeme!r}", pos)
+    append(("", None, len(text)))
+    return lexemes
 
 
-def _is_ident_start(c: str) -> bool:
-    return "a" <= c <= "z" or "A" <= c <= "Z" or c == "_"
-
-
-def _is_ident_char(c: str) -> bool:
-    return _is_ident_start(c) or "0" <= c <= "9"
-
-
-def _int_token(text: str, pos: int) -> _Token:
-    value = int(text)
-    if not CHANNEL_MIN <= value <= CHANNEL_MAX:
-        raise FormulaSyntaxError("channel index outside the representable range", pos)
-    return _Token("INT", text, pos)
-
-
-def _tokenize(text: str) -> list[_Token]:
-    out: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _SINGLE_CHAR_TOKENS:
-            out.append(_Token(_SINGLE_CHAR_TOKENS[c], c, i))
-            i += 1
-            continue
-        if c == "-":
-            if i + 1 < n and text[i + 1] == ">":
-                out.append(_Token("ARROW", "->", i))
-                i += 2
-                continue
-            if i + 1 < n and "0" <= text[i + 1] <= "9":
-                j = i + 1
-                while j < n and "0" <= text[j] <= "9":
-                    j += 1
-                out.append(_int_token(text[i:j], i))
-                i = j
-                continue
-            raise FormulaSyntaxError("unexpected '-'", i)
-        if "0" <= c <= "9":
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            out.append(_int_token(text[i:j], i))
-            i = j
-            continue
-        if _is_ident_start(c):
-            j = i
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            out.append(_Token("IDENT", text[i:j], i))
-            i = j
-            continue
-        raise FormulaSyntaxError(f"unexpected character {c!r}", i)
-    out.append(_Token("EOF", "", n))
-    return out
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self._tokens = tokens
-        self._i = 0
-
-    def peek(self) -> _Token:
-        return self._tokens[self._i]
-
-    def advance(self) -> _Token:
-        tok = self._tokens[self._i]
-        self._i += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise FormulaSyntaxError(f"expected {what}", tok.pos)
-        return self.advance()
-
-    def formula(self) -> Formula:
-        left = self._or()
-        if self.peek().kind == "ARROW":
-            self.advance()
-            return Implies(left, self.formula())
-        return left
-
-    def _or(self) -> Formula:
-        f = self._and()
-        while self.peek().kind == "PIPE":
-            self.advance()
-            f = disj(f, self._and())
-        return f
-
-    def _and(self) -> Formula:
-        f = self._unary()
-        while self.peek().kind == "AMP":
-            self.advance()
-            f = conj(f, self._unary())
-        return f
-
-    def _unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "BANG":
-            self.advance()
-            return neg(self._unary())
-        if tok.kind == "LBRACK":
-            self.advance()
-            k = self._channel()
-            self.expect("RBRACK", "']'")
-            return Box(k, self._unary())
-        if tok.kind == "LANGLE":
-            self.advance()
-            k = self._channel()
-            self.expect("RANGLE", "'>'")
-            return diamond(k, self._unary())
-        return self._primary()
-
-    def _channel(self) -> int:
-        tok = self.peek()
-        if tok.kind != "INT":
-            raise FormulaSyntaxError("expected a channel index", tok.pos)
-        self.advance()
-        return int(tok.text)
-
-    def _primary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "IDENT":
-            if tok.text == "false":
-                self.advance()
-                return Bottom()
-            if tok.text == "true":
-                self.advance()
-                return truth()
-            self.advance()
-            self.expect("AT", "'@' after an atom name")
-            return Atom(self._channel(), tok.text)
-        if tok.kind == "LPAREN":
-            self.advance()
-            f = self.formula()
-            self.expect("RPAREN", "')'")
-            return f
-        raise FormulaSyntaxError("expected a formula", tok.pos)
+_BINARY = {"&": conj, "|": disj, "->": Implies}
+# The operators on the stack that an incoming binary operator applies
+# first: & and | are left associative, -> is right associative.
+_APPLIED_BEFORE = {"&": ("&",), "|": ("&", "|"), "->": ("&", "|")}
 
 
 def parse(text: str) -> Formula:
     """Parse concrete syntax into the four-constructor core AST."""
-    parser = _Parser(_tokenize(text))
-    f = parser.formula()
-    tail = parser.peek()
-    if tail.kind != "EOF":
-        raise FormulaSyntaxError("unexpected trailing input", tail.pos)
-    return f
+    lexemes = _lex(text)
+    ops = []  # "(", binary operators, and prefixes as (kind, channel)
+    operands = []  # the left operand of each binary operator on ops
+    depth = 0  # open parentheses
+    i = 0
+    while True:
+        # An operand: prefixes and "(" wait on the stack, a primary ends it.
+        kind, value, pos = lexemes[i]
+        i += 1
+        if kind == "ID":
+            if value == "false":
+                f = Bottom()
+            elif value == "true":
+                f = truth()
+            else:
+                if lexemes[i][0] != "@":
+                    raise FormulaSyntaxError("expected '@' after an atom name", lexemes[i][2])
+                channel_kind, channel, pos = lexemes[i + 1]
+                if channel_kind != "INT":
+                    raise FormulaSyntaxError("expected a channel index", pos)
+                f = Atom(channel, value)
+                i += 2
+        elif kind == "!":
+            ops.append(("!", None))
+            continue
+        elif kind == "[" or kind == "<":
+            channel_kind, channel, pos = lexemes[i]
+            if channel_kind != "INT":
+                raise FormulaSyntaxError("expected a channel index", pos)
+            close = "]" if kind == "[" else ">"
+            if lexemes[i + 1][0] != close:
+                raise FormulaSyntaxError(f"expected {close!r}", lexemes[i + 1][2])
+            ops.append((kind, channel))
+            i += 2
+            continue
+        elif kind == "(":
+            ops.append("(")
+            depth += 1
+            continue
+        else:
+            raise FormulaSyntaxError("expected a formula", pos)
+        # A complete operand f: apply its prefixes, then close groups until
+        # a binary operator or the end.
+        while True:
+            while ops and type(ops[-1]) is tuple:
+                kind, channel = ops.pop()
+                if kind == "!":
+                    f = neg(f)
+                elif kind == "[":
+                    f = Box(channel, f)
+                else:
+                    f = diamond(channel, f)
+            kind, value, pos = lexemes[i]
+            i += 1
+            applied_before = _APPLIED_BEFORE.get(kind)
+            if applied_before is not None:
+                while ops and ops[-1] in applied_before:
+                    f = _BINARY[ops.pop()](operands.pop(), f)
+                operands.append(f)
+                ops.append(kind)
+                break
+            if kind == ")" and depth:
+                while (op := ops.pop()) != "(":
+                    f = _BINARY[op](operands.pop(), f)
+                depth -= 1
+                continue
+            if depth:
+                raise FormulaSyntaxError("expected ')'", pos)
+            if kind:
+                raise FormulaSyntaxError("unexpected trailing input", pos)
+            while ops:
+                f = _BINARY[ops.pop()](operands.pop(), f)
+            return f
 
 
 def render(f: Formula) -> str:

@@ -85,17 +85,24 @@ class SearchBounds:
 
 def candidate_count(bounds: SearchBounds) -> int:
     """Exact size of the exhaustive candidate space (zero-run protocols
-    included, since they are skipped only after counting)."""
-    c = bounds.num_channels
-    total = 0
-    for sizes in itertools.product(range(1, bounds.max_values_per_channel + 1), repeat=c):
-        combos = 1
-        for left, right in zip(sizes, sizes[1:]):
-            combos *= (1 << (left * right)) - 1
-        for s in sizes:
-            combos *= 1 << (s * bounds.atoms_per_channel)
-        total += combos
-    return total
+    included, since they are skipped only after counting).
+
+    The sum over value-set size vectors of the product of relation and
+    truth-table counts is a transfer-matrix product: ``counts[s]`` holds
+    the candidates on the channels so far whose last channel has s values,
+    so a channel more costs max_values^2 big-integer steps, not a factor
+    of max_values.
+    """
+    sizes = range(1, bounds.max_values_per_channel + 1)
+    atoms = bounds.atoms_per_channel
+    counts = [1 << (s * atoms) for s in sizes]
+    for _ in range(bounds.num_channels - 1):
+        # n * (2^(left * right) - 1) relations, times 2^(right * atoms) tables
+        counts = [
+            sum((n << (left * right)) - n for left, n in zip(sizes, counts)) << (right * atoms)
+            for right in sizes
+        ]
+    return sum(counts)
 
 
 def _local(sizes: tuple[int, ...], relation_masks: tuple[int, ...]) -> dict:
@@ -200,8 +207,12 @@ def sample_protocol(rng: random.Random, bounds: SearchBounds) -> ExplicitChainPr
 def _check_ceiling(bounds: SearchBounds) -> None:
     total = candidate_count(bounds)
     if total > bounds.candidate_ceiling:
+        try:
+            count = str(total)
+        except ValueError:  # more digits than int-to-str conversion allows
+            count = f"more than 2^{total.bit_length() - 1}"
         raise SearchSpaceError(
-            f"exhaustive space has {total} candidates, over the ceiling of "
+            f"exhaustive space has {count} candidates, over the ceiling of "
             f"{bounds.candidate_ceiling}"
         )
 

@@ -3,18 +3,28 @@
 import functools
 import itertools
 
+from dataclasses import dataclass
+
 from chainlogic import (
     Atom,
     Bottom,
+    Box,
     ExplicitChainProtocol,
+    FormulaSyntaxError,
     Implies,
     SearchBounds,
     UndeclaredAtomError,
     ValueDomainError,
+    conj,
+    diamond,
+    disj,
     enumerate_protocols,
+    neg,
     runs,
     runs_fixing,
+    truth,
 )
+from chainlogic.formula import CHANNEL_MAX, CHANNEL_MIN, Formula
 
 
 def make_protocol(window, values, local, atoms=None):
@@ -137,6 +147,207 @@ def reference_candidates(channels, max_values, atoms):
                     yield p
 
 
+def reference_candidate_count(channels, max_values, atoms):
+    """Size of the exhaustive candidate space as a sum over value-set size
+    vectors, one term per vector (max_values^channels of them)."""
+    total = 0
+    for sizes in itertools.product(range(1, max_values + 1), repeat=channels):
+        combos = 1
+        for left, right in zip(sizes, sizes[1:]):
+            combos *= (1 << (left * right)) - 1
+        for s in sizes:
+            combos *= 1 << (s * atoms)
+        total += combos
+    return total
+
+
 @functools.lru_cache(maxsize=None)
 def exhaustive_suite(channels, max_values, atoms):
     return tuple(enumerate_protocols(SearchBounds(channels, max_values, atoms)))
+
+
+# --- the recursive-descent parser, kept as the oracle for formula.parse -----
+#
+# formula := impl
+# impl    := or ("->" impl)?                    (right associative)
+# or      := and ("|" and)*
+# and     := unary ("&" unary)*
+# unary   := "!" unary | "[" INT "]" unary | "<" INT ">" unary | primary
+# primary := "false" | "true" | IDENT "@" INT | "(" formula ")"
+# INT     := "-"? digits ; IDENT := [A-Za-z_][A-Za-z0-9_]*
+#
+# Whitespace between tokens is ignored.
+
+_SINGLE_CHAR_TOKENS = {
+    "[": "LBRACK",
+    "]": "RBRACK",
+    "<": "LANGLE",
+    ">": "RANGLE",
+    "(": "LPAREN",
+    ")": "RPAREN",
+    "!": "BANG",
+    "&": "AMP",
+    "|": "PIPE",
+    "@": "AT",
+}
+
+
+@dataclass(frozen=True, slots=True)
+class _Token:
+    kind: str
+    text: str
+    pos: int
+
+
+def _is_ident_start(c: str) -> bool:
+    return "a" <= c <= "z" or "A" <= c <= "Z" or c == "_"
+
+
+def _is_ident_char(c: str) -> bool:
+    return _is_ident_start(c) or "0" <= c <= "9"
+
+
+def _int_token(text: str, pos: int) -> _Token:
+    value = int(text)
+    if not CHANNEL_MIN <= value <= CHANNEL_MAX:
+        raise FormulaSyntaxError("channel index outside the representable range", pos)
+    return _Token("INT", text, pos)
+
+
+def _tokenize(text: str) -> list[_Token]:
+    out: list[_Token] = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c in _SINGLE_CHAR_TOKENS:
+            out.append(_Token(_SINGLE_CHAR_TOKENS[c], c, i))
+            i += 1
+            continue
+        if c == "-":
+            if i + 1 < n and text[i + 1] == ">":
+                out.append(_Token("ARROW", "->", i))
+                i += 2
+                continue
+            if i + 1 < n and "0" <= text[i + 1] <= "9":
+                j = i + 1
+                while j < n and "0" <= text[j] <= "9":
+                    j += 1
+                out.append(_int_token(text[i:j], i))
+                i = j
+                continue
+            raise FormulaSyntaxError("unexpected '-'", i)
+        if "0" <= c <= "9":
+            j = i
+            while j < n and "0" <= text[j] <= "9":
+                j += 1
+            out.append(_int_token(text[i:j], i))
+            i = j
+            continue
+        if _is_ident_start(c):
+            j = i
+            while j < n and _is_ident_char(text[j]):
+                j += 1
+            out.append(_Token("IDENT", text[i:j], i))
+            i = j
+            continue
+        raise FormulaSyntaxError(f"unexpected character {c!r}", i)
+    out.append(_Token("EOF", "", n))
+    return out
+
+
+class _Parser:
+    def __init__(self, tokens: list[_Token]):
+        self._tokens = tokens
+        self._i = 0
+
+    def peek(self) -> _Token:
+        return self._tokens[self._i]
+
+    def advance(self) -> _Token:
+        tok = self._tokens[self._i]
+        self._i += 1
+        return tok
+
+    def expect(self, kind: str, what: str) -> _Token:
+        tok = self.peek()
+        if tok.kind != kind:
+            raise FormulaSyntaxError(f"expected {what}", tok.pos)
+        return self.advance()
+
+    def formula(self) -> Formula:
+        left = self._or()
+        if self.peek().kind == "ARROW":
+            self.advance()
+            return Implies(left, self.formula())
+        return left
+
+    def _or(self) -> Formula:
+        f = self._and()
+        while self.peek().kind == "PIPE":
+            self.advance()
+            f = disj(f, self._and())
+        return f
+
+    def _and(self) -> Formula:
+        f = self._unary()
+        while self.peek().kind == "AMP":
+            self.advance()
+            f = conj(f, self._unary())
+        return f
+
+    def _unary(self) -> Formula:
+        tok = self.peek()
+        if tok.kind == "BANG":
+            self.advance()
+            return neg(self._unary())
+        if tok.kind == "LBRACK":
+            self.advance()
+            k = self._channel()
+            self.expect("RBRACK", "']'")
+            return Box(k, self._unary())
+        if tok.kind == "LANGLE":
+            self.advance()
+            k = self._channel()
+            self.expect("RANGLE", "'>'")
+            return diamond(k, self._unary())
+        return self._primary()
+
+    def _channel(self) -> int:
+        tok = self.peek()
+        if tok.kind != "INT":
+            raise FormulaSyntaxError("expected a channel index", tok.pos)
+        self.advance()
+        return int(tok.text)
+
+    def _primary(self) -> Formula:
+        tok = self.peek()
+        if tok.kind == "IDENT":
+            if tok.text == "false":
+                self.advance()
+                return Bottom()
+            if tok.text == "true":
+                self.advance()
+                return truth()
+            self.advance()
+            self.expect("AT", "'@' after an atom name")
+            return Atom(self._channel(), tok.text)
+        if tok.kind == "LPAREN":
+            self.advance()
+            f = self.formula()
+            self.expect("RPAREN", "')'")
+            return f
+        raise FormulaSyntaxError("expected a formula", tok.pos)
+
+
+def reference_parse(text):
+    """The character-loop tokenizer and the recursive-descent parser the
+    library parsed with before its iterative parser."""
+    parser = _Parser(_tokenize(text))
+    f = parser.formula()
+    tail = parser.peek()
+    if tail.kind != "EOF":
+        raise FormulaSyntaxError("unexpected trailing input", tail.pos)
+    return f

@@ -1,8 +1,12 @@
+import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from chainlogic import corpus, protocol_to_dict, script_to_dict
+from chainlogic import cli, corpus, protocol_to_dict, script_to_dict
 from chainlogic.cli import run_cli
 
 from conftest import gateway_countermodel
@@ -285,6 +289,63 @@ def test_unreached_leaves_exit_2(capsys, verb, extra):
 def test_usage_error_exits_2(capsys):
     assert run_cli(["frobnicate"]) == 2
     assert run_cli([]) == 2
+
+
+def test_argparse_output_goes_to_the_given_streams(capsys):
+    for argv, message in (
+        (["scope", "-[true"], "chainlogic scope: error: "),
+        (["eval", "--protocol", "p.json", "--formula", "p@0"], "chainlogic eval: error: "),
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        assert run_cli(argv, stdout=out, stderr=err) == 2, argv
+        assert out.getvalue() == "", argv
+        assert message in err.getvalue().splitlines()[-1], argv
+    out, err = io.StringIO(), io.StringIO()
+    assert run_cli(["--help"], stdout=out, stderr=err) == 0
+    assert out.getvalue().startswith("usage: chainlogic ") and err.getvalue() == ""
+    # The shared parser still answers once an argparse error has unwound.
+    out, err = io.StringIO(), io.StringIO()
+    assert run_cli(["scope", "[1]p@1 -> [2]q@2"], stdout=out, stderr=err) == 0
+    assert (out.getvalue(), err.getvalue()) == ("{1, 2}\n", "")
+    # Nothing reached the process streams, and they are restored.
+    assert capsys.readouterr() == ("", "")
+    print("out")
+    print("err", file=sys.stderr)
+    assert capsys.readouterr() == ("out\n", "err\n")
+
+
+def test_parser_is_built_once(monkeypatch):
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    monkeypatch.setattr(cli, "_parser", None)
+    for argv, code in ((["scope", "p@0"], 0), (["frobnicate"], 2), (["scope", "p@1"], 0)):
+        assert run_cli(argv, stdout=io.StringIO(), stderr=io.StringIO()) == code
+    assert built == [1]
+
+
+def test_importing_the_cli_builds_no_parser():
+    probe = "import chainlogic.cli as c; print(c._parser is None)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__))),
+    )
+    assert done.stdout == "True\n", done.stderr
+
+
+def test_falsify_oversized_bounds_exit_2(capsys):
+    # 2^40 value-set size vectors: counted, not enumerated, before refusing.
+    code, out, err = run(
+        capsys, ["falsify", "--formula", "p@0", "--channels", "40", "--max-values", "2"]
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: exhaustive space has ")
+    assert err.endswith(" candidates, over the ceiling of 1000000\n")
 
 
 def test_json_outputs_match_text_verdicts(capsys, protocol_file, prop4_file, broken_script_file):

@@ -30,6 +30,8 @@ from chainlogic import (
     truth,
 )
 
+from conftest import reference_parse
+
 
 def test_parse_core_forms():
     assert parse("false") == Bottom()
@@ -75,6 +77,14 @@ def test_parse_whitespace_insensitive():
         ("(p@1", 4),
         ("p@1 q@2", 4),
         ("p@1 -", 4),
+        ("p@1 $ q@2 ((", 4),
+        ("((p@1 -x", 6),
+        (") p@99999999999999999999", 4),
+        ("[1 p@0", 3),
+        ("<1] p@0", 2),
+        ("(true@1)", 5),
+        ("p@0 )", 4),
+        ("!(p@0 &)", 7),
     ],
 )
 def test_parse_errors_carry_offsets(text, offset):
@@ -87,6 +97,100 @@ def test_parse_rejects_out_of_range_channels():
     with pytest.raises(FormulaSyntaxError):
         parse(f"p@{2**63}")
     assert parse(f"p@{2**63 - 1}") == Atom(2**63 - 1, "p")
+    with pytest.raises(FormulaSyntaxError):
+        parse(f"[{-2**63 - 1}]p@0")
+    assert parse(f"[{-2**63}]p@0") == Box(-2**63, Atom(0, "p"))
+
+
+_SUGAR_ATOMS = ("p", "q", "eq_a", "R2", "_x")
+_SPACES = ("", "", "", " ", "  ", "\t", "\n ")
+_JUNK = list("[]<>()!&|@-0123456789 $é\u00a0") + ["->", "p", "true", "false", "@-", "9" * 20]
+
+
+def _sugar_tokens(rng, depth):
+    roll = rng.random()
+    if depth <= 0 or roll < 0.25:
+        if rng.random() < 0.15:
+            return [rng.choice(("true", "false"))]
+        return [rng.choice(_SUGAR_ATOMS), "@", str(rng.randint(-12, 12))]
+    if roll < 0.45:
+        k = str(rng.randint(-3, 3))
+        prefix = rng.choice((["!"], ["[", k, "]"], ["<", k, ">"]))
+        return prefix + _sugar_tokens(rng, depth - 1)
+    if roll < 0.55:
+        return ["(", *_sugar_tokens(rng, depth - 1), ")"]
+    op = rng.choice(("&", "|", "->"))
+    return [*_sugar_tokens(rng, depth - 1), op, *_sugar_tokens(rng, depth - 1)]
+
+
+def _sugar_text(rng):
+    tokens = _sugar_tokens(rng, rng.randint(0, 5))
+    return rng.choice(_SPACES) + "".join(t + rng.choice(_SPACES) for t in tokens)
+
+
+def _mangled(rng, text):
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(0, len(chars))
+        if rng.random() < 0.4 and chars:
+            del chars[min(i, len(chars) - 1)]
+        else:
+            chars.insert(i, rng.choice(_JUNK))
+    return "".join(chars)
+
+
+def _outcome(parser, text):
+    try:
+        return parser(text)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+def test_parse_matches_reference_parser():
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(12_000):
+        text = _sugar_text(rng)
+        for candidate in (text, _mangled(rng, text)):
+            expected = _outcome(reference_parse, candidate)
+            assert _outcome(parse, candidate) == expected, candidate
+            seen.add(expected[1].split(" (at offset")[0] if type(expected) is tuple else "parsed")
+    # Parsed formulas and every error message occur.
+    assert seen == {
+        "parsed",
+        "expected a formula",
+        "expected a channel index",
+        "expected '@' after an atom name",
+        "expected ']'",
+        "expected '>'",
+        "expected ')'",
+        "unexpected trailing input",
+        "unexpected '-'",
+        "unexpected character '$'",
+        "unexpected character 'é'",
+        "channel index outside the representable range",
+    }
+
+
+_DEEP = 100_000
+
+
+@pytest.mark.parametrize(
+    "prefix,suffix,wrap",
+    [
+        ("!", "", neg),
+        ("[1]", "", lambda f: Box(1, f)),
+        ("<0>", "", lambda f: diamond(0, f)),
+        ("(", " -> q@1)", lambda f: Implies(f, Atom(1, "q"))),
+        ("q@1 -> ", "", lambda f: Implies(Atom(1, "q"), f)),
+    ],
+    ids=["negation", "box", "diamond", "parentheses", "implication"],
+)
+def test_parse_deep_nesting_without_recursion(prefix, suffix, wrap):
+    expected = Atom(0, "p")
+    for _ in range(_DEEP):
+        expected = wrap(expected)
+    assert parse(prefix * _DEEP + "p@0" + suffix * _DEEP) == expected
 
 
 def test_render_examples():

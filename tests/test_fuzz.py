@@ -94,8 +94,10 @@ def test_malformed_input_exits_cleanly(tmp_path, capsys):
         for argv in _argvs(rng, tmp_path, i, *docs):
             out, err = io.StringIO(), io.StringIO()
             code = run_cli(argv + extra, stdout=out, stderr=err)
-            # argparse reports its usage errors on sys.stderr itself.
-            message = err.getvalue() + capsys.readouterr().err
+            message = err.getvalue()
+            # Every message, argparse's usage errors too, goes to the
+            # streams passed in; none reaches the process's own.
+            assert capsys.readouterr() == ("", ""), argv
             assert code in (0, 1, 2), argv
             assert "Traceback" not in message, argv
             assert ("error: " in message) == (code == 2), argv

@@ -27,7 +27,7 @@ from chainlogic import (
     valid_in,
 )
 
-from conftest import exhaustive_suite, reference_candidates
+from conftest import exhaustive_suite, reference_candidate_count, reference_candidates
 
 
 def test_bounds_validation():
@@ -80,6 +80,27 @@ def test_candidate_count_matches_generation():
     generated = len(list(enumerate_protocols(bounds)))
     assert generated <= candidate_count(bounds)
     assert len(exhaustive_suite(2, 2, 0)) == 22
+
+
+def test_candidate_count_matches_size_vector_sum():
+    for channels, max_values, atoms in itertools.product(range(1, 5), range(1, 4), range(3)):
+        assert candidate_count(SearchBounds(channels, max_values, atoms)) == (
+            reference_candidate_count(channels, max_values, atoms)
+        ), (channels, max_values, atoms)
+
+
+def test_oversized_bounds_are_refused_at_once():
+    # 2^40 size vectors, and a count too long to print in decimal.
+    with pytest.raises(SearchSpaceError, match="over the ceiling of 1000000"):
+        falsify(parse("p@0"), SearchBounds(40, 2, 1), budget=1)
+    bounds = SearchBounds(40, 26, 1)
+    with pytest.raises(SearchSpaceError) as refused:
+        falsify(parse("p@0"), bounds, budget=1)
+    bits = candidate_count(bounds).bit_length()
+    assert str(refused.value) == (
+        f"exhaustive space has more than 2^{bits - 1} candidates, "
+        "over the ceiling of 1000000"
+    )
 
 
 @pytest.mark.parametrize("bounds", [(2, 2, 1), (3, 1, 2), (3, 2, 0), (2, 2, 2)])
