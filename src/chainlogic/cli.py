@@ -305,7 +305,7 @@ def run_cli(argv=None, stdout=None, stderr=None) -> int:
         print(f"error: {exc}", file=err)
         return 2
     except RecursionError:
-        print("error: formula nested too deeply", file=err)
+        print("error: input nested too deeply", file=err)
         return 2
 
 

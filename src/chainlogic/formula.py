@@ -45,31 +45,36 @@ def _structural_hash(self) -> int:
 
     Each node computes it on first use and keeps it in its ``_hash`` slot,
     which equality and repr ignore, so memo lookups keyed by a formula cost
-    O(1) after the first. The nodes still lacking a hash are collected from
-    an explicit stack and hashed children first, so a deeply nested formula
-    needs no recursion.
+    O(1) after the first. The nodes still lacking a hash are hashed from an
+    explicit stack, children first, so a deeply nested formula needs no
+    recursion; a node stays on the stack until its children are hashed,
+    so the subformulas of a shared node are walked once.
     """
     h = self._hash
     if h is not None:
         return h
-    todo = []
     stack = [self]
+    push = stack.append
     while stack:
-        g = stack.pop()
-        if g._hash is None:
-            todo.append(g)
-            if type(g) is Implies:
-                stack.append(g.lhs)
-                stack.append(g.rhs)
-            elif type(g) is Box:
-                stack.append(g.body)
-    for g in reversed(todo):
-        if type(g) is Atom:
-            h = hash((g.channel, g.name))
-        elif type(g) is Implies:
-            h = hash((g.lhs._hash, g.rhs._hash))
-        else:
+        g = stack[-1]
+        t = type(g)
+        if t is Implies:
+            a, b = g.lhs, g.rhs
+            if a._hash is None or b._hash is None:
+                if b._hash is None:
+                    push(b)
+                if a._hash is None:
+                    push(a)
+                continue
+            h = hash((a._hash, b._hash))
+        elif t is Box:
+            if g.body._hash is None:
+                push(g.body)
+                continue
             h = hash((g.channel, g.body._hash, None))
+        else:
+            h = hash((g.channel, g.name))
+        stack.pop()
         _set_hash(g, h)
     return self._hash
 
@@ -77,9 +82,11 @@ def _structural_hash(self) -> int:
 def _structural_eq(self, other) -> bool:
     """Structural equality of implications and boxes, from an explicit
     stack so that deeply nested formulas compare without recursion. Shared
-    subformulas are skipped by identity, and two nodes whose cached hashes
-    differ are unequal at once. Atoms keep the generated field-wise
-    equality: they have no subformulas.
+    subformulas are skipped by identity, an implication met again with the
+    partner it was last compared with is skipped, so formulas that share
+    subformulas compare in time linear in their distinct nodes, and two
+    nodes whose cached hashes differ are unequal at once. Atoms keep the
+    generated field-wise equality: they have no subformulas.
     """
     if self is other:
         return True
@@ -87,6 +94,7 @@ def _structural_eq(self, other) -> bool:
         return NotImplemented
     stack = [self, other]  # pairs to compare, flattened
     pop, push = stack.pop, stack.append
+    partner = {}  # id of an implication -> the node it was last compared with
     while stack:
         b = pop()
         a = pop()
@@ -99,6 +107,9 @@ def _structural_eq(self, other) -> bool:
             if hb is not None and ha != hb:
                 return False
         if t is Implies:
+            if partner.get(id(a)) is b:
+                continue
+            partner[id(a)] = b
             x, y = a.rhs, b.rhs
             if x is not y:
                 push(x)
@@ -361,13 +372,60 @@ def parse(text: str) -> Formula:
 
 def render(f: Formula) -> str:
     """Canonical fully parenthesized core syntax; parse(render(f)) == f."""
-    if isinstance(f, Bottom):
-        return "false"
-    if isinstance(f, Atom):
-        return f"{f.name}@{f.channel}"
-    if isinstance(f, Box):
-        return f"[{f.channel}]{render(f.body)}"
-    return f"({render(f.lhs)} -> {render(f.rhs)})"
+    out = []
+    stack = [f]  # formulas still to render and the text between them
+    while stack:
+        g = stack.pop()
+        t = type(g)
+        if t is str:
+            out.append(g)
+        elif t is Implies:
+            out.append("(")
+            stack += (")", g.rhs, " -> ", g.lhs)
+        elif t is Box:
+            out.append(f"[{g.channel}]")
+            stack.append(g.body)
+        elif t is Atom:
+            out.append(f"{g.name}@{g.channel}")
+        else:
+            out.append("false")
+    return "".join(out)
+
+
+def _literal_nodes(f: Formula, into_boxes: bool) -> list:
+    """The atom and box nodes of f in left-to-right order, a box before the
+    nodes in its body; box bodies are entered only when ``into_boxes``.
+    Implications and entered boxes are walked once by identity, so a shared
+    subformula costs one walk; a shared atom or box may be listed again."""
+    out = []
+    seen = set()
+    stack = [f]
+    pop, push, append = stack.pop, stack.append, out.append
+    while stack:
+        g = pop()
+        t = type(g)
+        if t is Implies:
+            if id(g) not in seen:
+                seen.add(id(g))
+                push(g.rhs)
+                push(g.lhs)
+        elif t is Atom:
+            append(g)
+        elif t is Box:
+            append(g)
+            if into_boxes and id(g) not in seen:
+                seen.add(id(g))
+                push(g.body)
+    return out
+
+
+def _leaves(f: Formula) -> dict:
+    """Every distinct atom (channel, name) and box (channel, None) anywhere
+    in f, as dict keys in left-to-right order."""
+    return {
+        (g.channel, g.name if type(g) is Atom else None): None
+        for g in _literal_nodes(f, True)
+    }
 
 
 # --- scope analysis -------------------------------------------------------
@@ -398,11 +456,7 @@ class Scope:
 
 
 def _scope_set(f: Formula) -> frozenset[int]:
-    if isinstance(f, (Atom, Box)):
-        return frozenset((f.channel,))
-    if isinstance(f, Implies):
-        return _scope_set(f.lhs) | _scope_set(f.rhs)
-    return frozenset()
+    return frozenset(g.channel for g in _literal_nodes(f, False))
 
 
 def scope(f: Formula) -> Scope:
@@ -421,24 +475,43 @@ def member_phi(f: Formula, channels) -> bool:
 
 def channel_support(f: Formula) -> frozenset[int]:
     """Every channel index appearing anywhere in f, at any modal depth."""
-    if isinstance(f, Atom):
-        return frozenset((f.channel,))
-    if isinstance(f, Box):
-        return frozenset((f.channel,)) | channel_support(f.body)
-    if isinstance(f, Implies):
-        return channel_support(f.lhs) | channel_support(f.rhs)
-    return frozenset()
+    return frozenset(g.channel for g in _literal_nodes(f, True))
 
 
 def shift_channels(f: Formula, delta: int) -> Formula:
-    """Rebuild f with every channel index moved by ``delta``."""
-    if isinstance(f, Bottom):
-        return f
-    if isinstance(f, Atom):
-        return Atom(f.channel + delta, f.name)
-    if isinstance(f, Box):
-        return Box(f.channel + delta, shift_channels(f.body, delta))
-    return Implies(shift_channels(f.lhs, delta), shift_channels(f.rhs, delta))
+    """Rebuild f with every channel index moved by ``delta``; a subformula
+    shared in f is rebuilt once and shared in the result. Post-order: (node,)
+    on the stack marks a node whose subformulas are rebuilt."""
+    new = {}
+    built = []
+    stack = [f]
+    pop, push = stack.pop, stack.append
+    while stack:
+        g = pop()
+        t = type(g)
+        if t is tuple:
+            g = g[0]
+            if type(g) is Box:
+                h = Box(g.channel + delta, built.pop())
+            else:
+                b = built.pop()
+                h = Implies(built.pop(), b)
+            new[id(g)] = h
+        elif id(g) in new:
+            h = new[id(g)]
+        elif t is Implies:
+            push((g,))
+            push(g.rhs)
+            push(g.lhs)
+            continue
+        elif t is Box:
+            push((g,))
+            push(g.body)
+            continue
+        else:
+            h = new[id(g)] = Atom(g.channel + delta, g.name) if t is Atom else g
+        built.append(h)
+    return built[0]
 
 
 # --- propositional skeleton and truth tables ------------------------------
@@ -460,11 +533,8 @@ class Skeleton:
 
 
 def _variables(f: Formula, index: dict[Formula, int]) -> dict[Formula, int]:
-    if isinstance(f, Implies):
-        _variables(f.lhs, index)
-        _variables(f.rhs, index)
-    elif not isinstance(f, Bottom):
-        index.setdefault(f, len(index))
+    for g in _literal_nodes(f, False):
+        index.setdefault(g, len(index))
     return index
 
 
@@ -500,14 +570,40 @@ def _truth_table(f: Formula, max_vars: int):
 
 
 def _mask(f: Formula, index: dict[Formula, int], masks: list[int], full: int) -> int:
-    """Truth-table column of f, with box/atom subformulas as variables."""
-    if isinstance(f, Bottom):
-        return 0
-    if isinstance(f, Implies):
-        return (full ^ _mask(f.lhs, index, masks, full)) | _mask(
-            f.rhs, index, masks, full
-        )
-    return masks[index[f]]
+    """Truth-table column of f, with box/atom subformulas as variables.
+
+    Post-order with a stack of finished columns. Only an implication met a
+    second time is remembered, so a shared subformula is computed at most
+    twice, yet a formula that shares nothing holds no more columns at once
+    than a recursive walk: a column has 2^variables bits.
+    """
+    columns = []
+    met = set()
+    remembered = {}
+    stack = [f]
+    pop, push = stack.pop, stack.append
+    while stack:
+        g = pop()
+        t = type(g)
+        if t is Implies:
+            i = id(g)
+            c = remembered.get(i)
+            if c is None:
+                push((i, i in met))
+                met.add(i)
+                push(g.rhs)
+                push(g.lhs)
+                continue
+        elif t is tuple:  # (id of an implication, met before), sides done
+            i, again = g
+            b = columns.pop()
+            c = (full ^ columns.pop()) | b
+            if again:
+                remembered[i] = c
+        else:
+            c = 0 if t is Bottom else masks[index[g]]
+        columns.append(c)
+    return columns[0]
 
 
 def is_tautology(f: Formula, max_vars: int = DEFAULT_VARIABLE_LIMIT) -> bool:
@@ -538,20 +634,34 @@ def _merge_clause(left, right):
 
 def _cnf_clauses(f: Formula, positive: bool, index: dict[Formula, int]):
     """Clauses of f, or of its negation when not ``positive``, as lists of
-    (variable, polarity) literals."""
-    if isinstance(f, Bottom):
-        return [[]] if positive else []
-    if not isinstance(f, Implies):
-        return [[(index[f], positive)]]
-    if not positive:  # !(a -> b) is a & !b
-        return _cnf_clauses(f.lhs, True, index) + _cnf_clauses(f.rhs, False, index)
-    out = []
-    for cl in _cnf_clauses(f.lhs, False, index):
-        for cr in _cnf_clauses(f.rhs, True, index):
-            merged = _merge_clause(cl, cr)
-            if merged is not None:
-                out.append(merged)
-    return out
+    (variable, polarity) literals. a -> b is !a | b and !(a -> b) is a & !b,
+    so an lhs takes the opposite polarity. Work items are (formula,
+    polarity, sides done); a finished item leaves its clauses on ``done``.
+    """
+    done = []
+    stack = [(f, positive, False)]
+    while stack:
+        g, pol, sides_done = stack.pop()
+        if sides_done:
+            right = done.pop()
+            left = done.pop()
+            if not pol:
+                done.append(left + right)
+                continue
+            out = []
+            for cl in left:
+                for cr in right:
+                    merged = _merge_clause(cl, cr)
+                    if merged is not None:
+                        out.append(merged)
+            done.append(out)
+        elif type(g) is Implies:
+            stack += ((g, pol, True), (g.rhs, pol, False), (g.lhs, not pol, False))
+        elif type(g) is Bottom:
+            done.append([[]] if pol else [])
+        else:
+            done.append([[(index[g], pol)]])
+    return done[0]
 
 
 def scoped_cnf(

@@ -135,10 +135,6 @@ class ExplicitChainProtocol(ChainProtocol):
             for k, table in (atoms or {}).items()
         }
 
-    def value_count(self, k: int) -> int:
-        self._check_channel(k)
-        return len(self._values[k])
-
     def values(self, k: int) -> tuple[str, ...]:
         self._check_channel(k)
         return self._values[k]
@@ -233,10 +229,6 @@ class TelephoneProtocol(ChainProtocol):
         self.window = (0, chain_len - 1)
         self._alpha_set = frozenset(alphabet)
         self._shared_local = HammingLocal(word_len, alphabet)
-
-    def value_count(self, k: int) -> int:
-        self._check_channel(k)
-        return len(self.alphabet) ** self.word_len
 
     def iter_values(self, k: int):
         self._check_channel(k)

@@ -29,7 +29,7 @@ from .formula import (
     Box,
     Formula,
     Implies,
-    channel_support,
+    _leaves,
     diamond,
     disj,
     parse,
@@ -37,7 +37,7 @@ from .formula import (
 )
 from .proofcheck import SCHEMAS, instantiate_axiom
 from .protocol import ExplicitChainProtocol, ExplicitLocal, run_count, runs
-from .semantics import EvalContext, _leaves, counterexample, evaluate
+from .semantics import EvalContext, counterexample, evaluate
 
 _VALUE_LABELS = "abcdefghijklmnopqrstuvwxyz"
 _ATOM_NAMES = ("p", "q", "r", "s", "t", "u", "v", "w")
@@ -243,16 +243,16 @@ def enumerate_protocols(bounds: SearchBounds):
 def embed_formula(f: Formula, bounds: SearchBounds) -> Formula:
     """Shift channels so the lowest mentioned channel becomes 0, and check
     the result fits the bounds' window and atom budget."""
-    support = channel_support(f)
+    leaves = _leaves(f)
+    support = {k for k, _ in leaves}
     g = shift_channels(f, -min(support)) if support else f
-    shifted = channel_support(g)
-    if shifted and max(shifted) >= bounds.num_channels:
+    span = max(support) - min(support) + 1 if support else 0
+    if span > bounds.num_channels:
         raise SearchSpaceError(
-            f"formula spans {max(shifted) + 1} channels, bounds allow "
-            f"{bounds.num_channels}"
+            f"formula spans {span} channels, bounds allow {bounds.num_channels}"
         )
     available = set(bounds.atom_names)
-    used = {name for _, name in _leaves(g) if name is not None}
+    used = {name for _, name in leaves if name is not None}
     if not used <= available:
         raise SearchSpaceError(
             f"formula uses atoms {sorted(used - available)} beyond the bounds' "

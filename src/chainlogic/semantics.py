@@ -21,6 +21,13 @@ one evaluation per run. A box literal met on the way is decided by a
 nested walk, once per (channel, value, body) when memoized. No truth table
 is built, so a formula may have any number of literals.
 
+``evaluate`` and the walk share one evaluator, the residual simplifier
+``_partial``: the walk hands it a column of decided literals, and
+``evaluate`` a lookup that decides each literal at the run when it is
+reached, so the rhs of an implication with a false lhs is never decided.
+``_partial`` and every formula walker keep an explicit stack, so nesting
+depth costs no recursion; only modal depth does, one nested walk per box.
+
 Unpinned, the walk goes lo→hi in successor order, so the first run it
 completes is the first falsifying run in ``protocol.runs`` order: the same
 canonical-first witness an enumeration returns. Pinned at v on channel k,
@@ -42,6 +49,7 @@ from .formula import (
     Box,
     Formula,
     Implies,
+    _leaves,
     _variables,
 )
 from .protocol import ChainProtocol, check_assignment
@@ -84,26 +92,6 @@ class EvalContext:
 
 # --- checks, once per call ----------------------------------------------------
 
-def _leaves(f: Formula) -> dict:
-    """Every distinct atom (channel, name) and box (channel, None) anywhere
-    in f, as dict keys in left-to-right order."""
-    out: dict = {}
-    stack = [f]
-    pop, push = stack.pop, stack.append
-    while stack:
-        g = pop()
-        t = type(g)
-        if t is Implies:
-            push(g.rhs)
-            push(g.lhs)
-        elif t is Box:
-            out[g.channel, None] = None
-            push(g.body)
-        elif t is Atom:
-            out[g.channel, g.name] = None
-    return out
-
-
 def _check_leaves(ctx: EvalContext, leaves: dict) -> None:
     """Atoms must be declared at an in-window channel; in strict mode every
     modality must lie in the window."""
@@ -145,28 +133,42 @@ def _compile(f: Formula) -> _Plan:
     groups: dict[int, list] = {}
     for lit in _variables(f, {}):
         groups.setdefault(lit.channel, []).append(lit)
-    start = _partial(f, {})
+    start = _partial(f, {}.get)
     return _Plan(groups, None if start is True else start)
 
 
-def _partial(f, values: dict):
-    """f with the literals in ``values`` replaced by their truth values and
-    simplified: True, False, or the residual formula."""
-    if f is True or f is False:
-        return f
-    if isinstance(f, Bottom):
-        return False
-    if not isinstance(f, Implies):
-        return values.get(f, f)
-    a = _partial(f.lhs, values)
-    if a is False:
-        return True
-    b = _partial(f.rhs, values)
-    if b is True or a is True:
-        return b
-    if a is f.lhs and b is f.rhs:
-        return f
-    return Implies(a, Bottom() if b is False else b)
+def _partial(f: Formula, lookup):
+    """f with each literal replaced by ``lookup(literal, literal)`` (a truth
+    value, or the literal itself to keep it) and simplified: True, False,
+    or the residual formula. The rhs of an implication whose lhs is false
+    is never looked at. An implication waits on the stack while its lhs is
+    simplified, then as (implication, lhs value) while its rhs is. The walk
+    may pass False (a plan false outright), which ``col.get`` hands back.
+    """
+    stack = []
+    g = f
+    while True:
+        while type(g) is Implies:
+            stack.append(g)
+            g = g.lhs
+        r = False if type(g) is Bottom else lookup(g, g)
+        while stack:
+            top = stack.pop()
+            if type(top) is Implies:  # r is top's lhs
+                if r is False:
+                    r = True
+                    continue
+                stack.append((top, r))
+                g = top.rhs
+                break
+            node, a = top  # r is node's rhs, a its lhs
+            if r is not True and a is not True:
+                if a is node.lhs and r is node.rhs:
+                    r = node
+                else:
+                    r = Implies(a, Bottom() if r is False else r)
+        else:
+            return r
 
 
 def _literal(ctx: EvalContext, lit, k: int, v) -> bool:
@@ -184,7 +186,7 @@ def _column(ctx: EvalContext, plan: _Plan, k: int, v) -> dict:
 def _absorb(state, col: dict):
     """The walk state after one column, or None once the formula can no
     longer be false."""
-    state = _partial(state, col)
+    state = _partial(state, col.get)
     return None if state is True else state
 
 
@@ -283,18 +285,6 @@ def _first_falsifying(ctx: EvalContext, plan: _Plan, pin):
 
 # --- public entry points --------------------------------------------------------
 
-def _holds(ctx: EvalContext, run, f: Formula) -> bool:
-    lo, hi = ctx.protocol.window
-    if isinstance(f, Bottom):
-        return False
-    if isinstance(f, Atom):
-        return ctx.protocol.atom_holds(f.channel, f.name, run[f.channel - lo])
-    if isinstance(f, Implies):
-        return (not _holds(ctx, run, f.lhs)) or _holds(ctx, run, f.rhs)
-    k = f.channel
-    return _box(ctx, k, run[k - lo] if lo <= k <= hi else None, f.body)
-
-
 def evaluate(ctx: EvalContext, run, f: Formula) -> bool:
     """Truth value of f at a run of ctx.protocol.
 
@@ -304,7 +294,13 @@ def evaluate(ctx: EvalContext, run, f: Formula) -> bool:
     """
     run = check_assignment(ctx.protocol, run)
     _check_leaves(ctx, _leaves(f))
-    return _holds(ctx, run, f)
+    lo, hi = ctx.protocol.window
+
+    def at_run(lit, _):
+        k = lit.channel
+        return _literal(ctx, lit, k, run[k - lo] if lo <= k <= hi else None)
+
+    return _partial(f, at_run)
 
 
 def valid_in(ctx: EvalContext, f: Formula) -> bool:

@@ -24,7 +24,7 @@ from chainlogic import (
     runs_fixing,
     truth,
 )
-from chainlogic.formula import CHANNEL_MAX, CHANNEL_MIN, Formula
+from chainlogic.formula import CHANNEL_MAX, CHANNEL_MIN, Formula, VariableLimitError
 
 
 def make_protocol(window, values, local, atoms=None):
@@ -164,6 +164,136 @@ def reference_candidate_count(channels, max_values, atoms):
 @functools.lru_cache(maxsize=None)
 def exhaustive_suite(channels, max_values, atoms):
     return tuple(enumerate_protocols(SearchBounds(channels, max_values, atoms)))
+
+
+# --- the recursive formula walkers, kept as oracles for the iterative ones ---
+#
+# Each recurses once per nesting level, so they serve formulas of modest
+# depth only; the library's walkers use explicit stacks.
+
+
+def reference_render(f):
+    if isinstance(f, Bottom):
+        return "false"
+    if isinstance(f, Atom):
+        return f"{f.name}@{f.channel}"
+    if isinstance(f, Box):
+        return f"[{f.channel}]{reference_render(f.body)}"
+    return f"({reference_render(f.lhs)} -> {reference_render(f.rhs)})"
+
+
+def reference_scope_set(f):
+    if isinstance(f, (Atom, Box)):
+        return frozenset((f.channel,))
+    if isinstance(f, Implies):
+        return reference_scope_set(f.lhs) | reference_scope_set(f.rhs)
+    return frozenset()
+
+
+def reference_channel_support(f):
+    if isinstance(f, Atom):
+        return frozenset((f.channel,))
+    if isinstance(f, Box):
+        return frozenset((f.channel,)) | reference_channel_support(f.body)
+    if isinstance(f, Implies):
+        return reference_channel_support(f.lhs) | reference_channel_support(f.rhs)
+    return frozenset()
+
+
+def reference_shift_channels(f, delta):
+    if isinstance(f, Bottom):
+        return f
+    if isinstance(f, Atom):
+        return Atom(f.channel + delta, f.name)
+    if isinstance(f, Box):
+        return Box(f.channel + delta, reference_shift_channels(f.body, delta))
+    return Implies(
+        reference_shift_channels(f.lhs, delta), reference_shift_channels(f.rhs, delta)
+    )
+
+
+def reference_variables(f, index):
+    """Maximal box/atom subformulas numbered by first occurrence."""
+    if isinstance(f, Implies):
+        reference_variables(f.lhs, index)
+        reference_variables(f.rhs, index)
+    elif not isinstance(f, Bottom):
+        index.setdefault(f, len(index))
+    return index
+
+
+def _reference_truth_table(f, max_vars):
+    index = reference_variables(f, {})
+    n = len(index)
+    if n > max_vars:
+        raise VariableLimitError(f"{n} skeleton variables exceed the limit of {max_vars}")
+    # Column of variable i: bit j is bit i of assignment j, so read from
+    # the top bit down it is 2^i ones, 2^i zeros, repeated.
+    masks = [
+        int(("1" * (1 << i) + "0" * (1 << i)) * (1 << (n - i - 1)), 2) for i in range(n)
+    ]
+    return index, masks, (1 << (1 << n)) - 1
+
+
+def _reference_mask(f, index, masks, full):
+    if isinstance(f, Bottom):
+        return 0
+    if isinstance(f, Implies):
+        return (full ^ _reference_mask(f.lhs, index, masks, full)) | _reference_mask(
+            f.rhs, index, masks, full
+        )
+    return masks[index[f]]
+
+
+def reference_is_tautology(f, max_vars=24):
+    index, masks, full = _reference_truth_table(f, max_vars)
+    return _reference_mask(f, index, masks, full) == full
+
+
+def _reference_merge_clause(left, right):
+    seen = set()
+    out = []
+    for lit in (*left, *right):
+        var, pol = lit
+        if (var, not pol) in seen:
+            return None
+        if lit not in seen:
+            seen.add(lit)
+            out.append(lit)
+    return out
+
+
+def _reference_cnf_clauses(f, positive, index):
+    if isinstance(f, Bottom):
+        return [[]] if positive else []
+    if not isinstance(f, Implies):
+        return [[(index[f], positive)]]
+    if not positive:  # !(a -> b) is a & !b
+        return _reference_cnf_clauses(f.lhs, True, index) + _reference_cnf_clauses(
+            f.rhs, False, index
+        )
+    out = []
+    for cl in _reference_cnf_clauses(f.lhs, False, index):
+        for cr in _reference_cnf_clauses(f.rhs, True, index):
+            merged = _reference_merge_clause(cl, cr)
+            if merged is not None:
+                out.append(merged)
+    return out
+
+
+def reference_scoped_cnf(f, max_vars=24):
+    """Clauses in first-appearance order, duplicates dropped, literals as
+    bindings or their negations (L -> false)."""
+    index, _, _ = _reference_truth_table(f, max_vars)
+    bindings = tuple(index)
+    out, seen = [], set()
+    for clause in _reference_cnf_clauses(f, True, index):
+        if tuple(clause) not in seen:
+            seen.add(tuple(clause))
+            out.append(
+                [bindings[v] if pol else Implies(bindings[v], Bottom()) for v, pol in clause]
+            )
+    return out
 
 
 # --- the recursive-descent parser, kept as the oracle for formula.parse -----

@@ -66,9 +66,49 @@ def test_scope_parse_error_exits_2(capsys):
 
 
 def test_deeply_nested_formula_exits_2(capsys):
+    # Despite the name, depth is no error: no formula walker recurses.
     code, out, err = run(capsys, ["scope", "!" * 5000 + "p@0"])
-    assert (code, out) == (2, "")
-    assert err.strip() == "error: formula nested too deeply"
+    assert (code, out, err) == (0, "{0}\n", "")
+
+
+@pytest.mark.parametrize("verb", ["prove --script", "valid --formula p@0 --protocol"])
+def test_deeply_nested_json_exits_2(capsys, tmp_path, verb):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    code, out, err = run(capsys, verb.split() + [str(path)])
+    assert (code, out, err) == (2, "", "error: input nested too deeply\n")
+
+
+CONJUNCTS = 20_000
+PHONE = ["telephone", "--len", "1", "--alphabet", "ab", "--chain", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, text",
+    [
+        (["scope"], 0, "{1}"),
+        (PHONE + ["eval", "--run", "a,a", "--formula"], 0, "true"),
+        (PHONE + ["eval", "--run", "a,b", "--formula"], 1, "false"),
+        (PHONE + ["valid", "--formula"], 1, "invalid\ncounterexample: a,b"),
+        (PHONE + ["counterexample", "--formula"], 1, "a,b"),
+    ],
+)
+def test_long_conjunctions_get_an_answer(capsys, argv, code, text):
+    """20,000 conjuncts nest 40,000 implications deep."""
+    formula = " & ".join(["!eq_b@1"] * CONJUNCTS)
+    assert run(capsys, argv + [formula]) == (code, text + "\n", "")
+
+
+def test_long_conjunctions_falsify_and_prove(capsys, tmp_path):
+    formula = " & ".join(["p@0"] * CONJUNCTS)
+    argv = ["falsify", "--channels", "1", "--max-values", "1", "--atoms", "1", "--formula"]
+    code, payload = run_json(capsys, argv + [formula])
+    assert (code, payload["run"], payload["protocol"]["channels"][0]["atoms"]) == (1, ["a"], {"p": []})
+    goal = " & ".join(["true"] * CONJUNCTS)
+    line = {"id": 1, "formula": goal, "rule": {"type": "taut"}}
+    path = tmp_path / "taut.json"
+    path.write_text(json.dumps({"goal": goal, "lines": [line]}), encoding="utf-8")
+    assert run(capsys, ["prove", "--script", str(path)]) == (0, "accepted\n", "")
 
 
 def test_eval_true_and_false(capsys, protocol_file):

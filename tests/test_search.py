@@ -186,10 +186,13 @@ def test_falsify_translates_channels():
 
 
 def test_falsify_embedding_errors():
-    with pytest.raises(SearchSpaceError):
+    with pytest.raises(SearchSpaceError, match="^formula spans 4 channels, bounds allow 3$"):
         falsify(parse("[0]p@0 -> [3]p@3"), SearchBounds(3, 2, 1), budget=10)
-    with pytest.raises(SearchSpaceError):
+    with pytest.raises(SearchSpaceError, match=r"^formula uses atoms \['z'\] beyond"):
         falsify(parse("z@0"), SearchBounds(2, 2, 1), budget=10)
+    with pytest.raises(SearchSpaceError, match="^formula spans 3 channels, bounds allow 2$"):
+        embed_formula(parse("[-1]p@-3"), SearchBounds(2, 2, 1))
+    assert embed_formula(parse("[-1]p@-3"), SearchBounds(3, 2, 1)) == parse("[2]p@0")
 
 
 def test_falsify_absent_for_sound_gateway_instance():
