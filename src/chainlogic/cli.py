@@ -149,7 +149,7 @@ def _cmd_falsify(args, out) -> int:
     )
     f = parse(args.formula)
     shifted = embed_formula(f, bounds)
-    hit = falsify(f, bounds, budget=args.budget)
+    hit = falsify(shifted, bounds, budget=args.budget)
     if hit is None:
         payload = {
             "command": "falsify",

@@ -12,14 +12,31 @@ formula reads; every other atom keeps the all-zero table. A table the
 formula cannot see cannot change its verdict, so the first countermodel is
 the one a scan of every candidate finds, and ``budget`` still counts
 positions in that full canonical order. Each (sizes, relation masks) block
-builds its local conditions and counts its runs once, and a block without
-runs is skipped whole.
+builds its local conditions once, and a block without runs is skipped
+whole.
+
+It also skips two kinds of candidate, each of which has the verdict of a
+candidate earlier in canonical order and so cannot be the first to refute.
+Both are decided on the integer encoding, before any protocol is built:
+
+- Dead values. A candidate in which some value lies on no run (found by
+  forward and backward reachability bitmasks) has the runs, and so the
+  verdicts, of its twin with the dead values deleted and the survivors
+  renamed in order. The twin's sizes are componentwise smaller, so it
+  comes earlier.
+- Relabelling. A swap of two values on one channel maps a candidate to an
+  isomorphic one in the same block; it comes earlier when the swap makes
+  the (relation masks, truth masks) tuple smaller. The least member of
+  each isomorphism class passes every swap, so testing only swaps is
+  sound, and it costs sum C(s_i, 2) comparisons per candidate.
+
+The first refuting candidate is therefore checked, as itself, so the
+witness and its first falsifying run are unchanged.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 import random
 from dataclasses import dataclass
 
@@ -136,7 +153,76 @@ def _build_protocol(
     return ExplicitChainProtocol((0, len(sizes) - 1), values, local, atoms)
 
 
-def _exhaustive_candidates(bounds: SearchBounds, read):
+def _live(sizes: tuple[int, ...], relation_masks: tuple[int, ...]) -> list[int]:
+    """Per channel, the bitmask of the values that lie on some run: those
+    reachable from channel 0 that also reach the last channel. Every mask
+    is zero when the block has no run."""
+    forward = [(1 << sizes[0]) - 1]
+    for left, right, mask in zip(sizes, sizes[1:], relation_masks):
+        row = (1 << right) - 1
+        reach = 0
+        for i in range(left):
+            if forward[-1] >> i & 1:
+                reach |= mask >> (i * right) & row
+        forward.append(reach)
+    live = [forward[-1]]
+    for k in range(len(sizes) - 1, 0, -1):
+        right = sizes[k]
+        row, mask = (1 << right) - 1, relation_masks[k - 1]
+        back = 0
+        for i in range(sizes[k - 1]):
+            if mask >> (i * right) & row & live[-1]:
+                back |= 1 << i
+        live.append(back & forward[k - 1])
+    live.reverse()
+    return live
+
+
+def _delta_swap(x: int, select: int, delta: int) -> int:
+    """x with each selected bit exchanged for the bit ``delta`` above it."""
+    t = ((x >> delta) ^ x) & select
+    return x ^ t ^ (t << delta)
+
+
+def _swaps(sizes: tuple[int, ...]) -> list:
+    """Every exchange of two values a < b on one channel k, as (k, its
+    (select, delta) on relation k, where k is the right side, on relation
+    k + 1, where k is the left side, and on k's truth masks); None where k
+    has no such relation."""
+    out = []
+    for k, s in enumerate(sizes):
+        for a, b in itertools.combinations(range(s), 2):
+            as_right = as_left = None
+            if k > 0:  # columns a and b of every row
+                as_right = (sum(1 << (i * s + a) for i in range(sizes[k - 1])), b - a)
+            if k + 1 < len(sizes):  # rows a and b
+                width = sizes[k + 1]
+                as_left = (((1 << width) - 1) << (a * width), (b - a) * width)
+            out.append((k, as_right, as_left, (1 << a, b - a)))
+    return out
+
+
+def _truth_swaps(relation_masks: tuple[int, ...], swaps: list):
+    """None when some swap turns the relation masks into smaller ones.
+    Otherwise, per channel, the truth-mask swaps of the swaps that leave
+    the relation masks as they are: only those can still make a candidate
+    of the block smaller, through its truth masks on that channel."""
+    out = [[] for _ in range(len(relation_masks) + 1)]
+    for k, as_right, as_left, on_truth in swaps:
+        moved = list(relation_masks)
+        if as_right:
+            moved[k - 1] = _delta_swap(moved[k - 1], *as_right)
+        if as_left:
+            moved[k] = _delta_swap(moved[k], *as_left)
+        moved = tuple(moved)
+        if moved < relation_masks:
+            return None
+        if moved == relation_masks:
+            out[k].append(on_truth)
+    return out
+
+
+def _exhaustive_candidates(bounds: SearchBounds, read, reduced: bool = False):
     """Yield (position, protocol) for the candidates with runs, in canonical
     order, where position is the rank among all candidates with runs.
 
@@ -146,38 +232,63 @@ def _exhaustive_candidates(bounds: SearchBounds, read):
     reads only ``read`` has the same verdict on every candidate of a
     (sizes, relation masks) block that differs in the other tables, so the
     first candidate refuting it is among the ones yielded.
+
+    ``reduced`` also skips, still counting their positions, every candidate
+    with a value on no run and every candidate that a swap of two values on
+    one channel turns into an earlier one of its block. Both tests read the
+    integer encoding, so no protocol is built for a skipped candidate.
     """
     c = bounds.num_channels
     names = bounds.atom_names
-    coordinates = [(k, name) for k in range(c) for name in names]
     position = 0
     for sizes in itertools.product(range(1, bounds.max_values_per_channel + 1), repeat=c):
-        # A coordinate's weight is the number of candidates one step of it
-        # skips: the product of the table counts of the coordinates after it.
-        weights = []
-        block = 1
-        for k, _ in reversed(coordinates):
-            weights.append(block)
-            block <<= sizes[k]
-        weights.reverse()
-        tables = [
-            range(1 << sizes[k]) if (k, name) in read else (0,)
-            for k, name in coordinates
-        ]
+        # A truth table's weight is the number of candidates one step of it
+        # skips: the product of the table counts of the coordinates after
+        # it. choices[k] lists channel k's tables with their summed weight;
+        # a swap on channel k changes only those tables, so the kept
+        # candidates of a block are a product of per-channel lists.
+        block = 1 << (len(names) * sum(sizes))
+        weight = block
+        choices = []
+        for k, s in enumerate(sizes):
+            tables = []
+            for name in names:
+                weight >>= s
+                tables.append(
+                    [(t * weight, t) for t in range(1 << s)] if (k, name) in read
+                    else [(0, 0)]
+                )
+            choices.append([
+                (sum(w for w, _ in picked), tuple(t for _, t in picked))
+                for picked in itertools.product(*tables)
+            ])
+        full = [(1 << s) - 1 for s in sizes]
+        swaps = _swaps(sizes) if reduced else []
         relation_ranges = [
             range(1, 1 << (left * right)) for left, right in zip(sizes, sizes[1:])
         ]
         for relation_masks in itertools.product(*relation_ranges):
-            local = _local(sizes, relation_masks)
-            if run_count(_build_protocol(sizes, local, (), ())) == 0:
+            live = _live(sizes, relation_masks)
+            if not live[0]:
                 continue
-            for flat in itertools.product(*tables):
-                truth_masks = tuple(
-                    flat[k * len(names) : (k + 1) * len(names)] for k in range(c)
-                )
+            kept = choices
+            if reduced:
+                truth_swaps = _truth_swaps(relation_masks, swaps) if live == full else None
+                if truth_swaps is None:
+                    position += block
+                    continue
+                kept = [
+                    [
+                        (w, t) for w, t in channel
+                        if not any(tuple(_delta_swap(x, *swap) for x in t) < t for swap in here)
+                    ]
+                    for channel, here in zip(choices, truth_swaps)
+                ]
+            local = _local(sizes, relation_masks)
+            for picked in itertools.product(*kept):
                 yield (
-                    position + sum(map(operator.mul, flat, weights)),
-                    _build_protocol(sizes, local, truth_masks, names),
+                    position + sum(w for w, _ in picked),
+                    _build_protocol(sizes, local, tuple(t for _, t in picked), names),
                 )
             position += block
 
@@ -240,13 +351,13 @@ def enumerate_protocols(bounds: SearchBounds):
 
 # --- falsification -----------------------------------------------------------
 
-def embed_formula(f: Formula, bounds: SearchBounds) -> Formula:
-    """Shift channels so the lowest mentioned channel becomes 0, and check
-    the result fits the bounds' window and atom budget."""
+def _embedding(f: Formula, bounds: SearchBounds):
+    """embed_formula's result, and the (channel, name) atoms it reads."""
     leaves = _leaves(f)
     support = {k for k, _ in leaves}
-    g = shift_channels(f, -min(support)) if support else f
-    span = max(support) - min(support) + 1 if support else 0
+    lo = min(support, default=0)
+    g = shift_channels(f, -lo) if lo else f
+    span = max(support) - lo + 1 if support else 0
     if span > bounds.num_channels:
         raise SearchSpaceError(
             f"formula spans {span} channels, bounds allow {bounds.num_channels}"
@@ -258,7 +369,14 @@ def embed_formula(f: Formula, bounds: SearchBounds) -> Formula:
             f"formula uses atoms {sorted(used - available)} beyond the bounds' "
             "atom budget"
         )
-    return g
+    return g, {(k - lo, name) for k, name in leaves if name is not None}
+
+
+def embed_formula(f: Formula, bounds: SearchBounds) -> Formula:
+    """Shift channels so the lowest mentioned channel becomes 0, and check
+    the result fits the bounds' window and atom budget. A formula whose
+    lowest channel is already 0 is returned as it is."""
+    return _embedding(f, bounds)[0]
 
 
 def falsify(f: Formula, bounds: SearchBounds, budget: int):
@@ -266,12 +384,13 @@ def falsify(f: Formula, bounds: SearchBounds, budget: int):
     most ``budget`` candidate protocols; None when nothing is found.
 
     The formula is evaluated after shifting its lowest channel to 0 (use
-    embed_formula to see the shifted form). An exhaustive scan generates
-    only the truth tables of the atoms the formula reads, and ``budget``
-    still counts positions in the full canonical order: the candidates
-    with runs, skipped ones included.
+    embed_formula to see the shifted form; that form is not shifted
+    again). An exhaustive scan checks only the candidates that can be
+    first (see the module docstring), and ``budget`` still counts
+    positions in the full canonical order: the candidates with runs,
+    skipped ones included.
     """
-    g = embed_formula(f, bounds)
+    g, read = _embedding(f, bounds)
     if budget < 0:
         raise SearchSpaceError(f"budget must not be negative, got {budget}")
     if isinstance(bounds.mode, RandomMode):
@@ -279,8 +398,7 @@ def falsify(f: Formula, bounds: SearchBounds, budget: int):
         scan = enumerate(itertools.islice(enumerate_protocols(bounds), budget))
     else:
         _check_ceiling(bounds)
-        read = {leaf for leaf in _leaves(g) if leaf[1] is not None}
-        scan = _exhaustive_candidates(bounds, read)
+        scan = _exhaustive_candidates(bounds, read, reduced=True)
     for position, p in scan:
         if position >= budget:
             break

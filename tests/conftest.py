@@ -147,6 +147,67 @@ def reference_candidates(channels, max_values, atoms):
                     yield p
 
 
+def candidate_key(p):
+    """A protocol's value sets, relations and truth sets, comparable across
+    separately built protocols."""
+    lo, hi = p.window
+    return (
+        tuple(p.values(k) for k in p.channels()),
+        tuple(tuple(sorted(p.local(k).pairs)) for k in range(lo + 1, hi + 1)),
+        tuple(
+            tuple((name, tuple(v for v in p.values(k) if p.atom_holds(k, name, v)))
+                  for name in p.atom_names(k))
+            for k in p.channels()
+        ),
+    )
+
+
+def reference_equivalent_keys(p, relabellings):
+    """candidate_key of every protocol isomorphic to p on a prefix of the
+    labels: p with the values that lie on no run deleted, its survivors
+    renamed in order onto a prefix of the labels (the first key), under
+    every per-channel permutation of those labels. Each has p's runs up to
+    renaming, so the verdict of p on every formula. The renamed value sets
+    and relations depend only on p's own, so they are built once per
+    (value sets, relations) and kept in the caller's dict
+    ``relabellings``."""
+    labels = "abcdefghijklmnopqrstuvwxyz"
+    lo, hi = p.window
+    structure = candidate_key(p)[:2]
+    if structure not in relabellings:
+        found = brute_force_runs(p)
+        live = [sorted({r[k - lo] for r in found}) for k in p.channels()]
+        values = tuple(tuple(labels[: len(vs)]) for vs in live)
+        orders = [itertools.permutations(labels[: len(vs)]) for vs in live]
+        renamings = []
+        for order in itertools.product(*orders):
+            rename = [dict(zip(vs, names)) for vs, names in zip(live, order)]
+            relations = tuple(
+                tuple(sorted(
+                    (rename[k - lo - 1][u], rename[k - lo][v])
+                    for u, v in p.local(k).pairs
+                    if u in rename[k - lo - 1] and v in rename[k - lo]
+                ))
+                for k in range(lo + 1, hi + 1)
+            )
+            renamings.append((rename, values, relations))
+        relabellings[structure] = renamings
+    for rename, values, relations in relabellings[structure]:
+        yield (
+            values,
+            relations,
+            tuple(
+                tuple(
+                    (name, tuple(sorted(
+                        to for v, to in names.items() if p.atom_holds(k, name, v)
+                    )))
+                    for name in p.atom_names(k)
+                )
+                for k, names in zip(p.channels(), rename)
+            ),
+        )
+
+
 def reference_candidate_count(channels, max_values, atoms):
     """Size of the exhaustive candidate space as a sum over value-set size
     vectors, one term per vector (max_values^channels of them)."""

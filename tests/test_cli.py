@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from chainlogic import cli, corpus, protocol_to_dict, script_to_dict
+from chainlogic import cli, corpus, protocol_to_dict, script_to_dict, search
 from chainlogic.cli import run_cli
 
 from conftest import gateway_countermodel
@@ -367,6 +367,33 @@ def test_parser_is_built_once(monkeypatch):
     for argv, code in ((["scope", "p@0"], 0), (["frobnicate"], 2), (["scope", "p@1"], 0)):
         assert run_cli(argv, stdout=io.StringIO(), stderr=io.StringIO()) == code
     assert built == [1]
+
+
+def test_falsify_embeds_once(monkeypatch):
+    # The CLI embeds the formula and hands falsify the embedded form, which
+    # has its lowest channel at 0 and so is not shifted again.
+    shifts = []
+    real = search.shift_channels
+
+    def counting(f, delta):
+        shifts.append(delta)
+        return real(f, delta)
+
+    monkeypatch.setattr(search, "shift_channels", counting)
+    cases = (
+        ("p@1 -> [2]p@1", [-1], 1, "(p@0 -> [1]p@0)"),
+        ("p@0 -> [1]p@0", [], 1, "(p@0 -> [1]p@0)"),
+        ("[4]p@5 -> [5]p@5", [-4], 0, None),
+        ("[0]p@1 -> [1]p@1", [], 0, None),
+    )
+    for formula, expected, code, checked in cases:
+        del shifts[:]
+        out = io.StringIO()
+        argv = ["falsify", "--formula", formula, "--channels", "2", "--max-values", "2",
+                "--atoms", "1", "--json"]
+        assert run_cli(argv, stdout=out, stderr=io.StringIO()) == code, formula
+        assert shifts == expected, formula
+        assert json.loads(out.getvalue()).get("checked_formula") == checked
 
 
 def test_importing_the_cli_builds_no_parser():

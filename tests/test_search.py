@@ -23,11 +23,18 @@ from chainlogic import (
     protocol_to_dict,
     random_formula,
     render,
+    search,
     soundness_sweep,
     valid_in,
 )
 
-from conftest import exhaustive_suite, reference_candidate_count, reference_candidates
+from conftest import (
+    candidate_key,
+    exhaustive_suite,
+    reference_candidate_count,
+    reference_candidates,
+    reference_equivalent_keys,
+)
 
 
 def test_bounds_validation():
@@ -152,6 +159,102 @@ def test_skip_scan_matches_full_scan(bounds, cases):
                 assert protocol_to_dict(got[0]) == protocol_to_dict(expected[0])
                 assert got[1] == expected[1]
     assert late_witnesses >= cases // 4
+
+
+@pytest.mark.parametrize("bounds, cases", [
+    (SearchBounds(2, 3, 1), 30), (SearchBounds(3, 1, 2), 30), (SearchBounds(2, 2, 1), 40),
+])
+def test_isomorph_free_scan_matches_full_scan(bounds, cases):
+    # The scan skips candidates with a dead value or a smaller relabelling;
+    # the hit and the budget cut must still match a scan of every candidate.
+    rng = random.Random(11 + bounds.max_values_per_channel + bounds.atoms_per_channel)
+    window = range(bounds.num_channels)
+    late_witnesses = 0
+    for i in range(cases):
+        # Every other case is redrawn until it is not refuted by the very
+        # first candidate, so that the cuts fall past skipped candidates.
+        position = 0
+        while position == 0:
+            names = bounds.atom_names[: rng.randint(1, bounds.atoms_per_channel)]
+            f = random_formula(rng, window, names, rng.randint(1, 3))
+            g = embed_formula(f, bounds)
+            position, _ = _reference_falsify(g, bounds, 3_000)
+            if i % 2 == 0:
+                break
+        budgets = [rng.randint(1, 3_000)]
+        if position is not None:
+            budgets += [position, position + 1]
+            late_witnesses += position > 0
+        for budget in budgets:
+            _, expected = _reference_falsify(g, bounds, budget)
+            got = falsify(f, bounds, budget)
+            if expected is None:
+                assert got is None, (render(f), budget)
+            else:
+                assert got is not None, (render(f), budget)
+                assert protocol_to_dict(got[0]) == protocol_to_dict(expected[0])
+                assert got[1] == expected[1]
+    assert late_witnesses >= cases // 4
+
+
+@pytest.mark.parametrize("bounds", [(2, 2, 2), (3, 2, 1), (2, 3, 1)])
+def test_every_skipped_candidate_has_an_earlier_checked_equivalent(bounds):
+    # From the definition: a candidate the scan skips has the same verdict
+    # as one it checks at an earlier position, so the first refuting
+    # candidate is never skipped. Relabelling is a group action, so a
+    # skipped candidate, trimmed, is a relabelling of a checked one exactly
+    # when that one is a relabelling of it.
+    b = SearchBounds(*bounds)
+    every_atom = {(k, name) for k in range(b.num_channels) for name in b.atom_names}
+    checked = {
+        position: candidate_key(p)
+        for position, p in search._exhaustive_candidates(b, every_atom, reduced=True)
+    }
+    earliest = {}
+    skipped = []
+    relabellings = {}
+    for position, p in enumerate(reference_candidates(*bounds)):
+        if position in checked:
+            assert checked[position] == candidate_key(p)
+            for key in reference_equivalent_keys(p, relabellings):
+                earliest.setdefault(key, position)
+        else:
+            skipped.append((position, p))
+    assert len(checked) + len(skipped) == position + 1
+    for position, p in skipped:
+        trimmed = next(reference_equivalent_keys(p, relabellings))
+        assert earliest.get(trimmed, position) < position, position
+
+
+def test_display_laws_check_few_candidates(monkeypatch):
+    # Each law holds, so every candidate that is not skipped is checked;
+    # a protocol is built only for those.
+    calls = []
+
+    def counting(name):
+        real = getattr(search, name)
+
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(search, name, counted)
+
+    counting("counterexample")
+    counting("_build_protocol")
+    counts = []
+    for f in display_gateway_family():
+        del calls[:]
+        assert falsify(f, SearchBounds(3, 2, 1), budget=10**6) is None
+        counts.append((calls.count("counterexample"), calls.count("_build_protocol")))
+    assert counts == [(70, 70), (70, 70), (226, 226)]
+
+
+def test_display_laws_exhaustive_on_four_channels():
+    bounds = SearchBounds(4, 2, 1, candidate_ceiling=1_100_000)
+    assert candidate_count(bounds) == 1_090_576
+    for f in display_gateway_family():
+        assert falsify(f, bounds, budget=candidate_count(bounds)) is None, render(f)
 
 
 def test_falsify_keeps_the_ceiling_and_rejects_negative_budgets():
