@@ -19,6 +19,7 @@ from .formula import (
     Box,
     Formula,
     Implies,
+    Scope,
     VariableLimitError,
     conj,
     diamond,
@@ -105,6 +106,12 @@ class ScriptVerdict:
     failure: tuple[int, str] | None  # first failing line and why
 
 
+def gateway_side(k: int, n: int, s: Scope) -> bool:
+    """The gateway schema's side condition for channels k, n and the scope
+    s of its formula: k < n <= min(s) or max(s) <= n < k."""
+    return (k < n <= s.min_val) or (s.max_val <= n < k)
+
+
 def instantiate_axiom(schema: str, params: dict) -> tuple[Formula, bool]:
     """The formula a schema instance denotes, plus its side condition.
 
@@ -140,9 +147,7 @@ def instantiate_axiom(schema: str, params: dict) -> tuple[Formula, bool]:
         return Implies(phi, Box(k, phi)), scope(phi).indices <= {k}
     if schema == "gateway":
         k, n, phi = need("k"), need("n"), need("phi")
-        s = scope(phi)
-        side = (k < n <= s.min_val) or (s.max_val <= n < k)
-        return Implies(Box(k, phi), Box(n, phi)), side
+        return Implies(Box(k, phi), Box(n, phi)), gateway_side(k, n, scope(phi))
     if schema == "disjunction":
         k, phi, psi = need("k"), need("phi"), need("psi")
         side = scope(phi).max_val <= k <= scope(psi).min_val

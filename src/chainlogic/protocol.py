@@ -68,20 +68,46 @@ class HammingLocal:
     def __init__(self, word_len: int, alphabet: tuple[str, ...]):
         self.word_len = word_len
         self.alphabet = alphabet
+        self._letters = tuple(sorted(set(alphabet)))
+        # Per letter, the alphabet's letters below it and above it.
+        self._around = {
+            c: (self._letters[:i], self._letters[i + 1 :])
+            for i, c in enumerate(self._letters)
+        }
         self._neighbors: dict[str, tuple[str, ...]] = {}
 
     def holds(self, prev: str, cur: str) -> bool:
         return sum(a != b for a, b in zip(prev, cur)) <= 1
 
+    def _outside(self, letter: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """The alphabet's letters below and above a letter not in it."""
+        return (
+            tuple(c for c in self._letters if c < letter),
+            tuple(c for c in self._letters if c > letter),
+        )
+
     def successors(self, prev: str) -> tuple[str, ...]:
+        """prev and every word one letter away, in sorted order: a word that
+        changes position i to a smaller letter sorts before every word that
+        changes a later position, and one with a larger letter after them.
+        So the smaller words come position by position from the first, then
+        prev, then the larger words from the last position back."""
         cached = self._neighbors.get(prev)
         if cached is None:
-            words = {prev}
+            words = []
+            above = []
             for i, original in enumerate(prev):
-                for c in self.alphabet:
-                    if c != original:
-                        words.add(prev[:i] + c + prev[i + 1 :])
-            cached = tuple(sorted(words))
+                lower, upper = self._around.get(original) or self._outside(original)
+                above.append(upper)
+                head, tail = prev[:i], prev[i + 1 :]
+                for c in lower:
+                    words.append(head + c + tail)
+            words.append(prev)
+            for i in range(len(prev) - 1, -1, -1):
+                head, tail = prev[:i], prev[i + 1 :]
+                for c in above[i]:
+                    words.append(head + c + tail)
+            cached = tuple(words)
             self._neighbors[prev] = cached
         return cached
 

@@ -32,6 +32,13 @@ Both are decided on the integer encoding, before any protocol is built:
 
 The first refuting candidate is therefore checked, as itself, so the
 witness and its first falsifying run are unchanged.
+
+Random mode and the soundness sweeps sample on the same encoding: a draw
+is its (sizes, relation masks, truth masks) integers, a draw without a run
+is rejected by the reachability bitmasks, and only the draw kept is built
+into a protocol. Every protocol either path builds takes its local
+conditions and atom truth sets from two bounded caches, one object per
+relation mask and per truth mask, shared because nothing mutates them.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .formula import (
     Atom,
@@ -50,10 +58,11 @@ from .formula import (
     diamond,
     disj,
     parse,
+    scope,
     shift_channels,
 )
-from .proofcheck import SCHEMAS, instantiate_axiom
-from .protocol import ExplicitChainProtocol, ExplicitLocal, run_count, runs
+from .proofcheck import SCHEMAS, gateway_side, instantiate_axiom
+from .protocol import ExplicitChainProtocol, ExplicitLocal, runs
 from .semantics import EvalContext, counterexample, evaluate
 
 _VALUE_LABELS = "abcdefghijklmnopqrstuvwxyz"
@@ -122,19 +131,31 @@ def candidate_count(bounds: SearchBounds) -> int:
     return sum(counts)
 
 
+@lru_cache(maxsize=1024)
+def _relation(left: int, right: int, mask: int) -> ExplicitLocal:
+    """The local condition of one relation mask; bit i * right + j relates
+    value i on the left to value j. Shared by every protocol that has it,
+    which is safe because nothing mutates an ExplicitLocal."""
+    return ExplicitLocal([
+        (_VALUE_LABELS[i], _VALUE_LABELS[j])
+        for i in range(left)
+        for j in range(right)
+        if mask >> (i * right + j) & 1
+    ])
+
+
+@lru_cache(maxsize=1024)
+def _labels(mask: int) -> frozenset[str]:
+    """The value labels whose bits are set in a truth mask."""
+    return frozenset(_VALUE_LABELS[j] for j in range(mask.bit_length()) if mask >> j & 1)
+
+
 def _local(sizes: tuple[int, ...], relation_masks: tuple[int, ...]) -> dict:
-    """The local conditions of one (sizes, relation masks) block; bit
-    i * right + j of a mask relates value i on the left to value j."""
-    local = {}
-    for k, mask in enumerate(relation_masks, start=1):
-        left, right = sizes[k - 1], sizes[k]
-        local[k] = ExplicitLocal([
-            (_VALUE_LABELS[i], _VALUE_LABELS[j])
-            for i in range(left)
-            for j in range(right)
-            if mask >> (i * right + j) & 1
-        ])
-    return local
+    """The local conditions of one (sizes, relation masks) block."""
+    return {
+        k: _relation(sizes[k - 1], sizes[k], mask)
+        for k, mask in enumerate(relation_masks, start=1)
+    }
 
 
 def _build_protocol(
@@ -144,12 +165,10 @@ def _build_protocol(
     atom_names: tuple[str, ...],
 ) -> ExplicitChainProtocol:
     values = {k: _VALUE_LABELS[:s] for k, s in enumerate(sizes)}
-    atoms = {}
-    for k, channel_masks in enumerate(truth_masks):
-        atoms[k] = {
-            name: [_VALUE_LABELS[j] for j in range(sizes[k]) if mask >> j & 1]
-            for name, mask in zip(atom_names, channel_masks)
-        }
+    atoms = {
+        k: {name: _labels(mask) for name, mask in zip(atom_names, channel_masks)}
+        for k, channel_masks in enumerate(truth_masks)
+    }
     return ExplicitChainProtocol((0, len(sizes) - 1), values, local, atoms)
 
 
@@ -293,7 +312,8 @@ def _exhaustive_candidates(bounds: SearchBounds, read, reduced: bool = False):
             position += block
 
 
-def _random_candidate(rng: random.Random, bounds: SearchBounds) -> ExplicitChainProtocol:
+def _random_candidate(rng: random.Random, bounds: SearchBounds):
+    """The (sizes, relation masks, truth masks) of one random candidate."""
     c = bounds.num_channels
     names = bounds.atom_names
     sizes = tuple(rng.randint(1, bounds.max_values_per_channel) for _ in range(c))
@@ -303,15 +323,19 @@ def _random_candidate(rng: random.Random, bounds: SearchBounds) -> ExplicitChain
     truth_masks = tuple(
         tuple(rng.randrange(1 << sizes[k]) for _ in names) for k in range(c)
     )
-    return _build_protocol(sizes, _local(sizes, relation_masks), truth_masks, names)
+    return sizes, relation_masks, truth_masks
 
 
 def sample_protocol(rng: random.Random, bounds: SearchBounds) -> ExplicitChainProtocol:
-    """One random candidate that admits at least one run."""
+    """One random candidate that admits at least one run. Draws without a
+    run are rejected on their integer encoding, so only the accepted one
+    is built."""
     for _ in range(10_000):
-        p = _random_candidate(rng, bounds)
-        if run_count(p) > 0:
-            return p
+        sizes, relation_masks, truth_masks = _random_candidate(rng, bounds)
+        if _live(sizes, relation_masks)[0]:
+            return _build_protocol(
+                sizes, _local(sizes, relation_masks), truth_masks, bounds.atom_names
+            )
     raise SearchSpaceError("could not sample a protocol with runs")
 
 
@@ -462,18 +486,10 @@ def _sample_instance(
             params = {"k": k, "phi": phi}
         elif schema == "gateway":
             phi = random_formula(rng, window, names, 2)
-            pairs = [
-                (k, n)
-                for k in window
-                for n in window
-                if k != n
-            ]
+            pairs = [(k, n) for k in window for n in window if k != n]
             if enforce_side_conditions:
-                pairs = [
-                    (k, n)
-                    for k, n in pairs
-                    if instantiate_axiom("gateway", {"k": k, "n": n, "phi": phi})[1]
-                ]
+                s = scope(phi)
+                pairs = [(k, n) for k, n in pairs if gateway_side(k, n, s)]
                 if not pairs:
                     continue
             k, n = rng.choice(pairs)

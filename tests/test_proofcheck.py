@@ -31,6 +31,7 @@ from chainlogic import (
     script_to_dict,
     truth,
 )
+from chainlogic.proofcheck import gateway_side
 
 SCHEMAS = ("distributivity", "reflexivity", "self_awareness", "gateway", "disjunction")
 
@@ -69,6 +70,27 @@ def test_match_axiom_gateway_boundaries():
     for n, expected in ((0, True), (2, True), (3, False)):
         line = Implies(Box(3, phi), Box(n, phi))
         assert match_axiom("gateway", {"k": 3, "n": n, "phi": phi}, line) is expected
+
+
+def test_gateway_side_agrees_with_instantiation():
+    # The sweeps filter (k, n) pairs with gateway_side; instantiate_axiom
+    # must judge every pair the same way, the empty scope included.
+    rng = random.Random(23)
+    phis = [parse("false"), parse("[1]p@1")]
+    phis += [random_formula(rng, range(-1, 4), ("p", "q"), 2) for _ in range(40)]
+    grid = [(k, n) for k in range(-1, 4) for n in range(-1, 4)]
+    for phi in phis:
+        s = scope(phi)
+        for k, n in grid:
+            params = {"k": k, "n": n, "phi": phi}
+            assert gateway_side(k, n, s) == instantiate_axiom("gateway", params)[1], (
+                render(phi), k, n,
+            )
+    # Empty scope: every pair of distinct channels.
+    empty = scope(parse("false"))
+    assert [(k, n) for k, n in grid if gateway_side(k, n, empty)] == [
+        (k, n) for k, n in grid if k != n
+    ]
 
 
 def test_match_axiom_gateway_empty_scope_is_permissive():

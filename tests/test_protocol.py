@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import string
 
 import pytest
 
@@ -21,6 +22,7 @@ from chainlogic import (
     splice,
     telephone,
 )
+from chainlogic.protocol import HammingLocal
 
 from conftest import (
     brute_force_runs,
@@ -217,6 +219,31 @@ def test_telephone_local_condition():
     for _ in range(100):
         u, v = rng.choice(words), rng.choice(words)
         assert small.local(1).holds(u, v) == small.local(1).holds(v, u)
+
+
+def _reference_neighbours(prev, alphabet):
+    words = {prev}
+    for i, original in enumerate(prev):
+        for c in alphabet:
+            if c != original:
+                words.add(prev[:i] + c + prev[i + 1 :])
+    return tuple(sorted(words))
+
+
+@pytest.mark.parametrize("alphabet", ["ab", "abc", string.ascii_lowercase, "zyxa", "zyxaz"])
+def test_hamming_neighbours_match_set_and_sort(alphabet):
+    # Emitted in sorted order without a sort, for unsorted alphabets and
+    # ones with a repeated letter, and around letters outside the alphabet:
+    # below it, above it and between its letters.
+    rng = random.Random(len(alphabet))
+    outside = "#AbY~"
+    for word_len in range(1, 6):
+        cond = HammingLocal(word_len, tuple(alphabet))
+        for i in range(60):
+            pool = alphabet + outside if i % 3 == 0 else alphabet
+            prev = "".join(rng.choice(pool) for _ in range(word_len))
+            assert cond.successors(prev) == _reference_neighbours(prev, alphabet), prev
+            assert cond.predecessors(prev) == cond.successors(prev)
 
 
 def test_telephone_atoms():

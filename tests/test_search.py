@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -20,9 +22,12 @@ from chainlogic import (
     falsify,
     is_run,
     parse,
+    protocol,
+    protocol_from_dict,
     protocol_to_dict,
     random_formula,
     render,
+    sample_protocol,
     search,
     soundness_sweep,
     valid_in,
@@ -335,6 +340,108 @@ def test_unguarded_schemas_do_fail():
         instance, p, r = report.first_witness
         assert not evaluate(EvalContext(p), r, instance), render(instance)
 
+
+_SAMPLED_BOUNDS = ((3, 2, 2), (3, 3, 0), (4, 3, 2), (2, 2, 1))
+_SWEEP_SCHEMAS = ("distributivity", "reflexivity", "self_awareness", "gateway", "disjunction")
+
+
+def test_sample_stream_digest_is_unchanged():
+    """protocol_to_dict of 400 seeded samples on each of four bounds. The
+    digest is the one that building and run-counting every draw gave."""
+    h = hashlib.sha256()
+    for i, bounds in enumerate(_SAMPLED_BOUNDS):
+        rng = random.Random(100 + i)
+        for _ in range(400):
+            p = sample_protocol(rng, SearchBounds(*bounds))
+            h.update(json.dumps(protocol_to_dict(p), sort_keys=True).encode())
+    assert h.hexdigest() == "4a79575a7d3f3d86c46b42ba5a738e6866d6072e93a16af10a2996a433613346"
+
+
+def test_sweep_report_digest_is_unchanged():
+    """Trials, violations and the rendered first witness of 400-trial sweeps
+    of all five schemas at two seeds, side conditions on and off (the
+    unguarded gateway, disjunction and self-awareness sweeps all find
+    witnesses). The digest is the one that instantiating the schema for
+    every candidate (k, n) gave."""
+    h = hashlib.sha256()
+    for seed, schema in itertools.product((0, 40), _SWEEP_SCHEMAS):
+        for enforce in (True, False):
+            bounds = SearchBounds(3, 2, 2, mode=RandomMode(seed=seed, samples=1))
+            report = soundness_sweep(schema, bounds, 400, enforce_side_conditions=enforce)
+            witness = None
+            if report.first_witness is not None:
+                instance, p, r = report.first_witness
+                witness = (render(instance), protocol_to_dict(p), list(r))
+            h.update(json.dumps(
+                [schema, enforce, report.trials, report.violations, witness], sort_keys=True
+            ).encode())
+    assert h.hexdigest() == "7146d1985d465e9c12eb5d14bfe576a5815fa2fb43b168c2434a17ce6a38b0dc"
+
+
+def test_sampling_builds_only_accepted_draws(monkeypatch):
+    # Draws without a run are rejected on their integer encoding: N samples
+    # build N protocols and count no runs, and the gateway sampler
+    # instantiates the schema once per returned instance.
+    calls = []
+
+    def counting(name):
+        real = getattr(search, name)
+
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(search, name, counted)
+
+    def no_run_count(p):
+        raise AssertionError("sampling counted runs")
+
+    monkeypatch.setattr(protocol, "run_count", no_run_count)
+    monkeypatch.setattr(search, "run_count", no_run_count, raising=False)
+    counting("_build_protocol")
+    counting("_random_candidate")
+    counting("instantiate_axiom")
+    bounds = SearchBounds(3, 2, 2)
+    rng = random.Random(6)
+    for _ in range(300):
+        sample_protocol(rng, bounds)
+    assert calls.count("_build_protocol") == 300
+    assert calls.count("_random_candidate") > 300  # some draws were rejected
+    for enforce in (True, False):
+        del calls[:]
+        for _ in range(200):
+            search._sample_instance("gateway", rng, bounds, enforce)
+        assert calls.count("instantiate_axiom") == 200
+
+
+def test_sampled_protocols_share_safely():
+    # Sampled protocols share their relation and label-set objects; each
+    # still round-trips to an equal, valid document, and mutating what a
+    # round trip returns leaves later samples as they were.
+    bounds = SearchBounds(3, 2, 2)
+
+    def later_samples():
+        rng = random.Random(4)
+        return [protocol_to_dict(sample_protocol(rng, bounds)) for _ in range(50)]
+
+    expected = later_samples()
+    rng = random.Random(3)
+    samples = [sample_protocol(rng, bounds) for _ in range(200)]
+    assert len({id(p.local(1)) for p in samples}) < len(samples)
+    assert len({id(p._atoms[0]["p"]) for p in samples}) <= 4
+    docs = [protocol_to_dict(p) for p in samples]
+    for p, doc in zip(samples, docs):
+        assert p.validate(require_continuity=False) == []
+        q = protocol_from_dict(doc)
+        assert q.validate(require_continuity=False) == []
+        assert protocol_to_dict(q) == doc
+        for k in q.channels():
+            q._atoms[k].clear()
+            if k > q.window[0]:
+                q.local(k)._succ.clear()
+                q.local(k)._pred.clear()
+    assert later_samples() == expected
+    assert [protocol_to_dict(p) for p in samples] == docs
 
 def test_sweep_unknown_schema():
     with pytest.raises(SearchSpaceError):
