@@ -14,32 +14,11 @@ import contextlib
 import json
 import sys
 
-from .formula import FormulaSyntaxError, VariableLimitError, parse, render, scope
-from .proofcheck import ProofFormatError, check_script, load_script
-from .protocol import (
-    ProtocolFormatError,
-    ValueDomainError,
-    is_run,
-    load_protocol,
-    protocol_to_dict,
-    telephone,
-)
-from .search import (
-    ExhaustiveMode,
-    RandomMode,
-    SearchBounds,
-    SearchSpaceError,
-    embed_formula,
-    falsify,
-)
-from .semantics import (
-    EvalContext,
-    StrictWindowError,
-    UndeclaredAtomError,
-    counterexample,
-    evaluate,
-    valid_in,
-)
+from .formula import parse, render, scope
+from .proofcheck import check_script, load_script
+from .protocol import is_run, load_protocol, protocol_to_dict, telephone
+from .search import ExhaustiveMode, RandomMode, SearchBounds, embed_formula, falsify
+from .semantics import EvalContext, counterexample, evaluate
 
 _NAMED_ALPHABETS = {"latin": "abcdefghijklmnopqrstuvwxyz"}
 
@@ -192,13 +171,16 @@ def _cmd_telephone(args, out) -> int:
     return _witness_on(args, out, protocol, args.verb)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, evaluates: bool) -> None:
+    """--json for every verb; --strict-window for the verbs that evaluate
+    on a protocol."""
     parser.add_argument("--json", action="store_true", help="emit one JSON object")
-    parser.add_argument(
-        "--strict-window",
-        action="store_true",
-        help="error on modalities outside the protocol window",
-    )
+    if evaluates:
+        parser.add_argument(
+            "--strict-window",
+            action="store_true",
+            help="error on modalities outside the protocol window",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -210,25 +192,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scope", help="minimal channel set of a formula")
     p.add_argument("formula")
-    _add_common(p)
+    _add_common(p, evaluates=False)
     p.set_defaults(handler=_cmd_scope)
 
     p = sub.add_parser("eval", help="evaluate a formula at a run")
     p.add_argument("--protocol", required=True, help="protocol JSON file")
     p.add_argument("--run", required=True, help="comma-separated values, one per channel")
     p.add_argument("--formula", required=True)
-    _add_common(p)
+    _add_common(p, evaluates=True)
     p.set_defaults(handler=_cmd_eval)
 
     p = sub.add_parser("valid", help="check a formula on every run")
     p.add_argument("--protocol", required=True, help="protocol JSON file")
     p.add_argument("--formula", required=True)
-    _add_common(p)
+    _add_common(p, evaluates=True)
     p.set_defaults(handler=_cmd_valid)
 
     p = sub.add_parser("prove", help="verify a proof script")
     p.add_argument("--script", required=True, help="proof script JSON file")
-    _add_common(p)
+    _add_common(p, evaluates=False)
     p.set_defaults(handler=_cmd_prove)
 
     p = sub.add_parser("falsify", help="search small protocols for a countermodel")
@@ -239,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--budget", type=int, default=100_000)
-    _add_common(p)
+    _add_common(p, evaluates=False)
     p.set_defaults(handler=_cmd_falsify)
 
     p = sub.add_parser("telephone", help="the word-passing demo protocol")
@@ -254,13 +236,13 @@ def build_parser() -> argparse.ArgumentParser:
     v = verbs.add_parser("eval")
     v.add_argument("--run", required=True)
     v.add_argument("--formula", required=True)
-    _add_common(v)
+    _add_common(v, evaluates=True)
     v = verbs.add_parser("valid")
     v.add_argument("--formula", required=True)
-    _add_common(v)
+    _add_common(v, evaluates=True)
     v = verbs.add_parser("counterexample")
     v.add_argument("--formula", required=True)
-    _add_common(v)
+    _add_common(v, evaluates=True)
     p.set_defaults(handler=_cmd_telephone)
 
     return parser
@@ -288,20 +270,9 @@ def run_cli(argv=None, stdout=None, stderr=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.handler(args, out)
-    except (
-        _UsageError,
-        FormulaSyntaxError,
-        VariableLimitError,
-        ProtocolFormatError,
-        ProofFormatError,
-        SearchSpaceError,
-        ValueDomainError,
-        UndeclaredAtomError,
-        StrictWindowError,
-        json.JSONDecodeError,
-        OSError,
-        ValueError,
-    ) as exc:
+    except (ValueError, OSError) as exc:
+        # Every bad-input error the library raises is a ValueError, and so
+        # is json.JSONDecodeError.
         print(f"error: {exc}", file=err)
         return 2
     except RecursionError:

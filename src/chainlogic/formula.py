@@ -445,12 +445,6 @@ class Scope:
     def max_val(self) -> int | float:
         return max(self.indices) if self.indices else -math.inf
 
-    def __contains__(self, channel: int) -> bool:
-        return channel in self.indices
-
-    def __iter__(self):
-        return iter(sorted(self.indices))
-
     def __len__(self) -> int:
         return len(self.indices)
 

@@ -169,7 +169,7 @@ def _axiom_params(rule: AxiomRule) -> dict:
     return {"k": rule.k, "n": rule.n, "phi": rule.phi, "psi": rule.psi}
 
 
-def check_script(script: ProofScript, max_vars: int = 24) -> ScriptVerdict:
+def check_script(script: ProofScript) -> ScriptVerdict:
     """Verify every line; accepted only when all lines check and the final
     line is the goal. Forward, missing, or duplicate line references are
     format errors, not verdicts."""
@@ -199,7 +199,7 @@ def check_script(script: ProofScript, max_vars: int = 24) -> ScriptVerdict:
                 ok, reason = False, "premise lines are not allowed in this script"
         elif isinstance(rule, TautologyRule):
             try:
-                if not is_tautology(line.formula, max_vars):
+                if not is_tautology(line.formula):
                     ok, reason = False, "not a propositional tautology"
             except VariableLimitError:
                 ok, reason = False, (

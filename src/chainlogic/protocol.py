@@ -276,9 +276,6 @@ class TelephoneProtocol(ChainProtocol):
             raise ValueError(f"no local condition at channel {k}")
         return self._shared_local
 
-    def atom_names(self, k: int):
-        return ("eq_" + w for w in self.iter_values(k))
-
     def atom_declared(self, k: int, name: str) -> bool:
         return name.startswith("eq_") and self.has_value(k, name[3:])
 
@@ -390,37 +387,24 @@ def run_count(p: ChainProtocol) -> int:
 def runs_fixing(p: ChainProtocol, k: int, v):
     """Exactly the runs whose value at channel k is v, in runs(p) order.
 
-    Factorizes into left partial paths ending at v and right partial paths
-    starting at v, so no full scan of the run set is needed.
+    One path walk that, up to channel k, keeps to the values from which v
+    at channel k is reachable, so no full scan of the run set is needed.
     """
     lo, hi = p.window
     p._check_channel(k)
     if not p.has_value(k, v):
         raise ValueDomainError(k, v)
+    # reach[j]: values at channel j from which v at channel k is reachable.
+    reach: dict[int, set] = {k: {v}}
+    for j in range(k, lo, -1):
+        cond = p.local(j)
+        reach[j - 1] = {u for w in reach[j] for u in cond.predecessors(w)}
 
-    def generate():
-        # reach[j]: values at channel j from which v at channel k is reachable.
-        reach: dict[int, set] = {k: {v}}
-        for j in range(k, lo, -1):
-            prev: set = set()
-            cond = p.local(j)
-            for w in reach[j]:
-                prev.update(cond.predecessors(w))
-            reach[j - 1] = prev
-            if not prev:
-                return
+    def successors(j: int, prev):
+        after = p.local(j).successors(prev)
+        return after if j > k else [u for u in after if u in reach[j]]
 
-        def left_successors(j: int, prev):
-            return [u for u in p.local(j).successors(prev) if u in reach[j]]
-
-        def successors(j: int, prev):
-            return p.local(j).successors(prev)
-
-        for left in _paths(sorted(reach[lo]), lo, k, left_successors):
-            for right in _paths((v,), k, hi, successors):
-                yield left + right[1:]
-
-    return generate()
+    return _paths(sorted(reach[lo]), lo, hi, successors)
 
 
 def splice(p: ChainProtocol, r1, r2, k: int):

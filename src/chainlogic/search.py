@@ -103,6 +103,10 @@ class SearchBounds:
             raise SearchSpaceError(
                 f"atoms_per_channel must be in 0..{len(_ATOM_NAMES)}"
             )
+        if isinstance(self.mode, RandomMode) and self.mode.samples < 0:
+            raise SearchSpaceError(
+                f"samples must not be negative, got {self.mode.samples}"
+            )
 
     @property
     def atom_names(self) -> tuple[str, ...]:
@@ -529,6 +533,8 @@ def soundness_sweep(
     """
     if schema not in SCHEMAS:
         raise SearchSpaceError(f"unknown axiom schema {schema!r}")
+    if trials < 0:
+        raise SearchSpaceError(f"trials must not be negative, got {trials}")
     seed = bounds.mode.seed if isinstance(bounds.mode, RandomMode) else 0
     rng = random.Random(seed)
     violations = 0

@@ -26,7 +26,9 @@ is built, so a formula may have any number of literals.
 ``evaluate`` a lookup that decides each literal at the run when it is
 reached, so the rhs of an implication with a false lhs is never decided.
 ``_partial`` and every formula walker keep an explicit stack, so nesting
-depth costs no recursion; only modal depth does, one nested walk per box.
+depth costs no recursion; only modal depth does: a nested box costs one
+walk and two frames (``_first_falsifying`` → ``_column``), so about 490
+nested boxes fit under Python's default recursion limit of 1,000.
 
 Unpinned, the walk goes lo→hi in successor order, so the first run it
 completes is the first falsifying run in ``protocol.runs`` order: the same
@@ -63,9 +65,6 @@ class UndeclaredAtomError(ValueError):
 
 class StrictWindowError(ValueError):
     """A modality channel left the window while strict mode was on."""
-
-
-_MISSING = object()
 
 
 class EvalContext:
@@ -115,8 +114,8 @@ class _Plan:
     """A formula compiled for the walk.
 
     ``groups`` maps each channel to the formula's skeleton literals there.
-    ``start`` is the formula with constants folded, or None when it cannot
-    be false. ``leaves`` caches ``_leaves`` for a formula checked by
+    ``start`` is the formula with constants folded, True when it cannot be
+    false. ``leaves`` caches ``_leaves`` for a formula checked by
     ``counterexample``.
     """
 
@@ -133,8 +132,7 @@ def _compile(f: Formula) -> _Plan:
     groups: dict[int, list] = {}
     for lit in _variables(f, {}):
         groups.setdefault(lit.channel, []).append(lit)
-    start = _partial(f, {}.get)
-    return _Plan(groups, None if start is True else start)
+    return _Plan(groups, _partial(f, {}.get))
 
 
 def _partial(f: Formula, lookup):
@@ -171,37 +169,25 @@ def _partial(f: Formula, lookup):
             return r
 
 
-def _literal(ctx: EvalContext, lit, k: int, v) -> bool:
-    if isinstance(lit, Atom):
-        return ctx.protocol.atom_holds(k, lit.name, v)
-    return _box(ctx, k, v, lit.body)
-
-
-def _column(ctx: EvalContext, plan: _Plan, k: int, v) -> dict:
-    """The truth values of the formula's literals at channel k when it
-    carries v (None: out of window)."""
-    return {lit: _literal(ctx, lit, k, v) for lit in plan.groups[k]}
-
-
-def _absorb(state, col: dict):
-    """The walk state after one column, or None once the formula can no
-    longer be false."""
-    state = _partial(state, col.get)
-    return None if state is True else state
-
-
-def _box(ctx: EvalContext, k: int, v, body: Formula) -> bool:
-    """[k]body where channel k carries v (None: out of window)."""
-    key = (k, v, body)
-    if ctx.memoize:
-        cached = ctx._memo.get(key, _MISSING)
-        if cached is not _MISSING:
-            return cached
-    pin = None if v is None else (k, v)
-    result = _first_falsifying(ctx, _compile(body), pin) is None
-    if ctx.memoize:
-        ctx._memo[key] = result
-    return result
+def _column(ctx: EvalContext, lits, k: int, v) -> dict:
+    """The truth values of the literals ``lits`` at channel k when it
+    carries v (None: out of window). A box [k]body holds when no run
+    through v falsifies body: a nested walk, once per (k, v, body) when
+    memoized."""
+    col = {}
+    for lit in lits:
+        if type(lit) is Atom:
+            col[lit] = ctx.protocol.atom_holds(k, lit.name, v)
+            continue
+        key = (k, v, lit.body)
+        holds = ctx._memo.get(key)
+        if holds is None:
+            pin = None if v is None else (k, v)
+            holds = _first_falsifying(ctx, _compile(lit.body), pin) is None
+            if ctx.memoize:
+                ctx._memo[key] = holds
+        col[lit] = holds
+    return col
 
 
 # --- the walk -----------------------------------------------------------------
@@ -226,9 +212,9 @@ def _first_falsifying(ctx: EvalContext, plan: _Plan, pin):
     groups = plan.groups
     state = plan.start
     for j in groups:
-        if state is not None and not lo <= j <= hi:
-            state = _absorb(state, _column(ctx, plan, j, None))
-    if state is None:
+        if state is not True and not lo <= j <= hi:
+            state = _partial(state, _column(ctx, groups[j], j, None).get)
+    if state is True:
         return None
     if pin is None:
         # k = lo - 1 sends every channel after the first up the chain.
@@ -252,11 +238,11 @@ def _first_falsifying(ctx: EvalContext, plan: _Plan, pin):
                 # [column, last state absorbed into it, the state it gave]
                 step = columns.get((j, u))
                 if step is None:
-                    step = columns[j, u] = [_column(ctx, plan, j, u), None, None]
+                    step = columns[j, u] = [_column(ctx, groups[j], j, u), None, None]
                 if step[1] is not before:
-                    step[1], step[2] = before, _absorb(before, step[0])
+                    step[1], step[2] = before, _partial(before, step[0].get)
                 s = step[2]
-                if s is None:
+                if s is True:
                     continue
             if i == last:
                 path.append(u)
@@ -298,7 +284,7 @@ def evaluate(ctx: EvalContext, run, f: Formula) -> bool:
 
     def at_run(lit, _):
         k = lit.channel
-        return _literal(ctx, lit, k, run[k - lo] if lo <= k <= hi else None)
+        return _column(ctx, (lit,), k, run[k - lo] if lo <= k <= hi else None)[lit]
 
     return _partial(f, at_run)
 

@@ -1,11 +1,15 @@
+import importlib
+import inspect
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 
+import chainlogic
 from chainlogic import cli, corpus, protocol_to_dict, script_to_dict, search
 from chainlogic.cli import run_cli
 
@@ -77,6 +81,45 @@ def test_deeply_nested_json_exits_2(capsys, tmp_path, verb):
     path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
     code, out, err = run(capsys, verb.split() + [str(path)])
     assert (code, out, err) == (2, "", "error: input nested too deeply\n")
+
+
+@pytest.mark.parametrize(
+    "verb, extra, code, text",
+    [
+        ("eval", ["--run", "a,a"], 0, "true\n"),
+        ("valid", [], 1, "invalid\ncounterexample: a,b\n"),
+        ("counterexample", [], 1, "a,b\n"),
+    ],
+    ids=["eval", "valid", "counterexample"],
+)
+def test_nested_boxes_get_an_answer(capsys, verb, extra, code, text):
+    # Each nested box costs two frames: 400 fit the default recursion
+    # limit, 3,000 do not.
+    base = ["telephone", "--len", "1", "--alphabet", "ab", "--chain", "2", verb] + extra
+    formula = "[1]" * 400 + "eq_a@1"
+    assert run(capsys, base + ["--formula", formula]) == (code, text, "")
+    formula = "[1]" * 3000 + "eq_a@1"
+    assert run(capsys, base + ["--formula", formula]) == (
+        2, "", "error: input nested too deeply\n"
+    )
+
+
+def test_every_library_error_is_a_value_error():
+    # run_cli turns ValueError and OSError into exit 2 with one clause.
+    errors = [
+        cls
+        for info in pkgutil.iter_modules(chainlogic.__path__)
+        for _, cls in inspect.getmembers(
+            importlib.import_module("chainlogic." + info.name), inspect.isclass
+        )
+        if issubclass(cls, BaseException) and cls.__module__.startswith("chainlogic")
+    ]
+    assert {cls.__name__ for cls in errors} == {
+        "FormulaSyntaxError", "VariableLimitError", "ProtocolFormatError",
+        "ValueDomainError", "ProofFormatError", "SearchSpaceError",
+        "UndeclaredAtomError", "StrictWindowError", "_UsageError",
+    }
+    assert all(issubclass(cls, ValueError) for cls in errors)
 
 
 CONJUNCTS = 20_000
@@ -233,6 +276,32 @@ def test_falsify_seed_without_samples_exits_2(capsys):
         ["falsify", "--formula", "p@0", "--channels", "1", "--max-values", "2", "--seed", "1"],
     )
     assert code == 2
+
+
+def test_falsify_negative_samples_exits_2(capsys):
+    code, out, err = run(
+        capsys,
+        [
+            "falsify", "--formula", "p@0", "--channels", "1", "--max-values", "2",
+            "--seed", "1", "--samples", "-5",
+        ],
+    )
+    assert (code, out) == (2, "")
+    assert "samples" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scope", "p@0"],
+        ["prove", "--script", "missing.json"],
+        ["falsify", "--formula", "p@0", "--channels", "1", "--max-values", "1"],
+    ],
+)
+def test_strict_window_only_where_it_is_read(capsys, argv):
+    code, out, err = run(capsys, argv + ["--strict-window"])
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --strict-window" in err
 
 
 def test_telephone_eval(capsys):

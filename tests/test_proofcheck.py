@@ -367,12 +367,21 @@ def test_script_file_loading(tmp_path):
         lambda d: d["lines"][0]["rule"].update(type=["axiom"]),
         lambda d: d["lines"][0]["rule"].update(type={"axiom": 1}),
         lambda d: d.pop("goal"),
+        lambda d: d["lines"][0].update(rule="axiom"),
+        lambda d: d["lines"][0]["rule"].pop("phi"),
+        lambda d: d["lines"][0].pop("rule"),
     ],
 )
 def test_script_format_rejections(mutate):
     doc = script_to_dict(corpus()["prop1"])
     mutate(doc)
     with pytest.raises(ProofFormatError):
+        script_from_dict(doc)
+
+
+@pytest.mark.parametrize("doc", [[], "prop1", None])
+def test_script_must_be_an_object(doc):
+    with pytest.raises(ProofFormatError, match="JSON object"):
         script_from_dict(doc)
 
 

@@ -129,6 +129,13 @@ def test_run_count_examples():
     assert run_count(telephone(3, "abc", 3)) == 1323
 
 
+def test_run_count_of_a_protocol_with_no_run():
+    p = make_protocol((0, 1), {0: ("a",), 1: ("b",)}, {1: []})
+    assert run_count(p) == 0
+    assert list(runs(p)) == []
+    assert list(runs_fixing(p, 1, "b")) == []
+
+
 def test_run_count_matches_enumeration_on_samples():
     rng = random.Random(5)
     for _ in range(60):
@@ -168,6 +175,17 @@ def test_runs_fixing_partitions_run_set():
             assert sum(len(rs) for rs in per_value.values()) == total
             for v, rs in per_value.items():
                 assert rs == [r for r in runs(p) if r[k - p.window[0]] == v]
+
+
+@pytest.mark.parametrize(
+    "word_len, alphabet, chain_len", [(1, "abc", 4), (2, "abc", 3), (2, "ab", 5)]
+)
+def test_runs_fixing_filters_runs_on_telephone(word_len, alphabet, chain_len):
+    t = telephone(word_len, alphabet, chain_len)
+    every = list(runs(t))
+    for k in t.channels():
+        for v in t.iter_values(k):
+            assert list(runs_fixing(t, k, v)) == [r for r in every if r[k] == v], (k, v)
 
 
 def test_splice():
@@ -292,6 +310,10 @@ def test_protocol_json_round_trip():
         lambda d: d.update(window=[False, 2]),
         lambda d: d["channels"][0].update(index=False),
         lambda d: d["local"][0].update(channel=True),
+        lambda d: d.update(window=[2, 1]),
+        lambda d: d["channels"][0].pop("values"),
+        lambda d: d["channels"][0]["atoms"].update(p="u"),
+        lambda d: d["local"][0].pop("pairs"),
     ],
 )
 def test_protocol_format_rejections(mutate):
@@ -308,6 +330,43 @@ def test_load_protocol_rejects_domain_violations(tmp_path):
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ProtocolFormatError):
         load_protocol(path)
+
+
+@pytest.mark.parametrize("doc", [[], "protocol", None])
+def test_protocol_document_must_be_an_object(doc):
+    with pytest.raises(ProtocolFormatError, match="JSON object"):
+        protocol_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "mutate, detail",
+    [
+        (lambda d: d["channels"][0].update(values=[]), "channel 0 has no values"),
+        (
+            lambda d: d["local"][0]["pairs"].append(["w", "x"]),
+            "uses 'w' outside channel 0",
+        ),
+    ],
+)
+def test_load_protocol_rejects_each_violation(tmp_path, mutate, detail):
+    doc = protocol_to_dict(gateway_countermodel())
+    mutate(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ProtocolFormatError, match=detail):
+        load_protocol(path)
+
+
+def test_validate_atom_channel_violation():
+    # The file format cannot place atoms outside the window; the
+    # constructor can.
+    p = make_protocol(
+        (0, 1),
+        {0: ("a",), 1: ("a",)},
+        {1: [("a", "a")]},
+        {5: {"p": ("a",)}},
+    )
+    assert [(v.kind, v.channel) for v in p.validate()] == [("atom-channel", 5)]
 
 
 def test_exhaustive_suite_counts():

@@ -51,6 +51,15 @@ def test_bounds_validation():
         SearchBounds(2, 2, atoms_per_channel=-1)
 
 
+def test_negative_samples_and_trials_are_refused():
+    with pytest.raises(SearchSpaceError, match="samples"):
+        SearchBounds(1, 2, mode=RandomMode(seed=1, samples=-5))
+    assert SearchBounds(1, 2, mode=RandomMode(seed=1, samples=0)).mode.samples == 0
+    with pytest.raises(SearchSpaceError, match="trials"):
+        soundness_sweep("gateway", SearchBounds(3, 2, 2), -1)
+    assert soundness_sweep("gateway", SearchBounds(3, 2, 2), 0).violations == 0
+
+
 def test_enumerate_smallest_space():
     protocols = exhaustive_suite(2, 1, 0)
     assert len(protocols) == 1
