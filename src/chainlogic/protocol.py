@@ -141,25 +141,45 @@ class ExplicitChainProtocol(ChainProtocol):
         lo, hi = int(window[0]), int(window[1])
         if lo > hi:
             raise ProtocolFormatError(f"empty window [{lo}, {hi}]")
-        self.window = (lo, hi)
-        self._values: dict[int, tuple[str, ...]] = {}
-        self._value_sets: dict[int, frozenset[str]] = {}
-        for k in self.channels():
+        sorted_values: dict[int, tuple[str, ...]] = {}
+        for k in range(lo, hi + 1):
             if k not in values:
                 raise ProtocolFormatError(f"channel {k} has no value set")
-            vs = tuple(sorted(set(values[k])))
-            self._values[k] = vs
-            self._value_sets[k] = frozenset(vs)
-        self._local: dict[int, ExplicitLocal] = {}
+            sorted_values[k] = tuple(sorted(set(values[k])))
+        conds: dict[int, ExplicitLocal] = {}
         for k in range(lo + 1, hi + 1):
             if k not in local:
                 raise ProtocolFormatError(f"channel {k} has no local condition")
             cond = local[k]
-            self._local[k] = cond if isinstance(cond, ExplicitLocal) else ExplicitLocal(cond)
-        self._atoms: dict[int, dict[str, frozenset[str]]] = {
-            k: {name: frozenset(vals) for name, vals in table.items()}
-            for k, table in (atoms or {}).items()
-        }
+            conds[k] = cond if isinstance(cond, ExplicitLocal) else ExplicitLocal(cond)
+        self._adopt(
+            (lo, hi),
+            sorted_values,
+            {k: frozenset(vs) for k, vs in sorted_values.items()},
+            conds,
+            {
+                k: {name: frozenset(vals) for name, vals in table.items()}
+                for k, table in (atoms or {}).items()
+            },
+        )
+
+    @classmethod
+    def _from_parts(cls, window, values, value_sets, local, atoms):
+        """The protocol the constructor builds from these parts, when they
+        are already in its form: per channel a sorted value tuple and its
+        frozenset, ExplicitLocal conditions, and frozenset truth sets.
+        Nothing is copied, so the parts may be shared between protocols
+        but must not be mutated."""
+        p = cls.__new__(cls)
+        p._adopt(window, values, value_sets, local, atoms)
+        return p
+
+    def _adopt(self, window, values, value_sets, local, atoms):
+        self.window: tuple[int, int] = window
+        self._values: dict[int, tuple[str, ...]] = values
+        self._value_sets: dict[int, frozenset[str]] = value_sets
+        self._local: dict[int, ExplicitLocal] = local
+        self._atoms: dict[int, dict[str, frozenset[str]]] = atoms
 
     def values(self, k: int) -> tuple[str, ...]:
         self._check_channel(k)

@@ -34,11 +34,17 @@ The first refuting candidate is therefore checked, as itself, so the
 witness and its first falsifying run are unchanged.
 
 Random mode and the soundness sweeps sample on the same encoding: a draw
-is its (sizes, relation masks, truth masks) integers, a draw without a run
-is rejected by the reachability bitmasks, and only the draw kept is built
-into a protocol. Every protocol either path builds takes its local
-conditions and atom truth sets from two bounded caches, one object per
-relation mask and per truth mask, shared because nothing mutates them.
+is its (sizes, relation masks, truth masks) integers. A bounded cache,
+keyed by (sizes, relation masks), holds the parts a block's candidates
+share: value tuples and sets, local conditions and, listed the first time
+a sweep picks a run there, the runs in ``protocol.runs`` order. A block
+without a run, found by the reachability bitmasks, is cached as None, and
+a draw in it is rejected, so only the draw kept is built, and building it
+makes only its atom tables: the rest is the block's, already in the form
+the constructor gives. The exhaustive scan makes the same parts once for
+each block it does not skip. Local conditions and atom truth sets come
+from two more bounded caches, one object per relation mask and per truth
+mask, shared because nothing mutates them.
 """
 
 from __future__ import annotations
@@ -154,26 +160,63 @@ def _labels(mask: int) -> frozenset[str]:
     return frozenset(_VALUE_LABELS[j] for j in range(mask.bit_length()) if mask >> j & 1)
 
 
-def _local(sizes: tuple[int, ...], relation_masks: tuple[int, ...]) -> dict:
-    """The local conditions of one (sizes, relation masks) block."""
-    return {
-        k: _relation(sizes[k - 1], sizes[k], mask)
-        for k, mask in enumerate(relation_masks, start=1)
-    }
+# Per size s, the value tuple and value set of a channel with s values.
+_VALUES = [tuple(_VALUE_LABELS[:s]) for s in range(len(_VALUE_LABELS) + 1)]
+_VALUE_SETS = [frozenset(vs) for vs in _VALUES]
+
+
+class _Block:
+    """What every candidate of one (sizes, relation masks) block shares:
+    the window, each channel's values and value set, the local conditions,
+    and, once a sweep has asked for them, the runs in ``protocol.runs``
+    order (they do not depend on the truth tables). The runs are listed on
+    demand, not up front: a block of wide bounds may have too many."""
+
+    __slots__ = ("window", "values", "value_sets", "local", "_runs")
+
+    def __init__(self, sizes: tuple[int, ...], relation_masks: tuple[int, ...]):
+        self.window = (0, len(sizes) - 1)
+        self.values = {k: _VALUES[s] for k, s in enumerate(sizes)}
+        self.value_sets = {k: _VALUE_SETS[s] for k, s in enumerate(sizes)}
+        self.local = {
+            k: _relation(sizes[k - 1], sizes[k], mask)
+            for k, mask in enumerate(relation_masks, start=1)
+        }
+        self._runs = None
+
+    def runs_of(self, p: ExplicitChainProtocol) -> tuple:
+        """The runs of p, a candidate of this block, listed on the first
+        call and shared from then on."""
+        if self._runs is None:
+            self._runs = tuple(runs(p))
+        return self._runs
+
+
+@lru_cache(maxsize=1024)
+def _block(sizes: tuple[int, ...], relation_masks: tuple[int, ...]) -> _Block | None:
+    """The shared parts of a block, or None when it has no run. Sampling
+    reads every draw's block here. 1,024 entries hold all 340 blocks of
+    three channels with at most two values each, the bounds the sweeps are
+    run on, and all 673 of two channels with at most three. A sweep on
+    wider bounds keeps the run lists of up to 1,024 blocks."""
+    return _Block(sizes, relation_masks) if _live(sizes, relation_masks)[0] else None
 
 
 def _build_protocol(
-    sizes: tuple[int, ...],
-    local: dict,
+    block: _Block,
     truth_masks: tuple[tuple[int, ...], ...],
     atom_names: tuple[str, ...],
 ) -> ExplicitChainProtocol:
-    values = {k: _VALUE_LABELS[:s] for k, s in enumerate(sizes)}
+    """The candidate of a block with these truth masks. Only its atom
+    tables are new; everything else is the block's, already in the form
+    the constructor would give it."""
     atoms = {
-        k: {name: _labels(mask) for name, mask in zip(atom_names, channel_masks)}
+        k: dict(zip(atom_names, map(_labels, channel_masks)))
         for k, channel_masks in enumerate(truth_masks)
     }
-    return ExplicitChainProtocol((0, len(sizes) - 1), values, local, atoms)
+    return ExplicitChainProtocol._from_parts(
+        block.window, block.values, block.value_sets, block.local, atoms
+    )
 
 
 def _live(sizes: tuple[int, ...], relation_masks: tuple[int, ...]) -> list[int]:
@@ -307,11 +350,11 @@ def _exhaustive_candidates(bounds: SearchBounds, read, reduced: bool = False):
                     ]
                     for channel, here in zip(choices, truth_swaps)
                 ]
-            local = _local(sizes, relation_masks)
+            shared = _Block(sizes, relation_masks)
             for picked in itertools.product(*kept):
                 yield (
                     position + sum(w for w, _ in picked),
-                    _build_protocol(sizes, local, tuple(t for _, t in picked), names),
+                    _build_protocol(shared, tuple(t for _, t in picked), names),
                 )
             position += block
 
@@ -330,17 +373,21 @@ def _random_candidate(rng: random.Random, bounds: SearchBounds):
     return sizes, relation_masks, truth_masks
 
 
-def sample_protocol(rng: random.Random, bounds: SearchBounds) -> ExplicitChainProtocol:
-    """One random candidate that admits at least one run. Draws without a
-    run are rejected on their integer encoding, so only the accepted one
-    is built."""
+def _draw(rng: random.Random, bounds: SearchBounds):
+    """One random candidate that admits at least one run, as (its block,
+    its protocol). A draw whose block has no run is rejected through the
+    block cache, so only the accepted draw is built."""
     for _ in range(10_000):
         sizes, relation_masks, truth_masks = _random_candidate(rng, bounds)
-        if _live(sizes, relation_masks)[0]:
-            return _build_protocol(
-                sizes, _local(sizes, relation_masks), truth_masks, bounds.atom_names
-            )
+        block = _block(sizes, relation_masks)
+        if block is not None:
+            return block, _build_protocol(block, truth_masks, bounds.atom_names)
     raise SearchSpaceError("could not sample a protocol with runs")
+
+
+def sample_protocol(rng: random.Random, bounds: SearchBounds) -> ExplicitChainProtocol:
+    """One random candidate that admits at least one run."""
+    return _draw(rng, bounds)[1]
 
 
 def _check_ceiling(bounds: SearchBounds) -> None:
@@ -535,15 +582,20 @@ def soundness_sweep(
         raise SearchSpaceError(f"unknown axiom schema {schema!r}")
     if trials < 0:
         raise SearchSpaceError(f"trials must not be negative, got {trials}")
+    if schema == "gateway" and bounds.num_channels < 2:
+        raise SearchSpaceError(
+            "the gateway schema needs two distinct channels k and n, "
+            f"the bounds have {bounds.num_channels}"
+        )
     seed = bounds.mode.seed if isinstance(bounds.mode, RandomMode) else 0
     rng = random.Random(seed)
     violations = 0
     first_witness = None
     for _ in range(trials):
         instance = _sample_instance(schema, rng, bounds, enforce_side_conditions)
-        p = sample_protocol(rng, bounds)
-        all_runs = list(runs(p))
-        r = all_runs[rng.randrange(len(all_runs))]
+        block, p = _draw(rng, bounds)
+        block_runs = block.runs_of(p)
+        r = block_runs[rng.randrange(len(block_runs))]
         if not evaluate(EvalContext(p), r, instance):
             violations += 1
             if first_witness is None:

@@ -24,7 +24,8 @@ is built, so a formula may have any number of literals.
 ``evaluate`` and the walk share one evaluator, the residual simplifier
 ``_partial``: the walk hands it a column of decided literals, and
 ``evaluate`` a lookup that decides each literal at the run when it is
-reached, so the rhs of an implication with a false lhs is never decided.
+reached (an atom from its truth set, a box through ``_column``), so the
+rhs of an implication with a false lhs is never decided.
 ``_partial`` and every formula walker keep an explicit stack, so nesting
 depth costs no recursion; only modal depth does: a nested box costs one
 walk and two frames (``_first_falsifying`` → ``_column``), so about 490
@@ -127,8 +128,17 @@ class _Plan:
         self.leaves = None
 
 
-@lru_cache(maxsize=64)
 def _compile(f: Formula) -> _Plan:
+    return _compile_object(id(f), f)
+
+
+@lru_cache(maxsize=64)
+def _compile_object(key: int, f: Formula) -> _Plan:
+    """The plan of the formula object f, whose id is ``key``. The cache
+    holds f, so no other object can have its id, and a lookup whose id
+    differs fails on the id before it compares formulas: an equal formula
+    parsed again compiles again, where a cache keyed by equality would
+    compare it structurally with the earlier one on every call."""
     groups: dict[int, list] = {}
     for lit in _variables(f, {}):
         groups.setdefault(lit.channel, []).append(lit)
@@ -278,12 +288,15 @@ def evaluate(ctx: EvalContext, run, f: Formula) -> bool:
     value set, and every atom of f must be declared at its channel; these
     are checked once, before evaluation, and violations raise.
     """
-    run = check_assignment(ctx.protocol, run)
+    p = ctx.protocol
+    run = check_assignment(p, run)
     _check_leaves(ctx, _leaves(f))
-    lo, hi = ctx.protocol.window
+    lo, hi = p.window
 
     def at_run(lit, _):
         k = lit.channel
+        if type(lit) is Atom:  # declared, so in the window
+            return p.atom_holds(k, lit.name, run[k - lo])
         return _column(ctx, (lit,), k, run[k - lo] if lo <= k <= hi else None)[lit]
 
     return _partial(f, at_run)

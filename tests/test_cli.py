@@ -104,6 +104,31 @@ def test_nested_boxes_get_an_answer(capsys, verb, extra, code, text):
     )
 
 
+def test_repeated_falsify_compares_no_more_formulas(capsys, monkeypatch):
+    # Each call parses its formula afresh. The compiled-plan cache must not
+    # hold the first call's formula as a key that every later call then
+    # compares structurally, once per candidate checked.
+    from chainlogic import formula
+
+    compared = []
+    for cls in (formula.Atom, formula.Implies, formula.Box):
+        def counted(self, other, real=cls.__eq__):
+            compared.append(1)
+            return real(self, other)
+
+        monkeypatch.setattr(cls, "__eq__", counted)
+    argv = [
+        "falsify", "--formula", "[0][2]p@2 -> [0][1]!![2]p@2",
+        "--channels", "3", "--max-values", "2", "--atoms", "1",
+    ]
+    counts = []
+    for _ in range(3):
+        del compared[:]
+        assert run(capsys, argv)[0] == 0
+        counts.append(len(compared))
+    assert counts[1] <= counts[0] and counts[2] <= counts[0], counts
+
+
 def test_every_library_error_is_a_value_error():
     # run_cli turns ValueError and OSError into exit 2 with one clause.
     errors = [

@@ -8,6 +8,7 @@ import pytest
 from chainlogic import (
     EvalContext,
     ExhaustiveMode,
+    ExplicitChainProtocol,
     RandomMode,
     SearchBounds,
     SearchSpaceError,
@@ -27,6 +28,7 @@ from chainlogic import (
     protocol_to_dict,
     random_formula,
     render,
+    runs,
     sample_protocol,
     search,
     soundness_sweep,
@@ -421,6 +423,127 @@ def test_sampling_builds_only_accepted_draws(monkeypatch):
         for _ in range(200):
             search._sample_instance("gateway", rng, bounds, enforce)
         assert calls.count("instantiate_axiom") == 200
+
+    # A sweep lists the runs of each block it draws once, however often it
+    # draws the block: the block is its value sets and local conditions.
+    listed = []
+    real_runs = search.runs
+
+    def listing(p):
+        listed.append(tuple(
+            (p.values(k), p.local(k).pairs if k else None) for k in p.channels()
+        ))
+        return real_runs(p)
+
+    monkeypatch.setattr(search, "runs", listing)
+    search._block.cache_clear()
+    del calls[:]
+    report = soundness_sweep("reflexivity", SearchBounds(3, 2, 2), 300)
+    assert report.trials == 300
+    assert calls.count("_build_protocol") == 300
+    assert 0 < len(listed) == len(set(listed)) < 300
+
+
+def _constructed(sizes, masks, truth=None, names=()):
+    """The constructor's protocol of a draw's integers, from plain label
+    lists, each channel's values in reverse order."""
+    labels = "abc"
+    return ExplicitChainProtocol(
+        (0, len(sizes) - 1),
+        {k: list(reversed(labels[:s])) for k, s in enumerate(sizes)},
+        {
+            k: [
+                (labels[i], labels[j])
+                for i in range(sizes[k - 1])
+                for j in range(sizes[k])
+                if mask >> (i * sizes[k] + j) & 1
+            ]
+            for k, mask in enumerate(masks, start=1)
+        },
+        None if truth is None else {
+            k: {
+                name: [labels[j] for j in range(s) if mask >> j & 1]
+                for name, mask in zip(names, truth[k])
+            }
+            for k, s in enumerate(sizes)
+        },
+    )
+
+
+@pytest.mark.parametrize("bounds", [(3, 2, 2), (2, 3, 1)], ids=str)
+def test_block_cache_matches_runs(bounds):
+    # Every block of the bounds: cached as runless exactly when the
+    # reachability bitmasks find no run, and otherwise listing the runs of
+    # the constructor's protocol, in order, for every candidate of it.
+    bounds = SearchBounds(*bounds)
+    names = bounds.atom_names
+    search._block.cache_clear()
+    blocks = 0
+    for sizes in itertools.product(
+        range(1, bounds.max_values_per_channel + 1), repeat=bounds.num_channels
+    ):
+        ranges = [range(1, 1 << (a * b)) for a, b in zip(sizes, sizes[1:])]
+        for masks in itertools.product(*ranges):
+            blocks += 1
+            block = search._block(sizes, masks)
+            assert (block is None) == (search._live(sizes, masks)[0] == 0)
+            if block is None:
+                continue
+            expected = tuple(runs(_constructed(sizes, masks)))
+            assert expected
+            for truth in ((0,) * len(names), (1,) * len(names)):
+                p = search._build_protocol(block, (truth,) * len(sizes), names)
+                assert block.runs_of(p) == expected
+                assert tuple(runs(p)) == expected
+    assert blocks == (340 if bounds.num_channels == 3 else 673)
+
+
+@pytest.mark.parametrize("bounds", _SAMPLED_BOUNDS, ids=str)
+def test_sampled_protocols_match_the_constructor(bounds):
+    # Replaying the draws of sample_protocol through the constructor gives
+    # an equal protocol.
+    bounds = SearchBounds(*bounds)
+    names = bounds.atom_names
+    rng = random.Random(71)
+    replay = random.Random(71)
+    for _ in range(150):
+        p = sample_protocol(rng, bounds)
+        while True:
+            sizes, masks, truth = search._random_candidate(replay, bounds)
+            if search._live(sizes, masks)[0]:
+                break
+        q = _constructed(sizes, masks, truth, names)
+        assert protocol_to_dict(p) == protocol_to_dict(q)
+        for continuity in (False, True):
+            assert p.validate(continuity) == q.validate(continuity)
+        for k in q.channels():
+            assert p.values(k) == q.values(k)
+            assert p.atom_names(k) == q.atom_names(k)
+            for v in q.values(k):
+                assert p.has_value(k, v)
+                for name in names:
+                    assert p.atom_holds(k, name, v) == q.atom_holds(k, name, v)
+                if k:
+                    assert p.local(k).predecessors(v) == q.local(k).predecessors(v)
+                if k < q.window[1]:
+                    after = p.local(k + 1).successors(v)
+                    assert after == q.local(k + 1).successors(v)
+        assert list(runs(p)) == list(runs(q))
+
+
+@pytest.mark.parametrize("enforce", [True, False], ids=["guarded", "unguarded"])
+def test_one_channel_gateway_sweep_is_refused(enforce):
+    # The gateway schema needs channels k != n; one channel has no such
+    # pair, so the sweep refuses at once instead of drawing forever (side
+    # conditions on) or from an empty list (off).
+    with pytest.raises(SearchSpaceError, match="two distinct channels"):
+        soundness_sweep(
+            "gateway", SearchBounds(1, 2, 1), 3, enforce_side_conditions=enforce
+        )
+    report = soundness_sweep(
+        "gateway", SearchBounds(2, 2, 1), 3, enforce_side_conditions=enforce
+    )
+    assert report.trials == 3
 
 
 def test_sampled_protocols_share_safely():
