@@ -141,45 +141,34 @@ class ExplicitChainProtocol(ChainProtocol):
         lo, hi = int(window[0]), int(window[1])
         if lo > hi:
             raise ProtocolFormatError(f"empty window [{lo}, {hi}]")
-        sorted_values: dict[int, tuple[str, ...]] = {}
+        self.window: tuple[int, int] = (lo, hi)
+        self._values: dict[int, tuple[str, ...]] = {}
         for k in range(lo, hi + 1):
             if k not in values:
                 raise ProtocolFormatError(f"channel {k} has no value set")
-            sorted_values[k] = tuple(sorted(set(values[k])))
-        conds: dict[int, ExplicitLocal] = {}
+            self._values[k] = tuple(sorted(set(values[k])))
+        self._value_sets: dict[int, frozenset[str]] = {
+            k: frozenset(vs) for k, vs in self._values.items()
+        }
+        self._local: dict[int, ExplicitLocal] = {}
         for k in range(lo + 1, hi + 1):
             if k not in local:
                 raise ProtocolFormatError(f"channel {k} has no local condition")
             cond = local[k]
-            conds[k] = cond if isinstance(cond, ExplicitLocal) else ExplicitLocal(cond)
-        self._adopt(
-            (lo, hi),
-            sorted_values,
-            {k: frozenset(vs) for k, vs in sorted_values.items()},
-            conds,
-            {
-                k: {name: frozenset(vals) for name, vals in table.items()}
-                for k, table in (atoms or {}).items()
-            },
-        )
+            self._local[k] = cond if isinstance(cond, ExplicitLocal) else ExplicitLocal(cond)
+        self._atoms: dict[int, dict[str, frozenset[str]]] = {
+            k: {name: frozenset(vals) for name, vals in table.items()}
+            for k, table in (atoms or {}).items()
+        }
 
-    @classmethod
-    def _from_parts(cls, window, values, value_sets, local, atoms):
-        """The protocol the constructor builds from these parts, when they
-        are already in its form: per channel a sorted value tuple and its
-        frozenset, ExplicitLocal conditions, and frozenset truth sets.
-        Nothing is copied, so the parts may be shared between protocols
-        but must not be mutated."""
-        p = cls.__new__(cls)
-        p._adopt(window, values, value_sets, local, atoms)
+    def _with_atoms(self, atoms) -> ExplicitChainProtocol:
+        """This protocol with the atom tables ``atoms``, given in the form
+        the constructor makes (frozenset truth sets). Every other part is
+        this protocol's, shared, not copied, so no part may be mutated."""
+        p = object.__new__(type(self))
+        p.__dict__.update(self.__dict__)
+        p._atoms = atoms
         return p
-
-    def _adopt(self, window, values, value_sets, local, atoms):
-        self.window: tuple[int, int] = window
-        self._values: dict[int, tuple[str, ...]] = values
-        self._value_sets: dict[int, frozenset[str]] = value_sets
-        self._local: dict[int, ExplicitLocal] = local
-        self._atoms: dict[int, dict[str, frozenset[str]]] = atoms
 
     def values(self, k: int) -> tuple[str, ...]:
         self._check_channel(k)

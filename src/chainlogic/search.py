@@ -34,17 +34,19 @@ The first refuting candidate is therefore checked, as itself, so the
 witness and its first falsifying run are unchanged.
 
 Random mode and the soundness sweeps sample on the same encoding: a draw
-is its (sizes, relation masks, truth masks) integers. A bounded cache,
-keyed by (sizes, relation masks), holds the parts a block's candidates
-share: value tuples and sets, local conditions and, listed the first time
-a sweep picks a run there, the runs in ``protocol.runs`` order. A block
-without a run, found by the reachability bitmasks, is cached as None, and
-a draw in it is rejected, so only the draw kept is built, and building it
-makes only its atom tables: the rest is the block's, already in the form
-the constructor gives. The exhaustive scan makes the same parts once for
-each block it does not skip. Local conditions and atom truth sets come
-from two more bounded caches, one object per relation mask and per truth
-mask, shared because nothing mutates them.
+is its (sizes, relation masks, truth masks) integers. A block is an
+atomless protocol, built by the public constructor; a candidate is the
+block with its own atom tables, sharing the block's value tuples and sets
+and local conditions. A bounded cache, keyed by (sizes, relation masks),
+holds the blocks; a block without a run, found by the reachability
+bitmasks, is cached as None, and a draw in it is rejected, so only the
+draw kept is built, and building it makes only its atom tables. A second
+bounded cache, keyed by the block, holds its runs in ``protocol.runs``
+order, listed the first time a sweep picks a run there. The exhaustive
+scan builds each block it does not skip the same way, uncached. Local
+conditions and atom truth sets come from two more bounded caches, one
+object per relation mask and per truth mask, shared because nothing
+mutates them.
 """
 
 from __future__ import annotations
@@ -160,63 +162,51 @@ def _labels(mask: int) -> frozenset[str]:
     return frozenset(_VALUE_LABELS[j] for j in range(mask.bit_length()) if mask >> j & 1)
 
 
-# Per size s, the value tuple and value set of a channel with s values.
-_VALUES = [tuple(_VALUE_LABELS[:s]) for s in range(len(_VALUE_LABELS) + 1)]
-_VALUE_SETS = [frozenset(vs) for vs in _VALUES]
-
-
-class _Block:
-    """What every candidate of one (sizes, relation masks) block shares:
-    the window, each channel's values and value set, the local conditions,
-    and, once a sweep has asked for them, the runs in ``protocol.runs``
-    order (they do not depend on the truth tables). The runs are listed on
-    demand, not up front: a block of wide bounds may have too many."""
-
-    __slots__ = ("window", "values", "value_sets", "local", "_runs")
-
-    def __init__(self, sizes: tuple[int, ...], relation_masks: tuple[int, ...]):
-        self.window = (0, len(sizes) - 1)
-        self.values = {k: _VALUES[s] for k, s in enumerate(sizes)}
-        self.value_sets = {k: _VALUE_SETS[s] for k, s in enumerate(sizes)}
-        self.local = {
+def _make_block(sizes: tuple[int, ...], relation_masks: tuple[int, ...]) -> ExplicitChainProtocol:
+    """The atomless protocol of a (sizes, relation masks) block: channel k
+    has the first sizes[k] labels, and relation k the local condition of
+    its mask. Every candidate of the block is it with atom tables."""
+    return ExplicitChainProtocol(
+        (0, len(sizes) - 1),
+        {k: _VALUE_LABELS[:s] for k, s in enumerate(sizes)},
+        {
             k: _relation(sizes[k - 1], sizes[k], mask)
             for k, mask in enumerate(relation_masks, start=1)
-        }
-        self._runs = None
-
-    def runs_of(self, p: ExplicitChainProtocol) -> tuple:
-        """The runs of p, a candidate of this block, listed on the first
-        call and shared from then on."""
-        if self._runs is None:
-            self._runs = tuple(runs(p))
-        return self._runs
+        },
+    )
 
 
 @lru_cache(maxsize=1024)
-def _block(sizes: tuple[int, ...], relation_masks: tuple[int, ...]) -> _Block | None:
-    """The shared parts of a block, or None when it has no run. Sampling
-    reads every draw's block here. 1,024 entries hold all 340 blocks of
-    three channels with at most two values each, the bounds the sweeps are
-    run on, and all 673 of two channels with at most three. A sweep on
-    wider bounds keeps the run lists of up to 1,024 blocks."""
-    return _Block(sizes, relation_masks) if _live(sizes, relation_masks)[0] else None
+def _block(sizes: tuple[int, ...], relation_masks: tuple[int, ...]) -> ExplicitChainProtocol | None:
+    """``_make_block``'s protocol, or None when the block has no run.
+    Sampling reads every draw's block here; the exhaustive scan does not,
+    so a scan evicts no sweep's blocks. 1,024 entries hold all 340 blocks
+    of three channels with at most two values each, the bounds the sweeps
+    are run on, and all 673 of two channels with at most three."""
+    return _make_block(sizes, relation_masks) if _live(sizes, relation_masks)[0] else None
+
+
+@lru_cache(maxsize=1024)
+def _block_runs(block: ExplicitChainProtocol) -> tuple:
+    """The runs of a block, and so of each of its candidates, in
+    ``protocol.runs`` order. Listed when a sweep first picks a run in the
+    block, not when the block is made: sampling on wide bounds would list
+    up to max_values^channels runs per draw. A sweep on wide bounds keeps
+    the run lists of up to 1,024 blocks."""
+    return tuple(runs(block))
 
 
 def _build_protocol(
-    block: _Block,
+    block: ExplicitChainProtocol,
     truth_masks: tuple[tuple[int, ...], ...],
     atom_names: tuple[str, ...],
 ) -> ExplicitChainProtocol:
-    """The candidate of a block with these truth masks. Only its atom
-    tables are new; everything else is the block's, already in the form
-    the constructor would give it."""
-    atoms = {
+    """The candidate of a block with these truth masks: the block with its
+    own atom tables, sharing every other part."""
+    return block._with_atoms({
         k: dict(zip(atom_names, map(_labels, channel_masks)))
         for k, channel_masks in enumerate(truth_masks)
-    }
-    return ExplicitChainProtocol._from_parts(
-        block.window, block.values, block.value_sets, block.local, atoms
-    )
+    })
 
 
 def _live(sizes: tuple[int, ...], relation_masks: tuple[int, ...]) -> list[int]:
@@ -350,7 +340,7 @@ def _exhaustive_candidates(bounds: SearchBounds, read, reduced: bool = False):
                     ]
                     for channel, here in zip(choices, truth_swaps)
                 ]
-            shared = _Block(sizes, relation_masks)
+            shared = _make_block(sizes, relation_masks)
             for picked in itertools.product(*kept):
                 yield (
                     position + sum(w for w, _ in picked),
@@ -363,13 +353,14 @@ def _random_candidate(rng: random.Random, bounds: SearchBounds):
     """The (sizes, relation masks, truth masks) of one random candidate."""
     c = bounds.num_channels
     names = bounds.atom_names
-    sizes = tuple(rng.randint(1, bounds.max_values_per_channel) for _ in range(c))
-    relation_masks = tuple(
+    m = bounds.max_values_per_channel
+    sizes = tuple([rng.randrange(1, m + 1) for _ in range(c)])
+    relation_masks = tuple([
         rng.randrange(1, 1 << (left * right)) for left, right in zip(sizes, sizes[1:])
-    )
-    truth_masks = tuple(
-        tuple(rng.randrange(1 << sizes[k]) for _ in names) for k in range(c)
-    )
+    ])
+    truth_masks = tuple([
+        tuple([rng.randrange(1 << sizes[k]) for _ in names]) for k in range(c)
+    ])
     return sizes, relation_masks, truth_masks
 
 
@@ -594,7 +585,7 @@ def soundness_sweep(
     for _ in range(trials):
         instance = _sample_instance(schema, rng, bounds, enforce_side_conditions)
         block, p = _draw(rng, bounds)
-        block_runs = block.runs_of(p)
+        block_runs = _block_runs(block)
         r = block_runs[rng.randrange(len(block_runs))]
         if not evaluate(EvalContext(p), r, instance):
             violations += 1

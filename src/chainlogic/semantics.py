@@ -18,7 +18,7 @@ and simplified away. A state whose formula has become true is dropped, and
 a state shown to have no falsifying completion is never expanded again, so
 a walk costs O(channels · values · degree · states) edge visits instead of
 one evaluation per run. A box literal met on the way is decided by a
-nested walk, once per (channel, value, body) when memoized. No truth table
+nested walk, once per (channel, value, body) and context. No truth table
 is built, so a formula may have any number of literals.
 
 ``evaluate`` and the walk share one evaluator, the residual simplifier
@@ -73,20 +73,14 @@ class EvalContext:
 
     The cache maps (box channel, value at that channel, body) to the box's
     truth value. Two runs sharing the value at the box's channel give the
-    box the same verdict, so the cache changes cost, never results; set
-    ``memoize=False`` to force recomputation. ``strict_window=True`` turns
-    out-of-window modalities into errors instead of all-run quantification.
+    box the same verdict, so the cache changes cost, never results.
+    ``strict_window=True`` turns out-of-window modalities into errors
+    instead of all-run quantification.
     """
 
-    def __init__(
-        self,
-        protocol: ChainProtocol,
-        strict_window: bool = False,
-        memoize: bool = True,
-    ):
+    def __init__(self, protocol: ChainProtocol, strict_window: bool = False):
         self.protocol = protocol
         self.strict_window = strict_window
-        self.memoize = memoize
         self._memo: dict = {}
 
 
@@ -182,8 +176,7 @@ def _partial(f: Formula, lookup):
 def _column(ctx: EvalContext, lits, k: int, v) -> dict:
     """The truth values of the literals ``lits`` at channel k when it
     carries v (None: out of window). A box [k]body holds when no run
-    through v falsifies body: a nested walk, once per (k, v, body) when
-    memoized."""
+    through v falsifies body: a nested walk, once per (k, v, body)."""
     col = {}
     for lit in lits:
         if type(lit) is Atom:
@@ -194,8 +187,7 @@ def _column(ctx: EvalContext, lits, k: int, v) -> dict:
         if holds is None:
             pin = None if v is None else (k, v)
             holds = _first_falsifying(ctx, _compile(lit.body), pin) is None
-            if ctx.memoize:
-                ctx._memo[key] = holds
+            ctx._memo[key] = holds
         col[lit] = holds
     return col
 

@@ -493,7 +493,7 @@ def test_block_cache_matches_runs(bounds):
             assert expected
             for truth in ((0,) * len(names), (1,) * len(names)):
                 p = search._build_protocol(block, (truth,) * len(sizes), names)
-                assert block.runs_of(p) == expected
+                assert search._block_runs(block) == expected
                 assert tuple(runs(p)) == expected
     assert blocks == (340 if bounds.num_channels == 3 else 673)
 
@@ -574,6 +574,28 @@ def test_sampled_protocols_share_safely():
                 q.local(k)._pred.clear()
     assert later_samples() == expected
     assert [protocol_to_dict(p) for p in samples] == docs
+
+    # A cached block is an atomless protocol. Its candidates share its
+    # value tuples, value sets and local conditions, and building them
+    # leaves the block as it was.
+    sizes, masks = (2, 2, 1), (0b1011, 0b11)
+    block = search._block(sizes, masks)
+    before = protocol_to_dict(block)
+    tables = itertools.product(range(4), range(4), range(4), range(4), range(2), range(2))
+    built = [
+        search._build_protocol(block, (t[0:2], t[2:4], t[4:6]), ("p", "q"))
+        for t in itertools.islice(tables, 200)
+    ]
+    assert block._atoms == {}
+    assert protocol_to_dict(block) == before == protocol_to_dict(_constructed(sizes, masks))
+    for p in built:
+        assert p.window == block.window
+        for k in block.channels():
+            assert p._values[k] is block._values[k]
+            assert p._value_sets[k] is block._value_sets[k]
+            if k:
+                assert p.local(k) is block.local(k)
+    assert len({json.dumps(protocol_to_dict(p)) for p in built}) == 200
 
 def test_sweep_unknown_schema():
     with pytest.raises(SearchSpaceError):

@@ -139,10 +139,9 @@ def test_memoization_is_invisible():
     for _ in range(40):
         p = sample_protocol(rng, SearchBounds(3, 2, 2))
         f = random_formula(rng, range(3), ("p", "q"), 4)
-        cached = EvalContext(p, memoize=True)
-        plain = EvalContext(p, memoize=False)
+        ctx = EvalContext(p)
         for r in runs(p):
-            assert evaluate(cached, r, f) == evaluate(plain, r, f)
+            assert evaluate(ctx, r, f) == enum_evaluate(p, r, f, None)
 
 
 def test_locality_on_scope_agreement():
@@ -251,9 +250,8 @@ def test_walk_matches_enumeration_oracle(bounds, pairs):
             f = Box(rng.randint(p.window[0] - 1, p.window[1] + 1), f) if i % 10 == 3 else f
         else:
             f = _oracle_formula(rng, p.window, names, rng.randint(1, 5))
-        memoize = i % 3 != 0
-        ctx = EvalContext(p, memoize=memoize)
-        memo = {} if memoize else None
+        ctx = EvalContext(p)
+        memo = {} if i % 3 != 0 else None
         for r in runs(p):
             assert evaluate(ctx, r, f) == enum_evaluate(p, r, f, memo), (r, f)
         expected = enum_counterexample(p, f, memo)
@@ -276,9 +274,8 @@ def test_box_prefixed_formulas_match_oracle(bounds, pairs):
         f = _oracle_formula(rng, p.window, bounds.atom_names, rng.randint(0, 3))
         for _ in range(1 + i % 3):
             f = Box(rng.randint(lo - 1, hi + 1), f)
-        memoize = i % 2 == 0
-        ctx = EvalContext(p, memoize=memoize)
-        expected = enum_counterexample(p, f, {} if memoize else None)
+        ctx = EvalContext(p)
+        expected = enum_counterexample(p, f, {} if i % 2 == 0 else None)
         assert counterexample(ctx, f) == expected, f
         assert valid_in(ctx, f) == (expected is None)
         refuted += expected is not None
