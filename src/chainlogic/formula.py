@@ -147,8 +147,28 @@ class _Node:
         # refuse assignment, and the cached hash is not state.
         return type(self), tuple(getattr(self, name) for name in type(self).__slots__)
 
+    def __repr__(self) -> str:
+        """The dataclass text, e.g. ``Box(channel=0, body=Bottom())``, built
+        from an explicit stack of pending text and nodes, so nesting depth
+        costs no recursion."""
+        parts = []
+        stack: list = [self]
+        while stack:
+            x = stack.pop()
+            if type(x) is str:
+                parts.append(x)
+                continue
+            stack.append(")")
+            names = type(x).__slots__
+            for i in range(len(names) - 1, -1, -1):
+                value = getattr(x, names[i])
+                stack.append(value if isinstance(value, _Node) else repr(value))
+                stack.append(f"{', ' if i else ''}{names[i]}=")
+            stack.append(type(x).__qualname__ + "(")
+        return "".join(parts)
 
-@dataclass(frozen=True, init=False)
+
+@dataclass(frozen=True, init=False, repr=False)
 class Atom(_Node):
     """A proposition about the value of one channel.
 
@@ -168,7 +188,7 @@ class Atom(_Node):
     __hash__ = _structural_hash
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class Implies(_Node):
     __slots__ = ("lhs", "rhs")
     lhs: "Formula"
@@ -183,7 +203,7 @@ class Implies(_Node):
     __hash__ = _structural_hash
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class Box(_Node):
     """Channel-indexed knowledge: the body holds on every run that agrees
     with the current one at this channel."""

@@ -21,6 +21,16 @@ one evaluation per run. A box literal met on the way is decided by a
 nested walk, once per (channel, value, body) and context. No truth table
 is built, so a formula may have any number of literals.
 
+The next state depends only on the state, the channel and the truth of the
+channel's literals (its column, read as bits), not on the value itself:
+it is a derivative of the formula (Brzozowski, J. ACM 1964). So each
+compiled formula keeps a transition table from (state, channel, column) to
+the next state, filled as walks take transitions, on any protocol, and a
+residual is simplified once per transition of the plan, not once per value
+a walk meets. Each column is cached per walk, by (channel, value). States
+are keyed by identity: every state a walk holds is the plan's start, True,
+False or a value of the table, so no residual is ever hashed structurally.
+
 ``evaluate`` and the walk share one evaluator, the residual simplifier
 ``_partial``: the walk hands it a column of decided literals, and
 ``evaluate`` a lookup that decides each literal at the run when it is
@@ -111,15 +121,18 @@ class _Plan:
     ``groups`` maps each channel to the formula's skeleton literals there.
     ``start`` is the formula with constants folded, True when it cannot be
     false. ``leaves`` caches ``_leaves`` for a formula checked by
-    ``counterexample``.
+    ``counterexample``. ``steps`` is the transition table of ``_step``: it
+    maps (id of a state, channel, column bits) to the next state, and holds
+    only the transitions some walk took, for as long as the plan lives.
     """
 
-    __slots__ = ("groups", "start", "leaves")
+    __slots__ = ("groups", "start", "leaves", "steps")
 
     def __init__(self, groups, start):
         self.groups = groups
         self.start = start
         self.leaves = None
+        self.steps = {}
 
 
 def _compile(f: Formula) -> _Plan:
@@ -173,23 +186,45 @@ def _partial(f: Formula, lookup):
             return r
 
 
-def _column(ctx: EvalContext, lits, k: int, v) -> dict:
+def _column(ctx: EvalContext, lits, k: int, v) -> int:
     """The truth values of the literals ``lits`` at channel k when it
-    carries v (None: out of window). A box [k]body holds when no run
-    through v falsifies body: a nested walk, once per (k, v, body)."""
-    col = {}
+    carries v (None: out of window), as bits: bit i is the truth of
+    ``lits[i]``. A box [k]body holds when no run through v falsifies body:
+    a nested walk, once per (k, v, body)."""
+    bits = 0
+    bit = 1
     for lit in lits:
         if type(lit) is Atom:
-            col[lit] = ctx.protocol.atom_holds(k, lit.name, v)
-            continue
-        key = (k, v, lit.body)
-        holds = ctx._memo.get(key)
-        if holds is None:
-            pin = None if v is None else (k, v)
-            holds = _first_falsifying(ctx, _compile(lit.body), pin) is None
-            ctx._memo[key] = holds
-        col[lit] = holds
-    return col
+            holds = ctx.protocol.atom_holds(k, lit.name, v)
+        else:
+            key = (k, v, lit.body)
+            holds = ctx._memo.get(key)
+            if holds is None:
+                pin = None if v is None else (k, v)
+                holds = _first_falsifying(ctx, _compile(lit.body), pin) is None
+                ctx._memo[key] = holds
+        if holds:
+            bits |= bit
+        bit <<= 1
+    return bits
+
+
+def _step(plan: _Plan, state, j: int, bits: int):
+    """The state after channel j, whose literals have the truth values
+    ``bits`` (as ``_column`` gives them), when the state before it is
+    ``state``. It depends on nothing else, so it is simplified once per
+    plan and kept in ``plan.steps``, keyed by the state's id: every state a
+    walk holds is ``plan.start``, True, False or a value of that table, so
+    the id names it for as long as the plan lives."""
+    key = (id(state), j, bits)
+    nxt = plan.steps.get(key)
+    if nxt is None:
+        col = {}
+        for lit in plan.groups[j]:
+            col[lit] = bits & 1 == 1
+            bits >>= 1
+        nxt = plan.steps[key] = _partial(state, col.get)
+    return nxt
 
 
 # --- the walk -----------------------------------------------------------------
@@ -207,7 +242,9 @@ def _first_falsifying(ctx: EvalContext, plan: _Plan, pin):
     the order. The candidates of the next channel depend only on one
     value, the previous one or, after the downward leg, v; a (channel, that
     value, state) whose subtree held no falsifying run is never expanded
-    again. Each column, and the state it last led to, is cached per walk.
+    again. Each column is cached per walk; the state it leads to comes from
+    the plan's transition table (``_step``), and states are compared by
+    identity.
     """
     p = ctx.protocol
     lo, hi = p.window
@@ -215,7 +252,7 @@ def _first_falsifying(ctx: EvalContext, plan: _Plan, pin):
     state = plan.start
     for j in groups:
         if state is not True and not lo <= j <= hi:
-            state = _partial(state, _column(ctx, groups[j], j, None).get)
+            state = _step(plan, state, j, _column(ctx, groups[j], j, None))
     if state is True:
         return None
     if pin is None:
@@ -237,13 +274,10 @@ def _first_falsifying(ctx: EvalContext, plan: _Plan, pin):
         for u in it:
             s = before
             if j in groups:
-                # [column, last state absorbed into it, the state it gave]
-                step = columns.get((j, u))
-                if step is None:
-                    step = columns[j, u] = [_column(ctx, groups[j], j, u), None, None]
-                if step[1] is not before:
-                    step[1], step[2] = before, _partial(before, step[0].get)
-                s = step[2]
+                bits = columns.get((j, u))
+                if bits is None:
+                    bits = columns[j, u] = _column(ctx, groups[j], j, u)
+                s = _step(plan, before, j, bits)
                 if s is True:
                     continue
             if i == last:
@@ -251,7 +285,7 @@ def _first_falsifying(ctx: EvalContext, plan: _Plan, pin):
                 return path
             nxt = order[i + 1]
             anchor = v if nxt == k + 1 else u
-            key = (j, anchor, s)
+            key = (j, anchor, id(s))
             if key in dead:
                 continue
             frames.append((it, before, key))
@@ -289,7 +323,7 @@ def evaluate(ctx: EvalContext, run, f: Formula) -> bool:
         k = lit.channel
         if type(lit) is Atom:  # declared, so in the window
             return p.atom_holds(k, lit.name, run[k - lo])
-        return _column(ctx, (lit,), k, run[k - lo] if lo <= k <= hi else None)[lit]
+        return _column(ctx, (lit,), k, run[k - lo] if lo <= k <= hi else None) == 1
 
     return _partial(f, at_run)
 

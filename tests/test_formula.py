@@ -375,3 +375,29 @@ def test_equality_is_structural_on_random_pairs():
     assert Atom(0, "p") != Box(0, Atom(0, "p")) and Atom(0, "p") != "p@0"
     assert Box(0, Atom(0, "p")) != Box(1, Atom(0, "p"))
     assert Atom(0, "p") != Atom(1, "p") and Bottom() == Bottom()
+
+
+def _dataclass_repr(f):
+    """The text a recursive dataclass repr gives: type name, then each
+    field as name=repr(value)."""
+    if isinstance(f, (Atom, Implies, Box)):
+        fields = ", ".join(
+            f"{name}={_dataclass_repr(getattr(f, name))}" for name in type(f).__slots__
+        )
+        return f"{type(f).__qualname__}({fields})"
+    return repr(f)
+
+
+def test_repr_is_the_dataclass_text_without_recursion():
+    assert repr(parse("[0](p@0 -> false)")) == (
+        "Box(channel=0, body=Implies(lhs=Atom(channel=0, name='p'), rhs=Bottom()))"
+    )
+    assert repr(Atom(-2, "it's")) == 'Atom(channel=-2, name="it\'s")'
+    assert repr(Bottom()) == "Bottom()"
+    rng = random.Random(23)
+    for _ in range(300):
+        f = random_formula(rng, range(-2, 3), ("p", "q"), 5)
+        assert repr(f) == _dataclass_repr(f)
+    f = parse("[1]" * _DEEP + "p@0")
+    text = repr(f)
+    assert text == "Box(channel=1, body=" * _DEEP + "Atom(channel=0, name='p')" + ")" * _DEEP

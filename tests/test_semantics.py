@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from chainlogic import semantics
 from chainlogic import (
     Atom,
     Bottom,
@@ -280,6 +281,68 @@ def test_box_prefixed_formulas_match_oracle(bounds, pairs):
         assert valid_in(ctx, f) == (expected is None)
         refuted += expected is not None
     assert pairs // 5 < refuted < pairs - pairs // 5
+
+
+def test_transition_table_is_invisible():
+    # falsify checks one formula object on many protocols, so its compiled
+    # plans, and the transitions they remember, outlive every protocol.
+    # Pinned walks (evaluate at each run) and unpinned ones (counterexample,
+    # out-of-window boxes) take turns filling the same tables.
+    rng = random.Random(43)
+    texts = (
+        "[0](p@1 -> [2]q@2) -> <1>(p@0 | q@2)",
+        "[1]((p@0 -> q@2) & (q@2 -> p@0)) | [2](q@1 -> p@0)",
+        # A pinned walk of this body starts at channel 1, an unpinned one
+        # at 0, from the same start state.
+        "[1](p@0 -> q@1)",
+        "[3](p@0 -> [1]q@2) | [-1]!(q@1 & p@2)",
+        # Bodies whose plans start False, with and without literals.
+        "[1]!(p@0 -> true) | [2]false | q@1",
+        "!(q@2 | true)",
+    )
+    formulas = [parse(t) for t in texts]
+    formulas += [_oracle_formula(rng, (0, 2), ("p", "q"), 4) for _ in range(5)]
+    assert semantics._compile(formulas[5]).start is False
+    plans = [semantics._compile(f) for f in formulas]
+    refuted = 0
+    for i in range(200):
+        p = sample_protocol(rng, SearchBounds(3, 2, 2))
+        ctx, memo = EvalContext(p), {}
+        for f in formulas:
+            expected = enum_counterexample(p, f, memo)
+            if i % 2:
+                assert counterexample(ctx, f) == expected, f
+            for r in runs(p):
+                assert evaluate(ctx, r, f) == enum_evaluate(p, r, f, memo), (r, f)
+            if not i % 2:
+                assert counterexample(ctx, f) == expected, f
+            refuted += expected is not None
+    assert [semantics._compile(f) for f in formulas] == plans
+    pairs = 200 * len(formulas)
+    assert pairs // 5 < refuted < pairs - pairs // 5
+
+
+def test_walk_simplifies_once_per_column(monkeypatch):
+    # [0]!eq_zzzz@2 at aaaa: the walk visits about 10^4 values and 3,851
+    # words at channel 2, but eq_zzzz@2 has one column among them, so the
+    # residual is simplified a handful of times, not once per word.
+    calls = []
+
+    def counting(name):
+        real = getattr(semantics, name)
+
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(semantics, name, counted)
+
+    counting("_partial")
+    counting("_first_falsifying")
+    t = telephone(4, "abcdefghijklmnopqrstuvwxyz", 3)
+    assert evaluate(EvalContext(t), ("aaaa",) * 3, parse("[0]!eq_zzzz@2"))
+    assert calls.count("_first_falsifying") == 1
+    assert calls.count("_partial") <= 5
 
 
 def test_box_prefix_does_not_skip_leaf_checks():
