@@ -195,6 +195,10 @@ class ExplicitChainProtocol(ChainProtocol):
     def atom_holds(self, k: int, name: str, value: str) -> bool:
         return value in self._atoms[k][name]
 
+    def atom_values(self, k: int, name: str) -> frozenset[str]:
+        """The values of channel k where the declared atom holds."""
+        return self._atoms[k][name]
+
     def validate(self, require_continuity: bool = False) -> list[Violation]:
         """Well-formedness report; empty means the protocol is sound to use.
 
@@ -290,6 +294,10 @@ class TelephoneProtocol(ChainProtocol):
 
     def atom_holds(self, k: int, name: str, value: str) -> bool:
         return value == name[3:]
+
+    def atom_values(self, k: int, name: str) -> frozenset[str]:
+        """The values of channel k where the declared atom holds: its word."""
+        return frozenset((name[3:],))
 
     def validate(self, require_continuity: bool = False) -> list[Violation]:
         # Well-formed by construction; every word neighbors itself, so the

@@ -17,9 +17,12 @@ literals of the channels already visited replaced by their truth values
 and simplified away. A state whose formula has become true is dropped, and
 a state shown to have no falsifying completion is never expanded again, so
 a walk costs O(channels · values · degree · states) edge visits instead of
-one evaluation per run. A box literal met on the way is decided by a
-nested walk, once per (channel, value, body) and context. No truth table
-is built, so a formula may have any number of literals.
+one evaluation per run. Where a channel holds only atoms and what is left
+cannot fail unless one of them holds, an edge to a value where none holds
+costs one set lookup and no step (see below). A box literal met on the
+way is decided by a nested walk, once per (channel, value, body) and
+context. No truth table is built, so a formula may have any number of
+literals.
 
 The next state depends only on the state, the channel and the truth of the
 channel's literals (its column, read as bits), not on the value itself:
@@ -30,6 +33,17 @@ residual is simplified once per transition of the plan, not once per value
 a walk meets. Each column is cached per walk, by (channel, value). States
 are keyed by identity: every state a walk holds is the plan's start, True,
 False or a value of the table, so no residual is ever hashed structurally.
+
+When every literal of channel j is an atom and the column where all of them
+are false takes the state to True, a value outside the union T of those
+atoms' truth sets ends the walk at j. So the walk iterates
+``filter(T.__contains__, candidates)`` instead of the candidates there:
+``filter`` keeps their order, and a skipped value is exactly one the walk
+would have dropped, so the witness, the dead set and every verdict stay
+the same. The decision depends on the plan only and is cached on it by
+(state, channel); T comes from the protocol (``atom_values``) at each use,
+because one plan serves every protocol a formula is checked on. On the
+telephone, ``[0]!eq_w@2`` then steps only at w, not at 10,201 word pairs.
 
 ``evaluate`` and the walk share one evaluator, the residual simplifier
 ``_partial``: the walk hands it a column of decided literals, and
@@ -124,15 +138,20 @@ class _Plan:
     ``counterexample``. ``steps`` is the transition table of ``_step``: it
     maps (id of a state, channel, column bits) to the next state, and holds
     only the transitions some walk took, for as long as the plan lives.
+    ``sparse`` maps (id of a state, channel) to the atom names whose truth
+    sets bound the values the walk visits there, or (): see
+    ``_sparse_names``. It stays None until a walk first asks, so a plan
+    compiled for one walk pays nothing for it.
     """
 
-    __slots__ = ("groups", "start", "leaves", "steps")
+    __slots__ = ("groups", "start", "leaves", "steps", "sparse")
 
     def __init__(self, groups, start):
         self.groups = groups
         self.start = start
         self.leaves = None
         self.steps = {}
+        self.sparse = None
 
 
 def _compile(f: Formula) -> _Plan:
@@ -227,6 +246,32 @@ def _step(plan: _Plan, state, j: int, bits: int):
     return nxt
 
 
+def _sparse_names(plan: _Plan, state, j: int) -> tuple:
+    """The names of channel j's literals when all of them are atoms and the
+    column where all are false takes ``state`` to True, else (). With names,
+    a value outside their truth sets ends the walk at j, so the walk need
+    not visit it. The answer depends on the plan alone, not on a protocol,
+    and is kept in ``plan.sparse``, keyed by (id of the state, j)."""
+    if plan.sparse is None:
+        plan.sparse = {}
+    names = plan.sparse.get((id(state), j))
+    if names is None:
+        lits = plan.groups[j]
+        names = ()
+        if all(type(lit) is Atom for lit in lits) and _step(plan, state, j, 0) is True:
+            names = tuple(lit.name for lit in lits)
+        plan.sparse[id(state), j] = names
+    return names
+
+
+def _truth_set(p: ChainProtocol, j: int, names) -> frozenset:
+    """The values of channel j where at least one of the atoms ``names``
+    holds. Read from the protocol at each use: one plan serves many."""
+    if len(names) == 1:
+        return p.atom_values(j, names[0])
+    return frozenset().union(*[p.atom_values(j, name) for name in names])
+
+
 # --- the walk -----------------------------------------------------------------
 
 def _first_falsifying(ctx: EvalContext, plan: _Plan, pin):
@@ -244,7 +289,10 @@ def _first_falsifying(ctx: EvalContext, plan: _Plan, pin):
     value, state) whose subtree held no falsifying run is never expanded
     again. Each column is cached per walk; the state it leads to comes from
     the plan's transition table (``_step``), and states are compared by
-    identity.
+    identity. On entering a channel whose literals are all atoms, one of
+    which must hold for the state to fail (``_sparse_names``), the walk
+    visits only the candidates in their truth sets: each other one would
+    lead to True and be dropped.
     """
     p = ctx.protocol
     lo, hi = p.window
@@ -259,11 +307,16 @@ def _first_falsifying(ctx: EvalContext, plan: _Plan, pin):
         # k = lo - 1 sends every channel after the first up the chain.
         k, v = lo - 1, None
         order, first = range(lo, hi + 1), p.iter_values(lo)
+        if lo in groups:
+            names = _sparse_names(plan, state, lo)
+            if names:
+                first = filter(_truth_set(p, lo, names).__contains__, first)
     else:
         k, v = pin
         order, first = [*range(k, lo - 1, -1), *range(k + 1, hi + 1)], (v,)
     last = len(order) - 1
 
+    sparse = plan.sparse
     columns: dict = {}
     dead: set = set()
     path: list = []
@@ -291,9 +344,17 @@ def _first_falsifying(ctx: EvalContext, plan: _Plan, pin):
             frames.append((it, before, key))
             path.append(u)
             if nxt < k:
-                it = iter(p.local(j).predecessors(u))
+                cands = p.local(j).predecessors(u)
             else:
-                it = iter(p.local(nxt).successors(anchor))
+                cands = p.local(nxt).successors(anchor)
+            if len(cands) > 1 and nxt in groups:
+                names = None if sparse is None else sparse.get((id(s), nxt))
+                if names is None:
+                    names = _sparse_names(plan, s, nxt)
+                    sparse = plan.sparse
+                if names:
+                    cands = filter(_truth_set(p, nxt, names).__contains__, cands)
+            it = iter(cands)
             before, i = s, i + 1
             break
         else:

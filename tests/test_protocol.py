@@ -274,6 +274,22 @@ def test_telephone_atoms():
     assert t.validate(require_continuity=True) == []
 
 
+def test_atom_values_is_the_truth_set():
+    # Every declared atom: the explicit tables, and eq_w for each word w.
+    rng = random.Random(53)
+    cases = [(p, p.atom_names) for p in (sample_protocol(rng, SearchBounds(3, 3, 2)) for _ in range(30))]
+    t = telephone(2, "abc", 3)
+    cases.append((t, lambda k: [f"eq_{w}" for w in t.iter_values(k)]))
+    for p, atom_names in cases:
+        for k in p.channels():
+            values = list(p.iter_values(k))
+            for name in atom_names(k):
+                assert p.atom_declared(k, name)
+                truth = p.atom_values(k, name)
+                for v in values:
+                    assert (v in truth) == p.atom_holds(k, name, v), (k, name, v)
+
+
 def test_telephone_preconditions():
     with pytest.raises(ValueError):
         telephone(0, "ab", 2)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -14,7 +15,9 @@ from chainlogic import (
     StrictWindowError,
     UndeclaredAtomError,
     ValueDomainError,
+    conj,
     counterexample,
+    disj,
     evaluate,
     iff,
     neg,
@@ -343,6 +346,135 @@ def test_walk_simplifies_once_per_column(monkeypatch):
     assert evaluate(EvalContext(t), ("aaaa",) * 3, parse("[0]!eq_zzzz@2"))
     assert calls.count("_first_falsifying") == 1
     assert calls.count("_partial") <= 5
+
+
+# --- values an atoms-only channel cannot falsify are skipped -----------------
+
+def _sparse_formula(rng, atom_channels, box_channels, names, depth):
+    """Random formula in which many channels hold atoms only and a value
+    where they are all false settles what is left (negated conjunctions,
+    implications, disjunctions), with boxes inside and around, some on the
+    same channel as an atom and some outside the window."""
+    roll = rng.random()
+    if depth <= 0 or roll < 0.35:
+        return Atom(rng.choice(atom_channels), rng.choice(names))
+    a = _sparse_formula(rng, atom_channels, box_channels, names, depth - 1)
+    if roll < 0.8:
+        b = _sparse_formula(rng, atom_channels, box_channels, names, depth - 1)
+        return neg(conj(a, b)) if roll < 0.55 else Implies(a, b) if roll < 0.7 else disj(a, b)
+    return Box(rng.choice(box_channels), neg(a) if rng.random() < 0.5 else a)
+
+
+def _sparse_protocol(rng, channels):
+    """An explicit protocol over four values a channel whose atoms are true
+    at none, one or two of them."""
+    vals = ("a", "b", "c", "d")
+    return make_protocol(
+        (0, channels - 1),
+        {k: vals for k in range(channels)},
+        {
+            k: [(u, w) for u in vals for w in vals if rng.random() < 0.6]
+            for k in range(1, channels)
+        },
+        {
+            k: {name: rng.sample(vals, rng.randint(0, 2)) for name in ("p", "q")}
+            for k in range(channels)
+        },
+    )
+
+
+def _sparse_family(rng, atom_channels, box_channels, names, count):
+    """Hand-made shapes that tell the skip's conditions apart, then random
+    ones. With atoms x, y at channel 1 and z at 2: ``!(x & y)`` and
+    ``x -> z`` end a walk at an all-false column; ``x | ![1]!z`` holds a
+    box beside the atom and is false at values where only the box holds;
+    ``x | z`` does not end there."""
+    x, y, z = (
+        Atom(atom_channels[1], names[0]),
+        Atom(atom_channels[1], names[1]),
+        Atom(atom_channels[2], names[-1]),
+    )
+    lo = atom_channels[0]
+    formulas = [
+        Box(lo, neg(conj(x, y))),
+        Box(lo, Implies(x, z)),
+        neg(conj(Atom(lo, names[0]), z)),
+        disj(x, neg(Box(x.channel, neg(z)))),
+        Box(lo, disj(x, neg(Box(x.channel, neg(z))))),
+        disj(x, z),
+        Box(box_channels[-1], neg(conj(x, z))),
+        Box(box_channels[0], Implies(z, Box(lo, neg(x)))),
+    ]
+    while len(formulas) < count:
+        formulas.append(_sparse_formula(rng, atom_channels, box_channels, names, rng.randint(2, 4)))
+    return formulas
+
+
+def _match_oracle(rng, p, formulas, run_sample):
+    """Check every formula on p against the enumeration oracle, on up to
+    ``run_sample`` runs; the number of formulas refuted."""
+    ctx, memo = EvalContext(p), {}
+    all_runs = list(runs(p))
+    sample = all_runs if len(all_runs) <= run_sample else rng.sample(all_runs, run_sample)
+    refuted = 0
+    for f in formulas:
+        expected = enum_counterexample(p, f, memo)
+        assert counterexample(ctx, f) == expected, f
+        assert valid_in(ctx, f) == (expected is None), f
+        for r in sample:
+            assert evaluate(ctx, r, f) == enum_evaluate(p, r, f, memo), (r, f)
+        refuted += expected is not None
+    return refuted
+
+
+def test_sparse_channel_skip_matches_oracle():
+    # Each formula object is checked on every protocol of its family in
+    # turn, so its plan outlives the protocols: a truth set kept on the
+    # plan would filter one protocol's values by another's atoms.
+    rng = random.Random(47)
+    words = ["".join(w) for w in itertools.product("abc", repeat=2)]
+    families = [
+        (
+            [telephone(2, "abc", n) for n in (3, 4, 5)],
+            _sparse_family(rng, (0, 1, 2), (-1, 0, 1, 3, 5), [f"eq_{w}" for w in words], 14),
+            40,
+        ),
+        (
+            [telephone(3, "ab", 4)],
+            _sparse_family(rng, (0, 1, 2, 3), (-1, 0, 2, 4), ["eq_aab", "eq_aba", "eq_bbb"], 14),
+            60,
+        ),
+        (
+            [_sparse_protocol(rng, 3 + i % 2) for i in range(24)],
+            _sparse_family(rng, (0, 1, 2), (-1, 0, 1, 2, 3, 4), ["p", "q"], 16),
+            30,
+        ),
+    ]
+    for protocols, formulas, run_sample in families:
+        refuted = sum(_match_oracle(rng, p, formulas, run_sample) for p in protocols)
+        pairs = len(protocols) * len(formulas)
+        assert pairs // 6 < refuted < pairs - pairs // 6
+
+
+def test_sparse_channels_are_not_walked(monkeypatch):
+    # Only the word w can make !eq_w@2 false, so no other word at channel 2
+    # is visited: no step per (channel-1 word, channel-2 word) pair.
+    calls = []
+    real = semantics._step
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(semantics, "_step", counted)
+    latin = "abcdefghijklmnopqrstuvwxyz"
+    t = telephone(4, latin, 3)
+    assert evaluate(EvalContext(t), ("aaaa",) * 3, parse("[0]!eq_zzzz@2"))
+    assert len(calls) <= 5
+    calls.clear()
+    t = telephone(3, latin, 3)
+    assert counterexample(EvalContext(t), parse("[0]!(eq_aaa@2 & eq_zzz@1)")) is None
+    assert len(calls) <= 100
 
 
 def test_box_prefix_does_not_skip_leaf_checks():
