@@ -11,9 +11,8 @@ An exhaustive ``falsify`` generates only the truth tables of the atoms its
 formula reads; every other atom keeps the all-zero table. A table the
 formula cannot see cannot change its verdict, so the first countermodel is
 the one a scan of every candidate finds, and ``budget`` still counts
-positions in that full canonical order. Each (sizes, relation masks) block
-builds its local conditions once, and a block without runs is skipped
-whole.
+positions in that full canonical order. A (sizes, relation masks) block
+without runs is skipped whole.
 
 It also skips two kinds of candidate, each of which has the verdict of a
 candidate earlier in canonical order and so cannot be the first to refute.
@@ -40,13 +39,13 @@ block with its own atom tables, sharing the block's value tuples and sets
 and local conditions. A bounded cache, keyed by (sizes, relation masks),
 holds the blocks; a block without a run, found by the reachability
 bitmasks, is cached as None, and a draw in it is rejected, so only the
-draw kept is built, and building it makes only its atom tables. A second
-bounded cache, keyed by the block, holds its runs in ``protocol.runs``
-order, listed the first time a sweep picks a run there. The exhaustive
-scan builds each block it does not skip the same way, uncached. Local
-conditions and atom truth sets come from two more bounded caches, one
-object per relation mask and per truth mask, shared because nothing
-mutates them.
+draw kept is built, and building it makes only its atom tables. The
+exhaustive scan reads each block it does not skip from the same cache, so
+a second scan of the same bounds builds no block. A second bounded cache,
+keyed by the block, holds its runs in ``protocol.runs`` order, listed the
+first time a sweep picks a run there. Local conditions and atom truth
+sets come from two more bounded caches, one object per relation mask and
+per truth mask, shared because nothing mutates them.
 """
 
 from __future__ import annotations
@@ -162,10 +161,17 @@ def _labels(mask: int) -> frozenset[str]:
     return frozenset(_VALUE_LABELS[j] for j in range(mask.bit_length()) if mask >> j & 1)
 
 
-def _make_block(sizes: tuple[int, ...], relation_masks: tuple[int, ...]) -> ExplicitChainProtocol:
-    """The atomless protocol of a (sizes, relation masks) block: channel k
-    has the first sizes[k] labels, and relation k the local condition of
-    its mask. Every candidate of the block is it with atom tables."""
+@lru_cache(maxsize=1024)
+def _block(sizes: tuple[int, ...], relation_masks: tuple[int, ...]) -> ExplicitChainProtocol | None:
+    """The atomless protocol of a (sizes, relation masks) block, or None
+    when the block has no run: channel k has the first sizes[k] labels, and
+    relation k the local condition of its mask. Every candidate of the
+    block is it with atom tables. Sampling and the exhaustive scan both
+    read their blocks here. 1,024 entries hold all 340 blocks of three
+    channels with at most two values each, the bounds the sweeps are run
+    on, and all 673 of two channels with at most three."""
+    if not _live(sizes, relation_masks)[0]:
+        return None
     return ExplicitChainProtocol(
         (0, len(sizes) - 1),
         {k: _VALUE_LABELS[:s] for k, s in enumerate(sizes)},
@@ -174,16 +180,6 @@ def _make_block(sizes: tuple[int, ...], relation_masks: tuple[int, ...]) -> Expl
             for k, mask in enumerate(relation_masks, start=1)
         },
     )
-
-
-@lru_cache(maxsize=1024)
-def _block(sizes: tuple[int, ...], relation_masks: tuple[int, ...]) -> ExplicitChainProtocol | None:
-    """``_make_block``'s protocol, or None when the block has no run.
-    Sampling reads every draw's block here; the exhaustive scan does not,
-    so a scan evicts no sweep's blocks. 1,024 entries hold all 340 blocks
-    of three channels with at most two values each, the bounds the sweeps
-    are run on, and all 673 of two channels with at most three."""
-    return _make_block(sizes, relation_masks) if _live(sizes, relation_masks)[0] else None
 
 
 @lru_cache(maxsize=1024)
@@ -340,7 +336,7 @@ def _exhaustive_candidates(bounds: SearchBounds, read, reduced: bool = False):
                     ]
                     for channel, here in zip(choices, truth_swaps)
                 ]
-            shared = _make_block(sizes, relation_masks)
+            shared = _block(sizes, relation_masks)
             for picked in itertools.product(*kept):
                 yield (
                     position + sum(w for w, _ in picked),

@@ -40,10 +40,11 @@ atoms' truth sets ends the walk at j. So the walk iterates
 ``filter(T.__contains__, candidates)`` instead of the candidates there:
 ``filter`` keeps their order, and a skipped value is exactly one the walk
 would have dropped, so the witness, the dead set and every verdict stay
-the same. The decision depends on the plan only and is cached on it by
-(state, channel); T comes from the protocol (``atom_values``) at each use,
-because one plan serves every protocol a formula is checked on. On the
-telephone, ``[0]!eq_w@2`` then steps only at w, not at 10,201 word pairs.
+the same. The all-false transition is read from the transition table, like
+any other, so nothing else is stored for the decision; T comes from the
+protocol (``atom_values``) at each use, because one plan serves every
+protocol a formula is checked on. On the telephone, ``[0]!eq_w@2`` then
+steps only at w, not at 10,201 word pairs.
 
 ``evaluate`` and the walk share one evaluator, the residual simplifier
 ``_partial``: the walk hands it a column of decided literals, and
@@ -137,21 +138,17 @@ class _Plan:
     false. ``leaves`` caches ``_leaves`` for a formula checked by
     ``counterexample``. ``steps`` is the transition table of ``_step``: it
     maps (id of a state, channel, column bits) to the next state, and holds
-    only the transitions some walk took, for as long as the plan lives.
-    ``sparse`` maps (id of a state, channel) to the atom names whose truth
-    sets bound the values the walk visits there, or (): see
-    ``_sparse_names``. It stays None until a walk first asks, so a plan
-    compiled for one walk pays nothing for it.
+    only the transitions some walk took, for as long as the plan lives;
+    ``_visited`` reads its all-false transitions there too.
     """
 
-    __slots__ = ("groups", "start", "leaves", "steps", "sparse")
+    __slots__ = ("groups", "start", "leaves", "steps")
 
     def __init__(self, groups, start):
         self.groups = groups
         self.start = start
         self.leaves = None
         self.steps = {}
-        self.sparse = None
 
 
 def _compile(f: Formula) -> _Plan:
@@ -246,30 +243,25 @@ def _step(plan: _Plan, state, j: int, bits: int):
     return nxt
 
 
-def _sparse_names(plan: _Plan, state, j: int) -> tuple:
-    """The names of channel j's literals when all of them are atoms and the
-    column where all are false takes ``state`` to True, else (). With names,
-    a value outside their truth sets ends the walk at j, so the walk need
-    not visit it. The answer depends on the plan alone, not on a protocol,
-    and is kept in ``plan.sparse``, keyed by (id of the state, j)."""
-    if plan.sparse is None:
-        plan.sparse = {}
-    names = plan.sparse.get((id(state), j))
-    if names is None:
-        lits = plan.groups[j]
-        names = ()
-        if all(type(lit) is Atom for lit in lits) and _step(plan, state, j, 0) is True:
-            names = tuple(lit.name for lit in lits)
-        plan.sparse[id(state), j] = names
-    return names
-
-
-def _truth_set(p: ChainProtocol, j: int, names) -> frozenset:
-    """The values of channel j where at least one of the atoms ``names``
-    holds. Read from the protocol at each use: one plan serves many."""
-    if len(names) == 1:
-        return p.atom_values(j, names[0])
-    return frozenset().union(*[p.atom_values(j, name) for name in names])
+def _visited(p: ChainProtocol, plan: _Plan, state, j: int, cands):
+    """The candidates at channel j the walk must visit from ``state``: when
+    every literal of j is an atom and the all-false column takes the state
+    to True (read from ``plan.steps``), only those in the union of the
+    atoms' truth sets, in order, since any other would be dropped; else
+    ``cands``. The truth sets come from p: one plan serves many protocols."""
+    lits = plan.groups[j]
+    for lit in lits:
+        if type(lit) is not Atom:
+            return cands
+    nxt = plan.steps.get((id(state), j, 0))
+    if nxt is None:
+        nxt = _step(plan, state, j, 0)
+    if nxt is not True:
+        return cands
+    truth = p.atom_values(j, lits[0].name)
+    for lit in lits[1:]:
+        truth = truth | p.atom_values(j, lit.name)
+    return filter(truth.__contains__, cands)
 
 
 # --- the walk -----------------------------------------------------------------
@@ -289,9 +281,9 @@ def _first_falsifying(ctx: EvalContext, plan: _Plan, pin):
     value, state) whose subtree held no falsifying run is never expanded
     again. Each column is cached per walk; the state it leads to comes from
     the plan's transition table (``_step``), and states are compared by
-    identity. On entering a channel whose literals are all atoms, one of
-    which must hold for the state to fail (``_sparse_names``), the walk
-    visits only the candidates in their truth sets: each other one would
+    identity. On entering a channel whose literals are all atoms and whose
+    all-false column the table takes to True, the walk visits only the
+    candidates in their truth sets (``_visited``): each other one would
     lead to True and be dropped.
     """
     p = ctx.protocol
@@ -308,15 +300,12 @@ def _first_falsifying(ctx: EvalContext, plan: _Plan, pin):
         k, v = lo - 1, None
         order, first = range(lo, hi + 1), p.iter_values(lo)
         if lo in groups:
-            names = _sparse_names(plan, state, lo)
-            if names:
-                first = filter(_truth_set(p, lo, names).__contains__, first)
+            first = _visited(p, plan, state, lo, first)
     else:
         k, v = pin
         order, first = [*range(k, lo - 1, -1), *range(k + 1, hi + 1)], (v,)
     last = len(order) - 1
 
-    sparse = plan.sparse
     columns: dict = {}
     dead: set = set()
     path: list = []
@@ -348,12 +337,7 @@ def _first_falsifying(ctx: EvalContext, plan: _Plan, pin):
             else:
                 cands = p.local(nxt).successors(anchor)
             if len(cands) > 1 and nxt in groups:
-                names = None if sparse is None else sparse.get((id(s), nxt))
-                if names is None:
-                    names = _sparse_names(plan, s, nxt)
-                    sparse = plan.sparse
-                if names:
-                    cands = filter(_truth_set(p, nxt, names).__contains__, cands)
+                cands = _visited(p, plan, s, nxt, cands)
             it = iter(cands)
             before, i = s, i + 1
             break

@@ -266,6 +266,28 @@ def test_display_laws_check_few_candidates(monkeypatch):
     assert counts == [(70, 70), (70, 70), (226, 226)]
 
 
+def test_second_scan_builds_no_block(monkeypatch):
+    # The exhaustive scan reads its blocks from the block cache, so a scan
+    # of bounds already scanned builds no protocol through the constructor:
+    # each candidate is a cached block with its own atom tables.
+    built = []
+    real_init = ExplicitChainProtocol.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExplicitChainProtocol, "__init__", counted)
+    law = display_gateway_family()[2]
+    bounds = SearchBounds(3, 2, 1)
+    search._block.cache_clear()
+    assert falsify(law, bounds, budget=10**6) is None
+    assert built
+    built.clear()
+    assert falsify(law, bounds, budget=10**6) is None
+    assert built == []
+
+
 def test_display_laws_exhaustive_on_four_channels():
     bounds = SearchBounds(4, 2, 1, candidate_ceiling=1_100_000)
     assert candidate_count(bounds) == 1_090_576

@@ -326,9 +326,11 @@ def test_transition_table_is_invisible():
 
 
 def test_walk_simplifies_once_per_column(monkeypatch):
-    # [0]!eq_zzzz@2 at aaaa: the walk visits about 10^4 values and 3,851
-    # words at channel 2, but eq_zzzz@2 has one column among them, so the
-    # residual is simplified a handful of times, not once per word.
+    # [0]!eq_zzzz@2 at aaaa: the walk visits the 101 words at channel 1, but
+    # at channel 2 only zzzz could falsify the body and no run through aaaa
+    # reaches it, so the walk visits no word there and steps once, on the
+    # all-false column: the residual is simplified a handful of times, not
+    # once per word.
     calls = []
 
     def counting(name):
