@@ -143,9 +143,10 @@ class _Node:
     __slots__ = ("_hash",)
 
     def __reduce__(self):
-        # Copy and pickle rebuild through the constructor: frozen fields
-        # refuse assignment, and the cached hash is not state.
-        return type(self), tuple(getattr(self, name) for name in type(self).__slots__)
+        # Copy and pickle rebuild through the constructors (frozen fields
+        # refuse assignment, and the cached hash is not state) from one flat
+        # encoding, so nesting depth costs no recursion.
+        return _unflatten, (_flatten(self),)
 
     def __repr__(self) -> str:
         """The dataclass text, e.g. ``Box(channel=0, body=Bottom())``, built
@@ -231,6 +232,62 @@ _set_body = Box.body.__set__
 
 
 Formula = Bottom | Atom | Implies | Box
+
+
+def _flatten(f: Formula) -> tuple:
+    """f as a tuple of entries in post-order, one per distinct node object,
+    so a shared subformula is encoded once and stays shared: ``(Atom,
+    channel, name)``, ``(Bottom,)``, and ``(Implies, i, j)`` and ``(Box,
+    channel, i)``, where i and j are the positions of the children's
+    entries. Built from an explicit stack; a node stays on it until its
+    children have entries."""
+    index: dict[int, int] = {}  # id of a node -> position of its entry
+    entries = []
+    stack = [f]
+    while stack:
+        g = stack[-1]
+        if id(g) in index:
+            stack.pop()
+            continue
+        t = type(g)
+        if t is Implies:
+            a, b = index.get(id(g.lhs)), index.get(id(g.rhs))
+            if a is None or b is None:
+                if b is None:
+                    stack.append(g.rhs)
+                if a is None:
+                    stack.append(g.lhs)
+                continue
+            entry = (Implies, a, b)
+        elif t is Box:
+            a = index.get(id(g.body))
+            if a is None:
+                stack.append(g.body)
+                continue
+            entry = (Box, g.channel, a)
+        elif t is Atom:
+            entry = (Atom, g.channel, g.name)
+        else:
+            entry = (Bottom,)
+        stack.pop()
+        index[id(g)] = len(entries)
+        entries.append(entry)
+    return tuple(entries)
+
+
+def _unflatten(entries: tuple) -> Formula:
+    """The formula ``_flatten`` encoded as ``entries``, sharing what it
+    shared."""
+    nodes = []
+    for entry in entries:
+        t = entry[0]
+        if t is Implies:
+            nodes.append(Implies(nodes[entry[1]], nodes[entry[2]]))
+        elif t is Box:
+            nodes.append(Box(entry[1], nodes[entry[2]]))
+        else:
+            nodes.append(t(*entry[1:]))
+    return nodes[-1]
 
 
 # --- sugar, eliminated at parse time -------------------------------------

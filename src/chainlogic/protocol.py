@@ -77,7 +77,22 @@ class HammingLocal:
         self._neighbors: dict[str, tuple[str, ...]] = {}
 
     def holds(self, prev: str, cur: str) -> bool:
-        return sum(a != b for a, b in zip(prev, cur)) <= 1
+        """Whether cur is among ``successors(prev)``: the same length as
+        prev, and equal to it but for at most one position, where cur has a
+        letter of the alphabet. On words the relation is symmetric. The walk
+        in ``semantics`` relies on this equivalence: on a channel it may
+        filter by a truth set T, it visits the sorted members of T that
+        ``holds`` admits instead of listing the neighbours, which are
+        sorted too, so the order is the one filtering gives."""
+        if len(prev) != len(cur):
+            return False
+        changed = None
+        for a, b in zip(prev, cur):
+            if a != b:
+                if changed is not None:
+                    return False
+                changed = b
+        return changed is None or changed in self._around
 
     def _outside(self, letter: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
         """The alphabet's letters below and above a letter not in it."""
@@ -264,12 +279,15 @@ class TelephoneProtocol(ChainProtocol):
 
     def __init__(self, word_len: int, alphabet: tuple[str, ...], chain_len: int):
         self.word_len = word_len
-        self.alphabet = alphabet
+        # Sorted and without repeats, so every word comes once and in the
+        # sorted order its neighbour lists have.
+        self.alphabet = tuple(sorted(set(alphabet)))
         self.window = (0, chain_len - 1)
         self._alpha_set = frozenset(alphabet)
-        self._shared_local = HammingLocal(word_len, alphabet)
+        self._shared_local = HammingLocal(word_len, self.alphabet)
 
     def iter_values(self, k: int):
+        """Every word of the channel, once each, in sorted order."""
         self._check_channel(k)
         return (
             "".join(letters)

@@ -36,15 +36,21 @@ False or a value of the table, so no residual is ever hashed structurally.
 
 When every literal of channel j is an atom and the column where all of them
 are false takes the state to True, a value outside the union T of those
-atoms' truth sets ends the walk at j. So the walk iterates
-``filter(T.__contains__, candidates)`` instead of the candidates there:
-``filter`` keeps their order, and a skipped value is exactly one the walk
-would have dropped, so the witness, the dead set and every verdict stay
-the same. The all-false transition is read from the transition table, like
-any other, so nothing else is stored for the decision; T comes from the
-protocol (``atom_values``) at each use, because one plan serves every
-protocol a formula is checked on. On the telephone, ``[0]!eq_w@2`` then
-steps only at w, not at 10,201 word pairs.
+atoms' truth sets ends the walk at j, and j is filtered: the walk visits
+only the candidates in T. An explicit protocol's stored values and
+neighbour tuples are filtered as they stand. The telephone computes its
+candidates, s^w words a channel and 1 + w·(s-1) neighbours a word, to keep
+the one or two in T, so there the walk lists none: it visits the members t
+of T, sorted, for which ``holds(x, t)``, x the value it came from, or at
+the first channel of an unpinned walk ``has_value``. Neighbour lists and
+value lists are sorted, so both ways give the candidates in T in their
+order, and a skipped value is exactly one the walk would have dropped: the
+witness, the dead set and every verdict stay the same. The all-false
+transition is read from the transition table, like any other, so nothing
+else is stored for the decision; T comes from the protocol
+(``atom_values``) at each use, because one plan serves every protocol a
+formula is checked on. On the telephone, ``[0]!eq_w@2`` then steps only at
+w, not at 10,201 word pairs, and lists no neighbours at channel 2.
 
 ``evaluate`` and the walk share one evaluator, the residual simplifier
 ``_partial``: the walk hands it a column of decided literals, and
@@ -80,7 +86,7 @@ from .formula import (
     _leaves,
     _variables,
 )
-from .protocol import ChainProtocol, check_assignment
+from .protocol import ChainProtocol, TelephoneProtocol, check_assignment
 
 class UndeclaredAtomError(ValueError):
     def __init__(self, name: str, channel: int):
@@ -139,7 +145,9 @@ class _Plan:
     ``counterexample``. ``steps`` is the transition table of ``_step``: it
     maps (id of a state, channel, column bits) to the next state, and holds
     only the transitions some walk took, for as long as the plan lives;
-    ``_visited`` reads its all-false transitions there too.
+    ``_candidates`` reads its all-false transitions there too, to decide
+    whether a channel is filtered: then the walk visits only the values in
+    the truth sets of its atoms, in the order its candidates have.
     """
 
     __slots__ = ("groups", "start", "leaves", "steps")
@@ -243,25 +251,49 @@ def _step(plan: _Plan, state, j: int, bits: int):
     return nxt
 
 
-def _visited(p: ChainProtocol, plan: _Plan, state, j: int, cands):
-    """The candidates at channel j the walk must visit from ``state``: when
-    every literal of j is an atom and the all-false column takes the state
-    to True (read from ``plan.steps``), only those in the union of the
-    atoms' truth sets, in order, since any other would be dropped; else
-    ``cands``. The truth sets come from p: one plan serves many protocols."""
+def _candidates(p: ChainProtocol, plan: _Plan, state, j: int, stored, local=None, x=None):
+    """The values at channel j, a channel with literals, that the walk
+    visits from ``state``: the candidates ``stored``, or where the protocol
+    computes them (``stored`` None), the neighbours of x by ``local``, or
+    with ``local`` None every value of j, the first channel of an unpinned
+    walk. When every literal of j is an atom and the all-false column takes
+    the state to True (read from ``plan.steps``), only those in the union T
+    of the atoms' truth sets, in the same order, since any other would be
+    dropped. T comes from p: one plan serves many protocols.
+
+    Stored candidates (an explicit protocol's values and neighbour tuples)
+    are filtered as they stand; the walk passes a neighbour tuple only when
+    it holds more than one value, as one outside T is dropped by its step
+    anyway. The telephone computes its candidates: it
+    would build every word of the channel, or the 1 + w·(s-1) neighbours
+    of a word, to keep the one or two in T. So for it the walk passes none,
+    and where it may filter, it visits the members t of T, sorted, that are
+    neighbours of x (``holds(x, t)``, which is exactly membership among
+    them, in either direction: the relation is symmetric) or values of j
+    (``has_value``). Neighbour lists and the telephone's values are sorted
+    too, so the order is the one filtering them would give."""
+    truth = None
     lits = plan.groups[j]
     for lit in lits:
         if type(lit) is not Atom:
-            return cands
-    nxt = plan.steps.get((id(state), j, 0))
-    if nxt is None:
-        nxt = _step(plan, state, j, 0)
-    if nxt is not True:
-        return cands
-    truth = p.atom_values(j, lits[0].name)
-    for lit in lits[1:]:
-        truth = truth | p.atom_values(j, lit.name)
-    return filter(truth.__contains__, cands)
+            break
+    else:
+        nxt = plan.steps.get((id(state), j, 0))
+        if nxt is None:
+            nxt = _step(plan, state, j, 0)
+        if nxt is True:
+            truth = p.atom_values(j, lits[0].name)
+            for lit in lits[1:]:
+                truth = truth | p.atom_values(j, lit.name)
+    if stored is not None:
+        return stored if truth is None else filter(truth.__contains__, stored)
+    if local is None:
+        if truth is None:
+            return p.iter_values(j)
+        return sorted(t for t in truth if p.has_value(j, t))
+    if truth is None:
+        return local.successors(x)
+    return sorted(t for t in truth if local.holds(x, t))
 
 
 # --- the walk -----------------------------------------------------------------
@@ -283,10 +315,15 @@ def _first_falsifying(ctx: EvalContext, plan: _Plan, pin):
     the plan's transition table (``_step``), and states are compared by
     identity. On entering a channel whose literals are all atoms and whose
     all-false column the table takes to True, the walk visits only the
-    candidates in their truth sets (``_visited``): each other one would
-    lead to True and be dropped.
+    candidates in their truth sets (``_candidates``): each other one would
+    lead to True and be dropped. On the telephone, a word's neighbours and
+    the first channel's words are never listed there: the truth sets'
+    members are tested for adjacency (``holds``) or membership
+    (``has_value``) and sorted, which is the order of the candidates they
+    stand for.
     """
     p = ctx.protocol
+    computed = type(p) is TelephoneProtocol  # see ``_candidates``
     lo, hi = p.window
     groups = plan.groups
     state = plan.start
@@ -298,9 +335,11 @@ def _first_falsifying(ctx: EvalContext, plan: _Plan, pin):
     if pin is None:
         # k = lo - 1 sends every channel after the first up the chain.
         k, v = lo - 1, None
-        order, first = range(lo, hi + 1), p.iter_values(lo)
-        if lo in groups:
-            first = _visited(p, plan, state, lo, first)
+        order = range(lo, hi + 1)
+        if lo not in groups:
+            first = p.iter_values(lo)
+        else:
+            first = _candidates(p, plan, state, lo, None if computed else p.iter_values(lo))
     else:
         k, v = pin
         order, first = [*range(k, lo - 1, -1), *range(k + 1, hi + 1)], (v,)
@@ -332,12 +371,17 @@ def _first_falsifying(ctx: EvalContext, plan: _Plan, pin):
                 continue
             frames.append((it, before, key))
             path.append(u)
-            if nxt < k:
-                cands = p.local(j).predecessors(u)
+            if computed and nxt in groups:
+                # Down the chain the anchor is u, and the relation is into j.
+                local = p.local(j) if nxt < k else p.local(nxt)
+                cands = _candidates(p, plan, s, nxt, None, local, anchor)
             else:
-                cands = p.local(nxt).successors(anchor)
-            if len(cands) > 1 and nxt in groups:
-                cands = _visited(p, plan, s, nxt, cands)
+                if nxt < k:
+                    cands = p.local(j).predecessors(u)
+                else:
+                    cands = p.local(nxt).successors(anchor)
+                if len(cands) > 1 and nxt in groups:
+                    cands = _candidates(p, plan, s, nxt, cands)
             it = iter(cands)
             before, i = s, i + 1
             break

@@ -401,3 +401,41 @@ def test_repr_is_the_dataclass_text_without_recursion():
     f = parse("[1]" * _DEEP + "p@0")
     text = repr(f)
     assert text == "Box(channel=1, body=" * _DEEP + "Atom(channel=0, name='p')" + ")" * _DEEP
+
+
+def _copies(f):
+    """copy.copy, copy.deepcopy and a pickle round trip of f. A deep
+    RecursionError fails at once, with a short message: pytest would format
+    its traceback by comparing the frames' formulas, and stall."""
+    try:
+        return [copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))]
+    except RecursionError:
+        pass
+    pytest.fail("copying or pickling the formula recursed")
+
+
+def test_deep_formulas_copy_and_pickle_without_recursion():
+    f = parse("[1]" * _DEEP + "p@0")
+    for copied in _copies(f):
+        assert copied is not f and copied == f
+    g = Implies(Bottom(), Atom(0, "q"))
+    for _ in range(20_000):
+        g = Implies(Atom(1, "p"), g)
+    assert all(copied == g for copied in _copies(g))
+
+
+def test_copy_and_pickle_keep_shared_subformulas_shared():
+    # 30 nested iffs: each side shared twice, so the tree has about 4^30
+    # nodes but the formula object about 8 · 30.
+    f = g = Atom(0, "p")
+    for i in range(30):
+        f, g = iff(f, Atom(i % 3, "q")), iff(g, Atom(i % 3, "q"))
+    assert f is not g
+    for copied in _copies(f):
+        assert copied == f == g
+        # iff(a, b) holds a twice: a -> b and b -> a.
+        assert copied.lhs.lhs.lhs is copied.lhs.rhs.lhs.rhs
+    assert len(pickle.dumps(f)) < 10_000
+    assert copy.deepcopy(Bottom()) == Bottom()
+    for f in (parse("p@0"), parse("false"), iff(parse("[2]!(p@0 & q@-1)"), parse("[0]false"))):
+        assert all(copied == f and render(copied) == render(f) for copied in _copies(f))

@@ -6,6 +6,7 @@ import string
 import pytest
 
 from chainlogic import (
+    EvalContext,
     ProtocolFormatError,
     SearchBounds,
     RandomMode,
@@ -19,10 +20,12 @@ from chainlogic import (
     runs,
     runs_fixing,
     sample_protocol,
+    counterexample,
+    parse,
     splice,
     telephone,
 )
-from chainlogic.protocol import HammingLocal
+from chainlogic.protocol import HammingLocal, TelephoneProtocol
 
 from conftest import (
     brute_force_runs,
@@ -262,6 +265,53 @@ def test_hamming_neighbours_match_set_and_sort(alphabet):
             prev = "".join(rng.choice(pool) for _ in range(word_len))
             assert cond.successors(prev) == _reference_neighbours(prev, alphabet), prev
             assert cond.predecessors(prev) == cond.successors(prev)
+
+
+@pytest.mark.parametrize("alphabet", ["ab", "abc", string.ascii_lowercase, "zyxa", "zyxaz"])
+def test_hamming_holds_is_membership_in_successors(alphabet):
+    # Any two strings: words and non-words, equal and different lengths,
+    # near and far apart, with letters below, above and between the
+    # alphabet's. The seed depends on the alphabet only.
+    rng = random.Random(sum(map(ord, alphabet)))
+    pool = alphabet + "#AbY~"
+    word_len = 3
+    cond = HammingLocal(word_len, tuple(alphabet))
+    agreed = 0
+    for _ in range(2_000):
+        x = "".join(rng.choice(pool) for _ in range(rng.randint(0, 4)))
+        roll = rng.random()
+        if roll < 0.4 and x:
+            # One position changed, to any letter of the pool.
+            i = rng.randrange(len(x))
+            y = x[:i] + rng.choice(pool) + x[i + 1 :]
+        elif roll < 0.5:
+            y = x
+        elif roll < 0.6:
+            y = x + rng.choice(pool)
+        else:
+            y = "".join(rng.choice(pool) for _ in range(rng.randint(0, 4)))
+        expected = y in cond.successors(x)
+        assert cond.holds(x, y) is expected, (x, y)
+        agreed += expected
+    assert 200 < agreed < 1_800
+    a, b = sorted(alphabet)[:2]
+    # zip would stop at the shorter word, and "#" is no letter to change to.
+    assert not cond.holds(a + b, a + b + a) and not cond.holds(a + b + a, a + b)
+    assert not cond.holds(a + b, a + "#") and cond.holds(a + "#", a + b)
+    assert cond.holds("#", "#") and cond.holds("", "")
+
+
+def test_telephone_words_are_sorted_and_distinct():
+    # Built directly, from an unsorted alphabet with a repeat, the words
+    # still come once each in sorted order, the order of the neighbour lists
+    # and of the walk's filtered candidates, so the first run is the least.
+    t = TelephoneProtocol(2, ("c", "a", "b", "a"), 3)
+    words = list(t.iter_values(0))
+    assert words == sorted(set(words)) and len(words) == 9
+    every = list(runs(t))
+    assert every == sorted(every) and len(every) == len(set(every)) == run_count(t)
+    f = parse("!(eq_cb@0 | eq_ab@0) | eq_bb@2")
+    assert counterexample(EvalContext(t), f) == next(r for r in every if r[0] in ("ab", "cb") and r[2] != "bb")
 
 
 def test_telephone_atoms():

@@ -30,6 +30,7 @@ from chainlogic import (
     valid_in,
 )
 from chainlogic.formula import DEFAULT_VARIABLE_LIMIT
+from chainlogic.protocol import HammingLocal, TelephoneProtocol
 
 from conftest import (
     enum_counterexample,
@@ -477,6 +478,167 @@ def test_sparse_channels_are_not_walked(monkeypatch):
     t = telephone(3, latin, 3)
     assert counterexample(EvalContext(t), parse("[0]!(eq_aaa@2 & eq_zzz@1)")) is None
     assert len(calls) <= 100
+
+
+def test_filtered_channels_below_the_pin_match_oracle():
+    # A box pinned at a high channel walks down to lo first, so the channels
+    # it filters there are reached through predecessors.
+    rng = random.Random(59)
+    words = ["".join(w) for w in itertools.product("abc", repeat=2)]
+    eq = [f"eq_{w}" for w in words]
+    telephone_formulas = [
+        parse(text)
+        for text in (
+            "[2]!eq_cb@0",
+            "[2]!(eq_aa@0 & eq_cc@1)",
+            "[3]!eq_bc@1",
+            "[3]!(eq_ab@0 & eq_ba@2)",
+            "[2](eq_ab@1 -> !eq_ca@0)",
+            "[1]!eq_aa@0 | [2][0]!eq_bb@1",
+        )
+    ]
+    telephone_formulas += [
+        Box(rng.choice((2, 3)), _sparse_formula(rng, (0, 1, 2), (0, 1, 2), eq, rng.randint(2, 4)))
+        for _ in range(8)
+    ]
+    explicit_formulas = [
+        parse(text)
+        for text in (
+            "[2]!p@0",
+            "[2]!(p@0 & q@0)",
+            "[2]!(p@0 & q@1)",
+            "[2](q@1 -> !p@0)",
+            "[1]!q@0 | [2]!(p@1 & q@0)",
+        )
+    ]
+    explicit_formulas += [
+        Box(2, _sparse_formula(rng, (0, 1, 2), (0, 1, 2), ["p", "q"], rng.randint(2, 4)))
+        for _ in range(9)
+    ]
+    families = [
+        ([telephone(2, "abc", 3), telephone(2, "abc", 4)], telephone_formulas, 40),
+        ([_sparse_protocol(rng, 3 + i % 2) for i in range(24)], explicit_formulas, 30),
+    ]
+    for protocols, formulas, run_sample in families:
+        refuted = sum(_match_oracle(rng, p, formulas, run_sample) for p in protocols)
+        pairs = len(protocols) * len(formulas)
+        assert pairs // 8 < refuted < pairs - pairs // 8
+
+
+class _DrawnTelephone(TelephoneProtocol):
+    """A telephone whose every atom holds on the drawn set ``truth``, which
+    may hold non-words, as no declared atom can."""
+
+    truth = frozenset()
+
+    def atom_values(self, k, name):
+        return self.truth
+
+
+def _walk_candidates(p, plan, local, x, down):
+    """The values the walk visits at channel 1 of p from the start state of
+    ``plan``, next to x (the first channel when ``local`` is None), got as
+    ``_first_falsifying`` gets them: the telephone hands over no list, an
+    explicit protocol its stored one. (The walk hands over a stored list
+    only when it holds more than one value; a single value that T would
+    drop is dropped by its step.)"""
+    if isinstance(p, TelephoneProtocol):
+        return list(semantics._candidates(p, plan, plan.start, 1, None, local, x))
+    if local is None:
+        stored = p.iter_values(1)
+    else:
+        stored = local.predecessors(x) if down else local.successors(x)
+    return list(semantics._candidates(p, plan, plan.start, 1, stored))
+
+
+def test_filtered_candidates_are_the_filtered_neighbours():
+    # Whether the walk filters a stored list (an explicit protocol) or tests
+    # the truth set T for adjacency or membership (the telephone's
+    # neighbours and first-channel words), it visits the same values in the
+    # same order, in both directions, for any T: the candidates in T, in
+    # candidate order. p@1 is the control: its all-false column is False,
+    # so channel 1 is never filtered for it.
+    rng = random.Random(61)
+    filtered, open_ = parse("!p@1"), parse("p@1")
+    cases = []
+    for word_len, alphabet in ((1, "abc"), (2, "abc"), (3, "ab"), (2, "bdz")):
+        p = _DrawnTelephone(word_len, tuple(alphabet), 3)
+        words = list(p.iter_values(1))
+        outside = ["", "a" * (word_len + 1), "#" * word_len, "y" + words[0][1:]]
+        cases.append((p, words + outside))
+    vals = ("a", "b", "c", "d")
+    for _ in range(30):
+        pairs = [(u, w) for u in vals + ("x",) for w in vals + ("y",) if rng.random() < 0.5]
+        rng.shuffle(pairs)
+        p = make_protocol(
+            (0, 2),
+            {k: rng.sample(vals, rng.randint(1, 4)) for k in range(3)},
+            {1: pairs, 2: pairs[::-1]},
+        )
+        for k in (1, 2):
+            local = p.local(k)
+            # Stored in sorted order, whatever order the pairs came in.
+            for u in vals + ("x",):
+                assert list(local.successors(u)) == sorted(w for x, w in local.pairs if x == u)
+            for w in vals + ("y",):
+                assert list(local.predecessors(w)) == sorted(x for x, y in local.pairs if y == w)
+        cases.append((p, list(vals) + ["x", "y", "e"]))
+    checked = 0
+    for p, pool in cases:
+        for _ in range(12):
+            truth = frozenset(rng.sample(pool, rng.choice((0, 1, 1, 2, 3, len(pool) // 2))))
+            if isinstance(p, _DrawnTelephone):
+                p.truth = truth
+            else:
+                p._atoms = {k: {"p": truth} for k in range(3)}
+            for f in (filtered, open_):
+                plan = semantics._compile(f)
+                keep = truth if f is filtered else None
+
+                def expected(values):
+                    return [c for c in values if keep is None or c in keep]
+
+                got = _walk_candidates(p, plan, None, None, False)
+                assert got == expected(p.iter_values(1)), (truth, f)
+                for x in p.iter_values(0):
+                    got = _walk_candidates(p, plan, p.local(1), x, False)
+                    assert got == expected(p.local(1).successors(x)), (x, truth, f)
+                for x in p.iter_values(2):
+                    got = _walk_candidates(p, plan, p.local(2), x, True)
+                    assert got == expected(p.local(2).predecessors(x)), (x, truth, f)
+                    checked += 1
+    assert checked > 1_000
+
+
+def test_filtered_telephone_channels_build_no_neighbours(monkeypatch):
+    # On a filtered telephone channel the walk tests the one word in T for
+    # adjacency instead of listing the 1 + w·25 neighbours of a word, and an
+    # unpinned walk filtered at its first channel lists no words there.
+    calls = []
+
+    def counting(cls, name, label):
+        real = getattr(cls, name)
+
+        def counted(*args):
+            calls.append(label)
+            return real(*args)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    counting(HammingLocal, "successors", "neighbours")
+    counting(HammingLocal, "predecessors", "neighbours")
+    counting(TelephoneProtocol, "iter_values", "iter_values")
+    latin = "abcdefghijklmnopqrstuvwxyz"
+    t = telephone(3, latin, 3)
+    assert valid_in(EvalContext(t), parse("[0]!(eq_aaa@2 & eq_zzz@1)"))
+    assert calls.count("neighbours") == 0
+    calls.clear()
+    t = telephone(4, latin, 3)
+    assert evaluate(EvalContext(t), ("aaaa",) * 3, parse("[0]!eq_zzzz@2"))
+    assert calls.count("neighbours") <= 1
+    calls.clear()
+    assert counterexample(EvalContext(t), parse("!eq_zzzz@0")) == ("zzzz", "azzz", "aazz")
+    assert "iter_values" not in calls
 
 
 def test_box_prefix_does_not_skip_leaf_checks():
