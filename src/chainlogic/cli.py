@@ -165,6 +165,9 @@ def _cmd_falsify(args, out) -> int:
 
 def _cmd_telephone(args, out) -> int:
     alphabet = _NAMED_ALPHABETS.get(args.alphabet, args.alphabet)
+    if "," in alphabet:
+        # Runs are written and read with "," between their words.
+        raise _UsageError("--alphabet cannot contain ','")
     protocol = telephone(args.len, alphabet, args.chain)
     if args.verb == "eval":
         return _eval_on(args, out, protocol)

@@ -551,38 +551,12 @@ def channel_support(f: Formula) -> frozenset[int]:
 
 def shift_channels(f: Formula, delta: int) -> Formula:
     """Rebuild f with every channel index moved by ``delta``; a subformula
-    shared in f is rebuilt once and shared in the result. Post-order: (node,)
-    on the stack marks a node whose subformulas are rebuilt."""
-    new = {}
-    built = []
-    stack = [f]
-    pop, push = stack.pop, stack.append
-    while stack:
-        g = pop()
-        t = type(g)
-        if t is tuple:
-            g = g[0]
-            if type(g) is Box:
-                h = Box(g.channel + delta, built.pop())
-            else:
-                b = built.pop()
-                h = Implies(built.pop(), b)
-            new[id(g)] = h
-        elif id(g) in new:
-            h = new[id(g)]
-        elif t is Implies:
-            push((g,))
-            push(g.rhs)
-            push(g.lhs)
-            continue
-        elif t is Box:
-            push((g,))
-            push(g.body)
-            continue
-        else:
-            h = new[id(g)] = Atom(g.channel + delta, g.name) if t is Atom else g
-        built.append(h)
-    return built[0]
+    shared in f is rebuilt once and shared in the result. Atom and Box
+    entries of ``_flatten`` carry their channel second."""
+    return _unflatten([
+        (e[0], e[1] + delta, e[2]) if e[0] is Atom or e[0] is Box else e
+        for e in _flatten(f)
+    ])
 
 
 # --- propositional skeleton and truth tables ------------------------------

@@ -60,9 +60,10 @@ class ExplicitLocal:
 class HammingLocal:
     """Computed local condition: adjacent words differ in at most one letter.
 
-    Successor sets are enumerated on demand and cached; with a w-letter
-    word over an s-letter alphabet each value has 1 + w*(s-1) neighbors,
-    so the relation is never materialized.
+    With a w-letter word over an s-letter alphabet each value has
+    1 + w*(s-1) neighbors, so the relation is never materialized:
+    ``successors`` builds a word's neighbours on each call and nothing is
+    kept per word.
     """
 
     def __init__(self, word_len: int, alphabet: tuple[str, ...]):
@@ -74,14 +75,13 @@ class HammingLocal:
             c: (self._letters[:i], self._letters[i + 1 :])
             for i, c in enumerate(self._letters)
         }
-        self._neighbors: dict[str, tuple[str, ...]] = {}
 
     def holds(self, prev: str, cur: str) -> bool:
         """Whether cur is among ``successors(prev)``: the same length as
         prev, and equal to it but for at most one position, where cur has a
         letter of the alphabet. On words the relation is symmetric. The walk
-        in ``semantics`` relies on this equivalence: on a channel it may
-        filter by a truth set T, it visits the sorted members of T that
+        in ``semantics`` relies on this equivalence: where it filters a
+        channel by a truth set T, it visits the sorted members of T that
         ``holds`` admits instead of listing the neighbours, which are
         sorted too, so the order is the one filtering gives."""
         if len(prev) != len(cur):
@@ -107,24 +107,19 @@ class HammingLocal:
         changes a later position, and one with a larger letter after them.
         So the smaller words come position by position from the first, then
         prev, then the larger words from the last position back."""
-        cached = self._neighbors.get(prev)
-        if cached is None:
-            words = []
-            above = []
-            for i, original in enumerate(prev):
-                lower, upper = self._around.get(original) or self._outside(original)
-                above.append(upper)
-                head, tail = prev[:i], prev[i + 1 :]
-                for c in lower:
-                    words.append(head + c + tail)
-            words.append(prev)
-            for i in range(len(prev) - 1, -1, -1):
-                head, tail = prev[:i], prev[i + 1 :]
-                for c in above[i]:
-                    words.append(head + c + tail)
-            cached = tuple(words)
-            self._neighbors[prev] = cached
-        return cached
+        words = []
+        above = []
+        for i, original in enumerate(prev):
+            lower, upper = self._around.get(original) or self._outside(original)
+            head, tail = prev[:i], prev[i + 1 :]
+            for c in lower:
+                words.append(head + c + tail)
+            above.append((head, upper, tail))
+        words.append(prev)
+        for head, upper, tail in reversed(above):
+            for c in upper:
+                words.append(head + c + tail)
+        return tuple(words)
 
     # The relation is symmetric.
     predecessors = successors
@@ -209,10 +204,6 @@ class ExplicitChainProtocol(ChainProtocol):
 
     def atom_holds(self, k: int, name: str, value: str) -> bool:
         return value in self._atoms[k][name]
-
-    def atom_values(self, k: int, name: str) -> frozenset[str]:
-        """The values of channel k where the declared atom holds."""
-        return self._atoms[k][name]
 
     def validate(self, require_continuity: bool = False) -> list[Violation]:
         """Well-formedness report; empty means the protocol is sound to use.

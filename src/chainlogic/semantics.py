@@ -17,12 +17,11 @@ literals of the channels already visited replaced by their truth values
 and simplified away. A state whose formula has become true is dropped, and
 a state shown to have no falsifying completion is never expanded again, so
 a walk costs O(channels · values · degree · states) edge visits instead of
-one evaluation per run. Where a channel holds only atoms and what is left
-cannot fail unless one of them holds, an edge to a value where none holds
-costs one set lookup and no step (see below). A box literal met on the
-way is decided by a nested walk, once per (channel, value, body) and
-context. No truth table is built, so a formula may have any number of
-literals.
+one evaluation per run. Where a telephone channel holds only atoms and
+what is left cannot fail unless one of them holds, the walk visits only
+the words where one holds (see below). A box literal met on the way is
+decided by a nested walk, once per (channel, value, body) and context. No
+truth table is built, so a formula may have any number of literals.
 
 The next state depends only on the state, the channel and the truth of the
 channel's literals (its column, read as bits), not on the value itself:
@@ -36,21 +35,22 @@ False or a value of the table, so no residual is ever hashed structurally.
 
 When every literal of channel j is an atom and the column where all of them
 are false takes the state to True, a value outside the union T of those
-atoms' truth sets ends the walk at j, and j is filtered: the walk visits
-only the candidates in T. An explicit protocol's stored values and
-neighbour tuples are filtered as they stand. The telephone computes its
-candidates, s^w words a channel and 1 + w·(s-1) neighbours a word, to keep
-the one or two in T, so there the walk lists none: it visits the members t
-of T, sorted, for which ``holds(x, t)``, x the value it came from, or at
-the first channel of an unpinned walk ``has_value``. Neighbour lists and
-value lists are sorted, so both ways give the candidates in T in their
-order, and a skipped value is exactly one the walk would have dropped: the
-witness, the dead set and every verdict stay the same. The all-false
-transition is read from the transition table, like any other, so nothing
-else is stored for the decision; T comes from the protocol
-(``atom_values``) at each use, because one plan serves every protocol a
-formula is checked on. On the telephone, ``[0]!eq_w@2`` then steps only at
-w, not at 10,201 word pairs, and lists no neighbours at channel 2.
+atoms' truth sets ends the walk at j, and j is filtered. On the telephone
+the walk then lists no candidates there. The telephone computes them, s^w
+words a channel and 1 + w·(s-1) neighbours a word, to keep the one or two
+in T, so the walk visits instead the members t of T, sorted, for which
+``holds(x, t)``, x the value it came from, or at the first channel of an
+unpinned walk ``has_value``. Neighbour lists and value lists are sorted, so
+this gives the candidates in T in their order, and a skipped value is
+exactly one the walk would have dropped: the witness, the dead set and
+every verdict stay the same. The all-false transition is read from the
+transition table, like any other, so nothing else is stored for the
+decision; T comes from the protocol (``atom_values``) at each use, because
+one plan serves every protocol a formula is checked on. On the telephone,
+``[0]!eq_w@2`` then steps only at w, not at 10,201 word pairs, and lists
+no neighbours at channel 2. An explicit protocol's candidates are stored
+lists: the walk visits them as they stand, and a value outside T costs
+one cached column and one table lookup.
 
 ``evaluate`` and the walk share one evaluator, the residual simplifier
 ``_partial``: the walk hands it a column of decided literals, and
@@ -144,10 +144,9 @@ class _Plan:
     false. ``leaves`` caches ``_leaves`` for a formula checked by
     ``counterexample``. ``steps`` is the transition table of ``_step``: it
     maps (id of a state, channel, column bits) to the next state, and holds
-    only the transitions some walk took, for as long as the plan lives;
+    only the transitions some walk took, for as long as the plan lives.
     ``_candidates`` reads its all-false transitions there too, to decide
-    whether a channel is filtered: then the walk visits only the values in
-    the truth sets of its atoms, in the order its candidates have.
+    whether a telephone channel is filtered.
     """
 
     __slots__ = ("groups", "start", "leaves", "steps")
@@ -251,28 +250,19 @@ def _step(plan: _Plan, state, j: int, bits: int):
     return nxt
 
 
-def _candidates(p: ChainProtocol, plan: _Plan, state, j: int, stored, local=None, x=None):
-    """The values at channel j, a channel with literals, that the walk
-    visits from ``state``: the candidates ``stored``, or where the protocol
-    computes them (``stored`` None), the neighbours of x by ``local``, or
-    with ``local`` None every value of j, the first channel of an unpinned
-    walk. When every literal of j is an atom and the all-false column takes
-    the state to True (read from ``plan.steps``), only those in the union T
-    of the atoms' truth sets, in the same order, since any other would be
-    dropped. T comes from p: one plan serves many protocols.
-
-    Stored candidates (an explicit protocol's values and neighbour tuples)
-    are filtered as they stand; the walk passes a neighbour tuple only when
-    it holds more than one value, as one outside T is dropped by its step
-    anyway. The telephone computes its candidates: it
-    would build every word of the channel, or the 1 + w·(s-1) neighbours
-    of a word, to keep the one or two in T. So for it the walk passes none,
-    and where it may filter, it visits the members t of T, sorted, that are
-    neighbours of x (``holds(x, t)``, which is exactly membership among
-    them, in either direction: the relation is symmetric) or values of j
-    (``has_value``). Neighbour lists and the telephone's values are sorted
-    too, so the order is the one filtering them would give."""
-    truth = None
+def _candidates(p: TelephoneProtocol, plan: _Plan, state, j: int, local, x):
+    """The values of channel j, a telephone channel with literals, that the
+    walk visits from ``state``: the neighbours of x by ``local``, or with
+    ``local`` None every word of j, the first channel of an unpinned walk.
+    When every literal of j is an atom and the all-false column takes the
+    state to True (read from ``plan.steps``), any value outside the union T
+    of the atoms' truth sets would be dropped, so the walk lists none: it
+    visits the members t of T, sorted, that are neighbours of x
+    (``holds(x, t)``, which is exactly membership among them, in either
+    direction: the relation is symmetric) or words of j (``has_value``).
+    Neighbour lists and the words are sorted too, so the order is the one
+    filtering them would give. T comes from p: one plan serves many
+    protocols."""
     lits = plan.groups[j]
     for lit in lits:
         if type(lit) is not Atom:
@@ -285,15 +275,10 @@ def _candidates(p: ChainProtocol, plan: _Plan, state, j: int, stored, local=None
             truth = p.atom_values(j, lits[0].name)
             for lit in lits[1:]:
                 truth = truth | p.atom_values(j, lit.name)
-    if stored is not None:
-        return stored if truth is None else filter(truth.__contains__, stored)
-    if local is None:
-        if truth is None:
-            return p.iter_values(j)
-        return sorted(t for t in truth if p.has_value(j, t))
-    if truth is None:
-        return local.successors(x)
-    return sorted(t for t in truth if local.holds(x, t))
+            if local is None:
+                return sorted(t for t in truth if p.has_value(j, t))
+            return sorted(t for t in truth if local.holds(x, t))
+    return p.iter_values(j) if local is None else local.successors(x)
 
 
 # --- the walk -----------------------------------------------------------------
@@ -313,14 +298,11 @@ def _first_falsifying(ctx: EvalContext, plan: _Plan, pin):
     value, state) whose subtree held no falsifying run is never expanded
     again. Each column is cached per walk; the state it leads to comes from
     the plan's transition table (``_step``), and states are compared by
-    identity. On entering a channel whose literals are all atoms and whose
-    all-false column the table takes to True, the walk visits only the
-    candidates in their truth sets (``_candidates``): each other one would
-    lead to True and be dropped. On the telephone, a word's neighbours and
-    the first channel's words are never listed there: the truth sets'
-    members are tested for adjacency (``holds``) or membership
-    (``has_value``) and sorted, which is the order of the candidates they
-    stand for.
+    identity. On entering a telephone channel whose literals are all atoms
+    and whose all-false column the table takes to True, the walk lists no
+    candidates (``_candidates``): each one outside the atoms' truth sets
+    would lead to True and be dropped, so the truth sets' members are tested
+    for adjacency or membership instead.
     """
     p = ctx.protocol
     computed = type(p) is TelephoneProtocol  # see ``_candidates``
@@ -336,10 +318,10 @@ def _first_falsifying(ctx: EvalContext, plan: _Plan, pin):
         # k = lo - 1 sends every channel after the first up the chain.
         k, v = lo - 1, None
         order = range(lo, hi + 1)
-        if lo not in groups:
-            first = p.iter_values(lo)
+        if computed and lo in groups:
+            first = _candidates(p, plan, state, lo, None, None)
         else:
-            first = _candidates(p, plan, state, lo, None if computed else p.iter_values(lo))
+            first = p.iter_values(lo)
     else:
         k, v = pin
         order, first = [*range(k, lo - 1, -1), *range(k + 1, hi + 1)], (v,)
@@ -374,15 +356,11 @@ def _first_falsifying(ctx: EvalContext, plan: _Plan, pin):
             if computed and nxt in groups:
                 # Down the chain the anchor is u, and the relation is into j.
                 local = p.local(j) if nxt < k else p.local(nxt)
-                cands = _candidates(p, plan, s, nxt, None, local, anchor)
+                it = iter(_candidates(p, plan, s, nxt, local, anchor))
+            elif nxt < k:
+                it = iter(p.local(j).predecessors(u))
             else:
-                if nxt < k:
-                    cands = p.local(j).predecessors(u)
-                else:
-                    cands = p.local(nxt).successors(anchor)
-                if len(cands) > 1 and nxt in groups:
-                    cands = _candidates(p, plan, s, nxt, cands)
-            it = iter(cands)
+                it = iter(p.local(nxt).successors(anchor))
             before, i = s, i + 1
             break
         else:

@@ -382,6 +382,19 @@ def test_valid_and_counterexample_reports(capsys, verb, formula, code, text, pay
     assert run(capsys, argv + ["--json"]) == (code, json.dumps(payload) + "\n", "")
 
 
+@pytest.mark.parametrize(
+    "verb, extra",
+    [("eval", ["--run", "a,a,a"]), ("valid", []), ("counterexample", [])],
+)
+def test_alphabet_with_a_comma_exits_2(capsys, verb, extra):
+    # "," separates the words of --run and of a printed run, so a word
+    # holding it could be printed but never given back.
+    argv = ["telephone", "--len", "1", "--alphabet", "a,b", "--chain", "3", verb]
+    code, out, err = run(capsys, argv + extra + ["--formula", "eq_a@0"])
+    assert (code, out) == (2, "")
+    assert err == "error: --alphabet cannot contain ','\n"
+
+
 def test_falsify_negative_budget_exits_2(capsys):
     code, out, err = run(
         capsys,

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -535,37 +536,29 @@ class _DrawnTelephone(TelephoneProtocol):
         return self.truth
 
 
-def _walk_candidates(p, plan, local, x, down):
-    """The values the walk visits at channel 1 of p from the start state of
-    ``plan``, next to x (the first channel when ``local`` is None), got as
-    ``_first_falsifying`` gets them: the telephone hands over no list, an
-    explicit protocol its stored one. (The walk hands over a stored list
-    only when it holds more than one value; a single value that T would
-    drop is dropped by its step.)"""
-    if isinstance(p, TelephoneProtocol):
-        return list(semantics._candidates(p, plan, plan.start, 1, None, local, x))
-    if local is None:
-        stored = p.iter_values(1)
-    else:
-        stored = local.predecessors(x) if down else local.successors(x)
-    return list(semantics._candidates(p, plan, plan.start, 1, stored))
+def _walk_candidates(p, plan, local, x):
+    """The values the walk visits at channel 1 of the telephone p from the
+    start state of ``plan``, next to x (the first channel when ``local`` is
+    None), got as ``_first_falsifying`` gets them."""
+    return list(semantics._candidates(p, plan, plan.start, 1, local, x))
 
 
 def test_filtered_candidates_are_the_filtered_neighbours():
-    # Whether the walk filters a stored list (an explicit protocol) or tests
-    # the truth set T for adjacency or membership (the telephone's
-    # neighbours and first-channel words), it visits the same values in the
-    # same order, in both directions, for any T: the candidates in T, in
-    # candidate order. p@1 is the control: its all-false column is False,
-    # so channel 1 is never filtered for it.
+    # Where the walk tests the truth set T for adjacency or membership (the
+    # telephone's neighbours and first-channel words), it visits the values
+    # that filtering the listed candidates by T would keep, in the same
+    # order, in both directions, for any T. p@1 is the control: its
+    # all-false column is False, so channel 1 is never filtered for it.
     rng = random.Random(61)
     filtered, open_ = parse("!p@1"), parse("p@1")
     cases = []
-    for word_len, alphabet in ((1, "abc"), (2, "abc"), (3, "ab"), (2, "bdz")):
+    for word_len, alphabet in ((1, "abc"), (2, "abc"), (3, "ab"), (2, "bdz"), (3, "abc")):
         p = _DrawnTelephone(word_len, tuple(alphabet), 3)
         words = list(p.iter_values(1))
         outside = ["", "a" * (word_len + 1), "#" * word_len, "y" + words[0][1:]]
         cases.append((p, words + outside))
+    # The walk visits an explicit protocol's stored neighbour tuples as they
+    # stand: they are in value order, whatever order the pairs came in.
     vals = ("a", "b", "c", "d")
     for _ in range(30):
         pairs = [(u, w) for u in vals + ("x",) for w in vals + ("y",) if rng.random() < 0.5]
@@ -577,20 +570,14 @@ def test_filtered_candidates_are_the_filtered_neighbours():
         )
         for k in (1, 2):
             local = p.local(k)
-            # Stored in sorted order, whatever order the pairs came in.
             for u in vals + ("x",):
                 assert list(local.successors(u)) == sorted(w for x, w in local.pairs if x == u)
             for w in vals + ("y",):
                 assert list(local.predecessors(w)) == sorted(x for x, y in local.pairs if y == w)
-        cases.append((p, list(vals) + ["x", "y", "e"]))
     checked = 0
     for p, pool in cases:
         for _ in range(12):
-            truth = frozenset(rng.sample(pool, rng.choice((0, 1, 1, 2, 3, len(pool) // 2))))
-            if isinstance(p, _DrawnTelephone):
-                p.truth = truth
-            else:
-                p._atoms = {k: {"p": truth} for k in range(3)}
+            truth = p.truth = frozenset(rng.sample(pool, rng.choice((0, 1, 1, 2, 3, len(pool) // 2))))
             for f in (filtered, open_):
                 plan = semantics._compile(f)
                 keep = truth if f is filtered else None
@@ -598,13 +585,13 @@ def test_filtered_candidates_are_the_filtered_neighbours():
                 def expected(values):
                     return [c for c in values if keep is None or c in keep]
 
-                got = _walk_candidates(p, plan, None, None, False)
+                got = _walk_candidates(p, plan, None, None)
                 assert got == expected(p.iter_values(1)), (truth, f)
                 for x in p.iter_values(0):
-                    got = _walk_candidates(p, plan, p.local(1), x, False)
+                    got = _walk_candidates(p, plan, p.local(1), x)
                     assert got == expected(p.local(1).successors(x)), (x, truth, f)
                 for x in p.iter_values(2):
-                    got = _walk_candidates(p, plan, p.local(2), x, True)
+                    got = _walk_candidates(p, plan, p.local(2), x)
                     assert got == expected(p.local(2).predecessors(x)), (x, truth, f)
                     checked += 1
     assert checked > 1_000
@@ -639,6 +626,21 @@ def test_filtered_telephone_channels_build_no_neighbours(monkeypatch):
     calls.clear()
     assert counterexample(EvalContext(t), parse("!eq_zzzz@0")) == ("zzzz", "azzz", "aazz")
     assert "iter_values" not in calls
+
+
+def test_telephone_walks_keep_no_per_word_memory():
+    # The walk lists each word's 28 neighbours as it meets the word and
+    # keeps none of them once the call is done, so memory stays flat.
+    t = telephone(3, "abcdefghij", 4)
+    ctx = EvalContext(t)
+    f = parse("[0]!(eq_aaa@3 & eq_jjj@2)")
+    tracemalloc.start()
+    try:
+        assert valid_in(ctx, f)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 512 * 1024
 
 
 def test_box_prefix_does_not_skip_leaf_checks():
