@@ -59,14 +59,25 @@ reached (an atom from its truth set, a box through ``_column``), so the
 rhs of an implication with a false lhs is never decided.
 ``_partial`` and every formula walker keep an explicit stack, so nesting
 depth costs no recursion; only modal depth does: a nested box costs one
-walk and two frames (``_first_falsifying`` → ``_column``), so about 490
-nested boxes fit under Python's default recursion limit of 1,000.
+walk and two frames (``_first_falsifying`` or ``_probe`` → ``_column``), so
+about 490 nested boxes fit under Python's default recursion limit of 1,000.
 
-Unpinned, the walk goes lo→hi in successor order, so the first run it
-completes is the first falsifying run in ``protocol.runs`` order: the same
-canonical-first witness an enumeration returns. Pinned at v on channel k,
-it goes from k down to lo through predecessors and then from k+1 up to hi,
-which keeps it to runs through v without computing reachable sets first.
+Pinned at v on channel k, the walk goes from k down to lo through
+predecessors and then from k+1 up to hi, which keeps it to runs through v
+without computing reachable sets first. Unpinned, it goes lo→hi in
+successor order, so the first run it completes is the first falsifying run
+in ``protocol.runs`` order: the same canonical-first witness an enumeration
+returns. But then it lists every value of a first channel with no literal,
+and pushes from each, though only a few values further down may falsify
+anything. So validity, on the telephone, is decided from the filtered
+channel j with the fewest words in T instead (``_probe``): every falsifying
+run passes through a word of T at j, so the formula is valid exactly when
+no walk pinned at (j, t) finds one, for each such word t. That costs one
+pinned walk per word of T, and settles ``valid`` and every out-of-window
+box. Where the first channel is filtered already, the unpinned walk starts
+from T and no probe is made. A refuted formula still gets its witness from
+the ordered walk, so the witness cannot move: the probe only says whether
+there is one.
 
 Atom declarations, ``strict_window`` and the run are checked once per
 call, before evaluation, so a branch that evaluation short-circuits does
@@ -145,7 +156,7 @@ class _Plan:
     ``counterexample``. ``steps`` is the transition table of ``_step``: it
     maps (id of a state, channel, column bits) to the next state, and holds
     only the transitions some walk took, for as long as the plan lives.
-    ``_candidates`` reads its all-false transitions there too, to decide
+    ``_filter_set`` reads its all-false transitions there too, to decide
     whether a telephone channel is filtered.
     """
 
@@ -223,8 +234,11 @@ def _column(ctx: EvalContext, lits, k: int, v) -> int:
             key = (k, v, lit.body)
             holds = ctx._memo.get(key)
             if holds is None:
-                pin = None if v is None else (k, v)
-                holds = _first_falsifying(ctx, _compile(lit.body), pin) is None
+                body = _compile(lit.body)
+                holds = None if v is not None else _probe(ctx, body)
+                if holds is None:
+                    pin = None if v is None else (k, v)
+                    holds = _first_falsifying(ctx, body, pin) is None
                 ctx._memo[key] = holds
         if holds:
             bits |= bit
@@ -250,35 +264,48 @@ def _step(plan: _Plan, state, j: int, bits: int):
     return nxt
 
 
+def _filter_set(p: TelephoneProtocol, plan: _Plan, state, j: int):
+    """The union T of the truth sets of channel j's atoms when j is
+    filtered from ``state``: every literal of j is an atom and the
+    all-false column takes the state to True (read from ``plan.steps``), so
+    a run whose value at j lies outside T makes the formula true. None when
+    j is not filtered. T comes from p: one plan serves many protocols."""
+    lits = plan.groups[j]
+    for lit in lits:
+        if type(lit) is not Atom:
+            return None
+    nxt = plan.steps.get((id(state), j, 0))
+    if nxt is None:
+        nxt = _step(plan, state, j, 0)
+    if nxt is not True:
+        return None
+    truth = p.atom_values(j, lits[0].name)
+    for lit in lits[1:]:
+        truth = truth | p.atom_values(j, lit.name)
+    return truth
+
+
+def _words_in(p: TelephoneProtocol, j: int, truth) -> list:
+    """The members of ``truth`` that are words of channel j, sorted."""
+    return sorted(t for t in truth if p.has_value(j, t))
+
+
 def _candidates(p: TelephoneProtocol, plan: _Plan, state, j: int, local, x):
     """The values of channel j, a telephone channel with literals, that the
     walk visits from ``state``: the neighbours of x by ``local``, or with
     ``local`` None every word of j, the first channel of an unpinned walk.
-    When every literal of j is an atom and the all-false column takes the
-    state to True (read from ``plan.steps``), any value outside the union T
-    of the atoms' truth sets would be dropped, so the walk lists none: it
-    visits the members t of T, sorted, that are neighbours of x
-    (``holds(x, t)``, which is exactly membership among them, in either
-    direction: the relation is symmetric) or words of j (``has_value``).
-    Neighbour lists and the words are sorted too, so the order is the one
-    filtering them would give. T comes from p: one plan serves many
-    protocols."""
-    lits = plan.groups[j]
-    for lit in lits:
-        if type(lit) is not Atom:
-            break
-    else:
-        nxt = plan.steps.get((id(state), j, 0))
-        if nxt is None:
-            nxt = _step(plan, state, j, 0)
-        if nxt is True:
-            truth = p.atom_values(j, lits[0].name)
-            for lit in lits[1:]:
-                truth = truth | p.atom_values(j, lit.name)
-            if local is None:
-                return sorted(t for t in truth if p.has_value(j, t))
-            return sorted(t for t in truth if local.holds(x, t))
-    return p.iter_values(j) if local is None else local.successors(x)
+    Where j is filtered (``_filter_set``), any value outside T would be
+    dropped, so the walk lists none: it visits the members t of T, sorted,
+    that are neighbours of x (``holds(x, t)``, which is exactly membership
+    among them, in either direction: the relation is symmetric) or words of
+    j. Neighbour lists and the words are sorted too, so the order is the
+    one filtering them would give."""
+    truth = _filter_set(p, plan, state, j)
+    if truth is None:
+        return p.iter_values(j) if local is None else local.successors(x)
+    if local is None:
+        return _words_in(p, j, truth)
+    return sorted(t for t in truth if local.holds(x, t))
 
 
 # --- the walk -----------------------------------------------------------------
@@ -305,7 +332,7 @@ def _first_falsifying(ctx: EvalContext, plan: _Plan, pin):
     for adjacency or membership instead.
     """
     p = ctx.protocol
-    computed = type(p) is TelephoneProtocol  # see ``_candidates``
+    computed = isinstance(p, TelephoneProtocol)  # see ``_candidates``
     lo, hi = p.window
     groups = plan.groups
     state = plan.start
@@ -372,6 +399,47 @@ def _first_falsifying(ctx: EvalContext, plan: _Plan, pin):
             dead.add(key)
 
 
+def _probe(ctx: EvalContext, plan: _Plan):
+    """Whether no run falsifies the plan, decided by pinned walks from its
+    most selective filtered telephone channel, or None where that does not
+    apply: on an explicit protocol, where the first channel is filtered (an
+    unpinned walk then starts from T already) or where no channel is.
+
+    A run falsifies the formula only through a value of T at a filtered
+    channel j, so walks pinned at each word of T at j cover every
+    falsifying run; j is the channel with the fewest such words. On ties
+    the highest channel is pinned: the pinned walk goes down first, and
+    meets the other filtered channels before a stretch with no literal."""
+    p = ctx.protocol
+    if not isinstance(p, TelephoneProtocol):
+        return None
+    lo, hi = p.window
+    groups = plan.groups
+    # The out-of-window channels are folded as ``_first_falsifying`` folds
+    # them, written out so that a nested out-of-window box costs two frames
+    # (this and ``_column``), as a nested walk does.
+    state = plan.start
+    for j in groups:
+        if state is not True and not lo <= j <= hi:
+            state = _step(plan, state, j, _column(ctx, groups[j], j, None))
+    if state is True:
+        return True
+    if lo in groups and _filter_set(p, plan, state, lo) is not None:
+        return None
+    best = None
+    for j in groups:
+        if lo < j <= hi:
+            truth = _filter_set(p, plan, state, j)
+            if truth is not None:
+                words = _words_in(p, j, truth)
+                if best is None or (len(words), -j) < (len(best[1]), -best[0]):
+                    best = j, words
+    if best is None:
+        return None
+    j, words = best
+    return all(_first_falsifying(ctx, plan, (j, t)) is None for t in words)
+
+
 # --- public entry points --------------------------------------------------------
 
 def evaluate(ctx: EvalContext, run, f: Formula) -> bool:
@@ -396,24 +464,37 @@ def evaluate(ctx: EvalContext, run, f: Formula) -> bool:
 
 
 def valid_in(ctx: EvalContext, f: Formula) -> bool:
-    """True when f holds at every run of the protocol."""
+    """True when f holds at every run of the protocol: ``counterexample``
+    finds none. On the telephone a valid formula is settled by pinned walks
+    from its most selective filtered channel, not by an ordered walk."""
     return counterexample(ctx, f) is None
 
 
 def counterexample(ctx: EvalContext, f: Formula):
-    """The first run in enumeration order falsifying f, or None if valid."""
+    """The first run in enumeration order falsifying f, or None if valid.
+
+    Validity is decided first, on the body under f's leading boxes (see
+    below), by ``_probe`` where it applies: a run falsifies the body only
+    through a word of T at a filtered channel, so pinned walks at those
+    words find a falsifying run if there is one. Only a refuted formula is
+    walked in order, and the ordered walk alone picks the witness, so it is
+    the first falsifying run whichever channel the probe pinned."""
     plan = _compile(f)
     if plan.leaves is None:
         plan.leaves = _leaves(f)
     _check_leaves(ctx, plan.leaves)
     # [k]φ is valid iff φ is, for any k in or out of the window: a run
-    # falsifying φ falsifies [k]φ at every run sharing its value at k. One
-    # unpinned walk of φ settles validity; only a refuted formula needs the
+    # falsifying φ falsifies [k]φ at every run sharing its value at k. So
+    # validity is settled on φ; only a refuted formula needs the ordered
     # walk of f itself, which finds the first falsifying run of f.
     body = f
     while type(body) is Box:
         body = body.body
-    if body is not f and _first_falsifying(ctx, _compile(body), None) is None:
+    checked = plan if body is f else _compile(body)
+    valid = _probe(ctx, checked)
+    if valid is None and body is not f:  # else the walk below decides
+        valid = _first_falsifying(ctx, checked, None) is None
+    if valid:
         return None
     path = _first_falsifying(ctx, plan, None)
     return None if path is None else tuple(path)

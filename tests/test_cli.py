@@ -512,6 +512,15 @@ def test_importing_the_cli_builds_no_parser():
     assert done.stdout == "True\n", done.stderr
 
 
+def test_python_dash_m_runs_the_cli():
+    done = subprocess.run(
+        [sys.executable, "-m", "chainlogic", "scope", "[2]([3]p@3 -> [4]q@4)"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__))),
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "{2}\n", "")
+
+
 def test_falsify_oversized_bounds_exit_2(capsys):
     # 2^40 value-set size vectors: counted, not enumerated, before refusing.
     code, out, err = run(

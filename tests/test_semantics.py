@@ -662,3 +662,182 @@ def test_valid_scales_past_enumeration():
     # long as the remaining hops still reach ccc.
     witness = counterexample(ctx, parse("!(eq_aaa@0 & eq_ccc@39)"))
     assert witness == ("aaa",) * 37 + ("aac", "acc", "ccc")
+
+
+# --- validity from the most selective telephone channel ----------------------
+
+def test_valid_probes_the_most_selective_channel(monkeypatch):
+    # Only runs through aaa at n-1 or zzz at n-2 can falsify the body, so
+    # validity is settled by pinned walks from one of them: no channel is
+    # listed and no neighbours are built, however long the literal-free
+    # stretch below them.
+    calls = []
+
+    def counting(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(HammingLocal, "successors")
+    counting(HammingLocal, "predecessors")
+    counting(TelephoneProtocol, "iter_values")
+    counting(semantics, "_step")
+    latin = "abcdefghijklmnopqrstuvwxyz"
+    assert valid_in(EvalContext(telephone(3, latin, 4)), parse("[0]!(eq_aaa@3 & eq_zzz@2)"))
+    assert calls.count("_step") <= 36
+    assert set(calls) <= {"_step"}
+    for n in (4, 5, 6):
+        calls.clear()
+        f = parse(f"[0]!(eq_aaa@{n - 1} & eq_ccc@{n - 2})")
+        assert valid_in(EvalContext(telephone(3, "abc", n)), f)
+        assert set(calls) <= {"_step"}, n
+
+
+def test_probe_leaves_refuted_formulas_to_the_ordered_walk(monkeypatch):
+    # A first channel that is already filtered needs no probe: one unpinned
+    # walk finds the witness. Otherwise a refuted probe hands over to the
+    # ordered walk of the formula, which still returns the first run.
+    pins = []
+    real = semantics._first_falsifying
+
+    def counted(ctx, plan, pin):
+        pins.append(pin)
+        return real(ctx, plan, pin)
+
+    monkeypatch.setattr(semantics, "_first_falsifying", counted)
+    latin = "abcdefghijklmnopqrstuvwxyz"
+    ctx = EvalContext(telephone(3, latin, 4))
+    assert counterexample(ctx, parse("!(eq_aaa@3 & eq_zzz@0)")) == ("zzz", "azz", "aaz", "aaa")
+    assert pins == [None]
+    pins.clear()
+    assert counterexample(ctx, parse("[0]!(eq_aaa@3 & eq_aab@2)")) == ("aaa",) * 4
+    # The last pin decides the box at the witness's first word.
+    assert pins == [(3, "aaa"), None, (0, "aaa")]
+
+
+class _PaddedTelephone(TelephoneProtocol):
+    """A telephone whose atom eq_w also holds at two strings that are no
+    word: one with a letter outside the alphabet and one a letter longer.
+    No run carries them, so every verdict is the plain telephone's; only
+    the truth sets name them."""
+
+    def atom_holds(self, k, name, value):
+        return value in self.atom_values(k, name)
+
+    def atom_values(self, k, name):
+        w = name[3:]
+        return frozenset((w, "z" + w[1:], w + "a"))
+
+
+def _probe_formula(rng, n, words):
+    """A formula whose literals sit on a few channels high in the window
+    [0, n-1]: atoms-only channels that a false column settles (negated
+    conjunctions of disjunctions, the lhs of an implication), some with
+    several atoms, and beside them box literals, boxes out of the window,
+    and atoms-only channels whose false column settles nothing."""
+    low = rng.randint(1, n - 1)
+    channels = [low] if low == n - 1 or rng.random() < 0.3 else [low + 1, low]
+    # Words two letters apart never sit on adjacent channels, so a negated
+    # conjunction of such groups is often valid.
+    drawn = rng.sample(words, rng.choice((1, 1, 2, 3)))
+    far = [w for w in words if all(sum(x != y for x, y in zip(w, u)) > 1 for u in drawn)]
+
+    def group(j, pool=words):
+        g = Atom(j, "eq_" + rng.choice(pool))
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            g = disj(g, Atom(j, "eq_" + rng.choice(pool)))
+        return g
+
+    def side():
+        roll = rng.random()
+        if roll < 0.4:
+            return Atom(rng.randint(0, n - 1), "eq_" + rng.choice(words))
+        body = neg(conj(group(rng.randint(0, n - 1)), group(rng.randint(0, n - 1))))
+        return Box(rng.choice((-1, 0, n - 1, n, n + 2)), body if roll < 0.8 else neg(body))
+
+    # One word never sits on a channel together with another.
+    second = far if len(channels) > 1 else [w for w in words if w not in drawn]
+    if not second or rng.random() < 0.2:
+        second = words
+    groups = [group(channels[0], drawn), group(channels[-1], second)]
+    roll = rng.random()
+    if roll < 0.55:
+        core = neg(conj(*groups))
+    elif roll < 0.7:
+        core = Implies(groups[0], side())
+    elif roll < 0.85:
+        core = disj(*groups)
+    else:
+        core = neg(conj(groups[0], side()))
+    roll = rng.random()
+    if roll < 0.25:
+        core = disj(core, side())
+    elif roll < 0.4:
+        core = conj(side(), core)
+    if rng.random() < 0.4:
+        core = Box(rng.choice((-1, 0, 1, n - 1, n)), core)
+    return core
+
+
+def test_validity_probe_matches_oracle():
+    # The probe pins only words: the padded truth sets hold strings that
+    # are no value of the channel. The witness must be the first run, and
+    # where the probe applies on its own, its verdict must be the oracle's.
+    # The first three shapes are settled only once the out-of-window box
+    # is read: before that, no channel's false column takes them to True.
+    # The fourth has atoms-only channels that no false column settles.
+    rng = random.Random(67)
+    families = []
+    for word_len, alphabet, ns, count in ((2, "abc", (3, 4, 5), 18), (3, "ab", (4,), 24)):
+        words = ["".join(w) for w in itertools.product(alphabet, repeat=word_len)]
+        a, b = words[0], words[-1]
+        for n in ns:
+            hand = [
+                conj(Box(n, disj(Atom(1, f"eq_{a}"), neg(Atom(1, f"eq_{a}")))),
+                     neg(conj(Atom(n - 1, f"eq_{a}"), Atom(n - 2, f"eq_{b}")))),
+                conj(Box(-1, neg(conj(Atom(2, f"eq_{a}"), Atom(1, f"eq_{b}")))),
+                     neg(Atom(n - 1, f"eq_{b}"))),
+                Box(0, conj(Box(n, neg(conj(Atom(n - 1, f"eq_{a}"), Atom(n - 2, f"eq_{b}")))),
+                            neg(Atom(n - 1, f"eq_{a}")))),
+                Box(0, disj(Atom(n - 1, f"eq_{a}"), Atom(n - 2, f"eq_{b}"))),
+            ]
+            formulas = hand + [_probe_formula(rng, n, words) for _ in range(count)]
+            families.append((_PaddedTelephone(word_len, tuple(alphabet), n), formulas, len(hand)))
+    refuted = decided = pairs = 0
+    for p, formulas, hand in families:
+        ctx, memo = EvalContext(p), {}
+        all_runs = list(runs(p))
+        sample = rng.sample(all_runs, 12)
+        for i, f in enumerate(formulas):
+            expected = enum_counterexample(p, f, memo)
+            assert counterexample(ctx, f) == expected, f
+            assert valid_in(ctx, f) == (expected is None), f
+            for r in sample:
+                assert evaluate(ctx, r, f) == enum_evaluate(p, r, f, memo), (r, f)
+            body = f
+            while type(body) is Box:
+                body = body.body
+            verdict = semantics._probe(ctx, semantics._compile(body))
+            assert verdict in (None, expected is None), f
+            if i < hand:
+                assert (verdict is None) == (i == hand - 1), f
+            refuted += expected is not None
+            decided += verdict is not None
+            pairs += 1
+    assert pairs // 5 < refuted < pairs - pairs // 5, refuted
+    assert decided > pairs // 3, decided
+
+
+def test_nested_out_of_window_boxes_fit_the_recursion_limit():
+    # A nested box outside the window is a probe or a walk and a column,
+    # two frames, like one inside it: 400 fit the default recursion limit.
+    t = telephone(1, "ab", 2)
+    for body, expected in ((Atom(1, "eq_a"), False), (neg(conj(Atom(1, "eq_a"), Atom(1, "eq_b"))), True)):
+        f = body
+        for _ in range(400):
+            f = Box(5, f)
+        assert evaluate(EvalContext(t), ("a", "a"), f) is expected
