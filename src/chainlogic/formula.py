@@ -324,44 +324,47 @@ def diamond(channel: int, f: Formula) -> Formula:
 #
 # Whitespace between tokens is ignored.
 
-# One regular expression splits the text into lexemes, and one loop with an
-# explicit operator stack (operator precedence, as in Dijkstra's shunting
-# yard) builds the core AST from them, so nesting costs heap, not recursion.
-# The whole text is split before parsing, so a lexical error anywhere is
-# reported ahead of a syntax error.
+# One regular expression splits the text into lexemes, plain strings told
+# apart by their first character, and one loop with an explicit operator
+# stack (operator precedence, as in Dijkstra's shunting yard) builds the
+# core AST from them, so nesting costs heap, not recursion. No offset is
+# kept: only ``_syntax_error`` finds one, by matching the text again. The
+# loop checks each lexeme it consumes, so the lexemes before the one it
+# fails at are sound, and a lexical error anywhere still comes ahead of a
+# syntax error: ``_syntax_error`` reports the first at or after the failure.
 
-_LEXEME = re.compile(
-    r"\s*(?:(->|[\][<>()!&|@])|(-?[0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|(\S))"
-)
-_PUNCT, _INT, _IDENT = 1, 2, 3
+_LEXEMES = re.compile(r"->|[\][<>()!&|@]|-?[0-9]+|[A-Za-z_][A-Za-z0-9_]*|\S")
 
 
-def _lex(text: str) -> list[tuple]:
-    """(kind, value, offset) per lexeme, then ("", None, len(text)).
+def _syntax_error(text: str, i: int, message: str) -> FormulaSyntaxError:
+    """The error for parsing text that failed with ``message`` at lexeme i
+    (i past the last lexeme for the end), unless a lexical error comes at
+    or after lexeme i: then the first of those, a lone '-', a stray
+    character or a channel outside the signed 64-bit range."""
+    matches = list(_LEXEMES.finditer(text))
+    for m in matches[i:]:
+        s = m[0]
+        c = s[0]
+        if "0" <= c <= "9" or c == "-" and "0" <= s[1:2] <= "9":
+            if not CHANNEL_MIN <= int(s) <= CHANNEL_MAX:
+                message = "channel index outside the representable range"
+                return FormulaSyntaxError(message, m.start())
+        elif not ("a" <= c <= "z" or "A" <= c <= "Z" or c == "_" or s == "->" or s in "[]<>()!&|@"):
+            message = "unexpected '-'" if s == "-" else f"unexpected character {s!r}"
+            return FormulaSyntaxError(message, m.start())
+    return FormulaSyntaxError(message, matches[i].start() if i < len(matches) else len(text))
 
-    The kind of punctuation is the lexeme itself; integers are "INT" with
-    their value and identifiers "ID" with their text.
-    """
-    lexemes = []
-    append = lexemes.append
-    for m in _LEXEME.finditer(text):
-        group = m.lastindex
-        lexeme, pos = m[group], m.start(group)
-        if group == _PUNCT:
-            append((lexeme, None, pos))
-        elif group == _IDENT:
-            append(("ID", lexeme, pos))
-        elif group == _INT:
-            value = int(lexeme)
-            if not CHANNEL_MIN <= value <= CHANNEL_MAX:
-                raise FormulaSyntaxError("channel index outside the representable range", pos)
-            append(("INT", value, pos))
-        elif lexeme == "-":
-            raise FormulaSyntaxError("unexpected '-'", pos)
-        else:
-            raise FormulaSyntaxError(f"unexpected character {lexeme!r}", pos)
-    append(("", None, len(text)))
-    return lexemes
+
+def _channel(text: str, lexemes: list[str], i: int) -> int:
+    """Lexeme i as a channel index: an ASCII integer in the 64-bit range."""
+    s = lexemes[i]
+    c = s[:1]
+    if not ("0" <= c <= "9" or c == "-" and "0" <= s[1:2] <= "9"):
+        raise _syntax_error(text, i, "expected a channel index")
+    channel = int(s)
+    if not CHANNEL_MIN <= channel <= CHANNEL_MAX:
+        raise _syntax_error(text, i, "channel index outside the representable range")
+    return channel
 
 
 _BINARY = {"&": conj, "|": disj, "->": Implies}
@@ -372,76 +375,73 @@ _APPLIED_BEFORE = {"&": ("&",), "|": ("&", "|"), "->": ("&", "|")}
 
 def parse(text: str) -> Formula:
     """Parse concrete syntax into the four-constructor core AST."""
-    lexemes = _lex(text)
-    ops = []  # "(", binary operators, and prefixes as (kind, channel)
+    lexemes = _LEXEMES.findall(text)
+    lexemes.append("")  # the end marker
+    ops = []  # "(", binary operators, and prefixes as (lexeme, channel)
     operands = []  # the left operand of each binary operator on ops
     depth = 0  # open parentheses
     i = 0
     while True:
         # An operand: prefixes and "(" wait on the stack, a primary ends it.
-        kind, value, pos = lexemes[i]
+        s = lexemes[i]
+        c = s[:1]
         i += 1
-        if kind == "ID":
-            if value == "false":
-                f = Bottom()
-            elif value == "true":
-                f = truth()
-            else:
-                if lexemes[i][0] != "@":
-                    raise FormulaSyntaxError("expected '@' after an atom name", lexemes[i][2])
-                channel_kind, channel, pos = lexemes[i + 1]
-                if channel_kind != "INT":
-                    raise FormulaSyntaxError("expected a channel index", pos)
-                f = Atom(channel, value)
-                i += 2
-        elif kind == "!":
-            ops.append(("!", None))
-            continue
-        elif kind == "[" or kind == "<":
-            channel_kind, channel, pos = lexemes[i]
-            if channel_kind != "INT":
-                raise FormulaSyntaxError("expected a channel index", pos)
-            close = "]" if kind == "[" else ">"
-            if lexemes[i + 1][0] != close:
-                raise FormulaSyntaxError(f"expected {close!r}", lexemes[i + 1][2])
-            ops.append((kind, channel))
+        if s == "[" or s == "<":
+            channel = _channel(text, lexemes, i)
+            close = "]" if s == "[" else ">"
+            if lexemes[i + 1] != close:
+                raise _syntax_error(text, i + 1, f"expected {close!r}")
+            ops.append((s, channel))
             i += 2
             continue
-        elif kind == "(":
+        elif "a" <= c <= "z" or "A" <= c <= "Z" or c == "_":
+            if s == "false":
+                f = Bottom()
+            elif s == "true":
+                f = truth()
+            else:
+                if lexemes[i] != "@":
+                    raise _syntax_error(text, i, "expected '@' after an atom name")
+                f = Atom(_channel(text, lexemes, i + 1), s)
+                i += 2
+        elif s == "!":
+            ops.append(("!", None))
+            continue
+        elif s == "(":
             ops.append("(")
             depth += 1
             continue
         else:
-            raise FormulaSyntaxError("expected a formula", pos)
+            raise _syntax_error(text, i - 1, "expected a formula")
         # A complete operand f: apply its prefixes, then close groups until
         # a binary operator or the end.
         while True:
             while ops and type(ops[-1]) is tuple:
-                kind, channel = ops.pop()
-                if kind == "!":
+                s, channel = ops.pop()
+                if s == "!":
                     f = neg(f)
-                elif kind == "[":
+                elif s == "[":
                     f = Box(channel, f)
                 else:
                     f = diamond(channel, f)
-            kind, value, pos = lexemes[i]
+            s = lexemes[i]
             i += 1
-            applied_before = _APPLIED_BEFORE.get(kind)
+            applied_before = _APPLIED_BEFORE.get(s)
             if applied_before is not None:
                 while ops and ops[-1] in applied_before:
                     f = _BINARY[ops.pop()](operands.pop(), f)
                 operands.append(f)
-                ops.append(kind)
+                ops.append(s)
                 break
-            if kind == ")" and depth:
+            if s == ")" and depth:
                 while (op := ops.pop()) != "(":
                     f = _BINARY[op](operands.pop(), f)
                 depth -= 1
                 continue
             if depth:
-                raise FormulaSyntaxError("expected ')'", pos)
-            if kind:
-                raise FormulaSyntaxError("unexpected trailing input", pos)
+                raise _syntax_error(text, i - 1, "expected ')'")
+            if s:
+                raise _syntax_error(text, i - 1, "unexpected trailing input")
             while ops:
                 f = _BINARY[ops.pop()](operands.pop(), f)
             return f

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .formula import (
     Box,
     Formula,
+    FormulaSyntaxError,
     Implies,
     Scope,
     VariableLimitError,
@@ -272,7 +273,12 @@ def _formula(obj: dict, key: str, where: str) -> Formula:
     text = obj[key]
     if not isinstance(text, str):
         raise ProofFormatError(f'{where}: "{key}" must be a formula string, got {text!r}')
-    return parse(text)
+    try:
+        return parse(text)
+    except FormulaSyntaxError as exc:
+        # Name the place; the type and the offset into text stay.
+        exc.args = (f'{where}: "{key}": {exc}',)
+        raise
 
 
 def _rule_from_dict(obj: dict, line_id: int) -> Rule:

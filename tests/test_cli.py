@@ -259,6 +259,25 @@ def test_prove_non_string_formula_exits_2(capsys, tmp_path):
     assert err.startswith("error: ") and '"formula"' in err
 
 
+@pytest.mark.parametrize(
+    "edit,where",
+    [
+        (lambda doc: doc["lines"][1].update(formula="p@"), 'line 2: "formula"'),
+        (lambda doc: doc.update(goal="p@"), 'proof script: "goal"'),
+        (lambda doc: doc["lines"][0]["rule"].update(phi="p@"), 'line 1: "phi"'),
+    ],
+    ids=["line", "goal", "phi"],
+)
+def test_prove_formula_syntax_error_names_its_place(capsys, tmp_path, edit, where):
+    doc = script_to_dict(corpus()["prop4"])
+    assert doc["lines"][0]["rule"]["type"] == "axiom"
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, ["prove", "--script", str(path)])
+    assert (code, out, err) == (2, "", f"error: {where}: expected a channel index (at offset 2)\n")
+
+
 def test_protocol_format_error_exits_2(capsys, tmp_path):
     doc = protocol_to_dict(gateway_countermodel())
     doc["surprise"] = True

@@ -14,6 +14,7 @@ from chainlogic import (
     channel_support,
     cnf_to_formula,
     conj,
+    corpus,
     diamond,
     disj,
     iff,
@@ -25,6 +26,7 @@ from chainlogic import (
     render,
     scope,
     scoped_cnf,
+    script_to_dict,
     shift_channels,
     skeleton,
     truth,
@@ -65,6 +67,8 @@ def test_parse_precedence():
 
 def test_parse_whitespace_insensitive():
     assert parse(" [ 2 ] p @ 2 ") == parse("[2]p@2")
+    text = "\tp@0\n-> [1]\u00a0q@\t-2 &\n\n!\u00a0r@1"
+    assert parse(text) == reference_parse(text) == parse("p@0 -> [1]q@-2 & !r@1")
 
 
 @pytest.mark.parametrize(
@@ -91,6 +95,37 @@ def test_parse_errors_carry_offsets(text, offset):
     with pytest.raises(FormulaSyntaxError) as exc:
         parse(text)
     assert exc.value.position == offset
+
+
+@pytest.mark.parametrize(
+    "text,message,offset",
+    [
+        # A lexical error after the syntax error is reported instead.
+        ("p@0 ) $", "unexpected character '$'", 6),
+        ("[x] p@99999999999999999999", "channel index outside the representable range", 6),
+        ("p@0 -> $", "unexpected character '$'", 7),
+        ("(p@0 -", "unexpected '-'", 5),
+        # Tabs, newlines and no-break spaces separate lexemes and count in
+        # offsets.
+        ("\tp@0 $", "unexpected character '$'", 5),
+        ("p@0\n)", "unexpected trailing input", 4),
+        ("\u00a0\u00a0p@", "expected a channel index", 4),
+        ("p@0 ->\t\n", "expected a formula", 8),
+        ("\u00a0p@0 \u00a0q@1", "unexpected trailing input", 6),
+        ("[1]\tp@0\n& \u00a0(", "expected a formula", 12),
+        # Letters and digits outside ASCII are no part of the grammar.
+        ("é@0", "unexpected character 'é'", 0),
+        ("p@²", "unexpected character '²'", 2),
+        ("p@٣", "unexpected character '٣'", 2),
+        ("[٣]p@0", "unexpected character '٣'", 1),
+        ("ª@0", "unexpected character 'ª'", 0),
+    ],
+)
+def test_parse_error_messages_match_reference_parser(text, message, offset):
+    for parser in (reference_parse, parse):
+        with pytest.raises(FormulaSyntaxError) as exc:
+            parser(text)
+        assert (str(exc.value), exc.value.position) == (f"{message} (at offset {offset})", offset)
 
 
 def test_parse_rejects_out_of_range_channels():
@@ -191,6 +226,70 @@ def test_parse_deep_nesting_without_recursion(prefix, suffix, wrap):
     for _ in range(_DEEP):
         expected = wrap(expected)
     assert parse(prefix * _DEEP + "p@0" + suffix * _DEEP) == expected
+
+
+def _corpus_texts():
+    """Every formula text of the corpus scripts: lines, goals, and axiom
+    parameters."""
+    texts = []
+    for script in corpus().values():
+        doc = script_to_dict(script)
+        texts.append(doc["goal"])
+        for line in doc["lines"]:
+            texts.append(line["formula"])
+            texts += [line["rule"][key] for key in ("phi", "psi") if key in line["rule"]]
+    return texts
+
+
+def _syllogism_texts(rng, m):
+    """The formula texts of a derivation of [c]A1 -> [c]Am from the chained
+    syllogism (A1->A2) -> ((A2->A3) -> ... -> (A1->Am)): Am is an atom and
+    each Ai = [ci]A(i+1), so the text nests boxes m-1 deep inside m
+    implications. Every tail of the syllogism is a line of the derivation."""
+    a = [Atom(rng.randrange(4), rng.choice("pqrs"))]
+    for _ in range(m - 1):
+        a.insert(0, Box(rng.randrange(4), a[0]))
+    links = [Implies(a[i], a[i + 1]) for i in range(m - 1)]
+    chain = Implies(a[0], a[-1])
+    c = rng.randrange(4)
+    formulas = [*a, *links, chain, Box(c, chain), Implies(Box(c, a[0]), Box(c, a[-1]))]
+    tail = chain
+    for link in reversed(links):
+        tail = Implies(link, tail)
+        formulas.append(tail)
+    return [render(f) for f in formulas]
+
+
+def test_parse_matches_reference_parser_on_long_texts():
+    rng = random.Random(11)
+    texts = _corpus_texts()
+    for m in range(12, 21):
+        texts += _syllogism_texts(rng, m)
+    assert max(map(len, texts)) > 1000
+    for text in texts:
+        f = parse(text)
+        assert f == reference_parse(text), text
+        assert render(f) == text
+
+
+def test_valid_texts_compute_no_offsets(monkeypatch):
+    from chainlogic import formula
+
+    original = formula._syntax_error
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(formula, "_syntax_error", counted)
+    for text in _corpus_texts():
+        parse(text)
+    parse("!" * _DEEP + "p@0")
+    assert calls == []
+    with pytest.raises(FormulaSyntaxError):
+        parse("[1]p@0 ) (q@1 -> $")
+    assert len(calls) == 1
 
 
 def test_render_examples():
