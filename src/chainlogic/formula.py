@@ -346,7 +346,7 @@ def _syntax_error(text: str, i: int, message: str) -> FormulaSyntaxError:
         s = m[0]
         c = s[0]
         if "0" <= c <= "9" or c == "-" and "0" <= s[1:2] <= "9":
-            if not CHANNEL_MIN <= int(s) <= CHANNEL_MAX:
+            if _channel_value(s) is None:
                 message = "channel index outside the representable range"
                 return FormulaSyntaxError(message, m.start())
         elif not ("a" <= c <= "z" or "A" <= c <= "Z" or c == "_" or s == "->" or s in "[]<>()!&|@"):
@@ -355,14 +355,27 @@ def _syntax_error(text: str, i: int, message: str) -> FormulaSyntaxError:
     return FormulaSyntaxError(message, matches[i].start() if i < len(matches) else len(text))
 
 
+def _channel_value(s: str):
+    """The integer lexeme s, or None outside the signed 64-bit range. Past
+    19 digits, leading zeros aside, s is outside it, and ``int`` is not
+    asked: it refuses a text of more than 4,300 digits."""
+    digits = s.lstrip("-0")
+    if len(digits) > 19:
+        return None
+    n = int(digits or "0")
+    if s[0] == "-":
+        n = -n
+    return n if CHANNEL_MIN <= n <= CHANNEL_MAX else None
+
+
 def _channel(text: str, lexemes: list[str], i: int) -> int:
     """Lexeme i as a channel index: an ASCII integer in the 64-bit range."""
     s = lexemes[i]
     c = s[:1]
     if not ("0" <= c <= "9" or c == "-" and "0" <= s[1:2] <= "9"):
         raise _syntax_error(text, i, "expected a channel index")
-    channel = int(s)
-    if not CHANNEL_MIN <= channel <= CHANNEL_MAX:
+    channel = _channel_value(s)
+    if channel is None:
         raise _syntax_error(text, i, "channel index outside the representable range")
     return channel
 

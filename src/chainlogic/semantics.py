@@ -29,7 +29,7 @@ it is a derivative of the formula (Brzozowski, J. ACM 1964). So each
 compiled formula keeps a transition table from (state, channel, column) to
 the next state, filled as walks take transitions, on any protocol, and a
 residual is simplified once per transition of the plan, not once per value
-a walk meets. Each column is cached per walk, by (channel, value). States
+a walk meets. Each column is cached per call, by (channel, value). States
 are keyed by identity: every state a walk holds is the plan's start, True,
 False or a value of the table, so no residual is ever hashed structurally.
 
@@ -39,18 +39,18 @@ atoms' truth sets ends the walk at j, and j is filtered. On the telephone
 the walk then lists no candidates there. The telephone computes them, s^w
 words a channel and 1 + w·(s-1) neighbours a word, to keep the one or two
 in T, so the walk visits instead the members t of T, sorted, for which
-``holds(x, t)``, x the value it came from, or at the first channel of an
-unpinned walk ``has_value``. Neighbour lists and value lists are sorted, so
-this gives the candidates in T in their order, and a skipped value is
-exactly one the walk would have dropped: the witness, the dead set and
-every verdict stay the same. The all-false transition is read from the
-transition table, like any other, so nothing else is stored for the
-decision; T comes from the protocol (``atom_values``) at each use, because
-one plan serves every protocol a formula is checked on. On the telephone,
-``[0]!eq_w@2`` then steps only at w, not at 10,201 word pairs, and lists
-no neighbours at channel 2. An explicit protocol's candidates are stored
-lists: the walk visits them as they stand, and a value outside T costs
-one cached column and one table lookup.
+``holds(x, t)``, x the value it came from; a walk that starts at j starts
+from the words of T (``has_value``). Neighbour lists and value lists are
+sorted, so this gives the candidates in T in their order, and a skipped
+value is exactly one the walk would have dropped: the witness, the dead
+set and every verdict stay the same. The all-false transition is read
+from the transition table, like any other, so nothing else is stored for
+the decision; T comes from the protocol (``atom_values``) at each use,
+because one plan serves every protocol a formula is checked on. On the
+telephone, ``[0]!eq_w@2`` then steps only at w, not at 10,201 word pairs,
+and lists no neighbours at channel 2. An explicit protocol's candidates
+are stored lists: the walk visits them as they stand, and a value outside
+T costs one cached column and one table lookup.
 
 ``evaluate`` and the walk share one evaluator, the residual simplifier
 ``_partial``: the walk hands it a column of decided literals, and
@@ -59,25 +59,24 @@ reached (an atom from its truth set, a box through ``_column``), so the
 rhs of an implication with a false lhs is never decided.
 ``_partial`` and every formula walker keep an explicit stack, so nesting
 depth costs no recursion; only modal depth does: a nested box costs one
-walk and two frames (``_first_falsifying`` or ``_probe`` → ``_column``), so
-about 490 nested boxes fit under Python's default recursion limit of 1,000.
+walk and two frames (``_first_falsifying`` → ``_column``), so about 490
+nested boxes fit under Python's default recursion limit of 1,000.
 
 Pinned at v on channel k, the walk goes from k down to lo through
 predecessors and then from k+1 up to hi, which keeps it to runs through v
-without computing reachable sets first. Unpinned, it goes lo→hi in
-successor order, so the first run it completes is the first falsifying run
-in ``protocol.runs`` order: the same canonical-first witness an enumeration
-returns. But then it lists every value of a first channel with no literal,
-and pushes from each, though only a few values further down may falsify
-anything. So validity, on the telephone, is decided from the filtered
-channel j with the fewest words in T instead (``_probe``): every falsifying
-run passes through a word of T at j, so the formula is valid exactly when
-no walk pinned at (j, t) finds one, for each such word t. That costs one
-pinned walk per word of T, and settles ``valid`` and every out-of-window
-box. Where the first channel is filtered already, the unpinned walk starts
-from T and no probe is made. A refuted formula still gets its witness from
-the ordered walk, so the witness cannot move: the probe only says whether
-there is one.
+without computing reachable sets first. Unpinned, it walks the same way
+from each of a set of start values at one channel. Started at lo, it goes
+lo→hi in successor order, so the first run it completes is the first
+falsifying run in ``protocol.runs`` order: the same canonical-first
+witness an enumeration returns. But a first channel with no literal lists
+every value, and the walk pushes each, though only a few values further
+up may falsify anything. So on the telephone, unless lo is filtered, an
+unpinned walk starts from the filtered channel j with the fewest words in
+T (the highest on ties): every falsifying run passes through a word of T
+at j, so one exists exactly when a walk from one of them finds it. That
+settles ``valid`` and every out-of-window box. A refuted formula gets its
+witness from a second walk, from lo, so the witness cannot move: the walk
+from j only says whether there is one.
 
 Atom declarations, ``strict_window`` and the run are checked once per
 call, before evaluation, so a branch that evaluation short-circuits does
@@ -234,11 +233,8 @@ def _column(ctx: EvalContext, lits, k: int, v) -> int:
             key = (k, v, lit.body)
             holds = ctx._memo.get(key)
             if holds is None:
-                body = _compile(lit.body)
-                holds = None if v is not None else _probe(ctx, body)
-                if holds is None:
-                    pin = None if v is None else (k, v)
-                    holds = _first_falsifying(ctx, body, pin) is None
+                pin = None if v is None else (k, v)
+                holds = _first_falsifying(ctx, _compile(lit.body), pin) is None
                 ctx._memo[key] = holds
         if holds:
             bits |= bit
@@ -285,51 +281,52 @@ def _filter_set(p: TelephoneProtocol, plan: _Plan, state, j: int):
     return truth
 
 
-def _words_in(p: TelephoneProtocol, j: int, truth) -> list:
-    """The members of ``truth`` that are words of channel j, sorted."""
-    return sorted(t for t in truth if p.has_value(j, t))
-
-
 def _candidates(p: TelephoneProtocol, plan: _Plan, state, j: int, local, x):
     """The values of channel j, a telephone channel with literals, that the
-    walk visits from ``state``: the neighbours of x by ``local``, or with
-    ``local`` None every word of j, the first channel of an unpinned walk.
-    Where j is filtered (``_filter_set``), any value outside T would be
-    dropped, so the walk lists none: it visits the members t of T, sorted,
-    that are neighbours of x (``holds(x, t)``, which is exactly membership
-    among them, in either direction: the relation is symmetric) or words of
-    j. Neighbour lists and the words are sorted too, so the order is the
-    one filtering them would give."""
+    walk visits from ``state``: the neighbours of x by ``local``. Where j
+    is filtered (``_filter_set``), any value outside T would be dropped, so
+    the walk lists none: it visits the members t of T, sorted, that are
+    neighbours of x (``holds(x, t)``, which is exactly membership among
+    them, in either direction: the relation is symmetric). Neighbour lists
+    are sorted too, so the order is the one filtering them would give."""
     truth = _filter_set(p, plan, state, j)
     if truth is None:
-        return p.iter_values(j) if local is None else local.successors(x)
-    if local is None:
-        return _words_in(p, j, truth)
+        return local.successors(x)
     return sorted(t for t in truth if local.holds(x, t))
 
 
 # --- the walk -----------------------------------------------------------------
 
-def _first_falsifying(ctx: EvalContext, plan: _Plan, pin):
+def _first_falsifying(ctx: EvalContext, plan: _Plan, pin, ordered=False):
     """The values, in walk order, of a run on which the compiled formula is
-    false, or None if there is none; with ``pin`` = (k, v), only runs
-    through v at channel k count. Unpinned, walk order is chain order and
-    the run is the first such run in ``protocol.runs`` order.
+    false, or None if there is none. With ``pin`` = (k, v), only runs
+    through v at channel k count. Unpinned, any run counts, and with
+    ``ordered`` the run is the first such run in ``protocol.runs`` order,
+    its values in chain order.
 
-    Depth-first with an explicit stack, one channel per level: lo→hi in
-    successor order, or, when pinned, from k down to lo through
-    predecessors and then from k+1 up to hi. Either order reads every
-    channel once and the state (the residual formula) does not depend on
-    the order. The candidates of the next channel depend only on one
-    value, the previous one or, after the downward leg, v; a (channel, that
-    value, state) whose subtree held no falsifying run is never expanded
-    again. Each column is cached per walk; the state it leads to comes from
-    the plan's transition table (``_step``), and states are compared by
-    identity. On entering a telephone channel whose literals are all atoms
-    and whose all-false column the table takes to True, the walk lists no
-    candidates (``_candidates``): each one outside the atoms' truth sets
-    would lead to True and be dropped, so the truth sets' members are tested
-    for adjacency or membership instead.
+    The walk starts from a set of values at one channel k: v when pinned.
+    Unpinned on the telephone, every falsifying run passes through a word
+    of T at each filtered channel (``_filter_set``), so it starts from
+    those words, at the first channel lo if lo is filtered, else at the
+    filtered channel with the fewest of them, the highest on ties.
+    Otherwise it starts from every value of lo. Started at lo, walk order
+    is chain order, so the first run found is the first in
+    ``protocol.runs`` order; started higher, a run found only shows that
+    one exists, and the ordered question walks again from lo.
+
+    Depth-first with an explicit stack, one channel per level: from k down
+    to lo through predecessors and then from k+1 up to hi. Either order
+    reads every channel once and the state (the residual formula) does not
+    depend on the order. The candidates of the next channel depend only on
+    one value, the previous one or, after the downward leg, the start; a
+    (channel, that value, state) whose subtree held no falsifying run is
+    never expanded again. A downward subtree holds the upward leg, which
+    depends on the start, so above lo the dead set is emptied between
+    starts; from lo there is no downward leg, and the starts share it. Each
+    column is cached per call, whatever the start; the state it leads to
+    comes from the plan's transition table (``_step``), and states are
+    compared by identity. On entering a filtered telephone channel the walk
+    lists no candidates (``_candidates``).
     """
     p = ctx.protocol
     computed = isinstance(p, TelephoneProtocol)  # see ``_candidates``
@@ -341,24 +338,31 @@ def _first_falsifying(ctx: EvalContext, plan: _Plan, pin):
             state = _step(plan, state, j, _column(ctx, groups[j], j, None))
     if state is True:
         return None
-    if pin is None:
-        # k = lo - 1 sends every channel after the first up the chain.
-        k, v = lo - 1, None
-        order = range(lo, hi + 1)
-        if computed and lo in groups:
-            first = _candidates(p, plan, state, lo, None, None)
-        else:
-            first = p.iter_values(lo)
-    else:
-        k, v = pin
-        order, first = [*range(k, lo - 1, -1), *range(k + 1, hi + 1)], (v,)
+    k, starts = lo, None
+    if pin is not None:
+        k, starts = pin[0], (pin[1],)
+    elif computed:
+        for j in sorted(groups):
+            if lo <= j <= hi:
+                truth = _filter_set(p, plan, state, j)
+                if truth is not None:
+                    words = sorted(t for t in truth if p.has_value(j, t))
+                    if starts is None or len(words) <= len(starts):
+                        k, starts = j, words
+                    if j == lo:
+                        break
+    if starts is None:
+        starts = p.iter_values(lo)
+    order = [*range(k, lo - 1, -1), *range(k + 1, hi + 1)]
     last = len(order) - 1
 
     columns: dict = {}
     dead: set = set()
     path: list = []
     frames: list = []  # (candidate iterator, state before it, dead key)
-    it, before, i = iter(first), state, 0
+    # Level 0 holds one start v at a time; each is taken where the last one
+    # is exhausted, below.
+    rest, it, before, i = iter(starts), iter(()), state, 0
     while True:
         j = order[i]
         for u in it:
@@ -372,7 +376,14 @@ def _first_falsifying(ctx: EvalContext, plan: _Plan, pin):
                     continue
             if i == last:
                 path.append(u)
-                return path
+                if k == lo or not ordered:
+                    return path
+                # A run exists; the first one is found walking up from lo.
+                k, order = lo, range(lo, hi + 1)
+                dead, path, frames = set(), [], []
+                rest, it = iter(p.iter_values(lo)), iter(())
+                before, i = state, 0
+                break
             nxt = order[i + 1]
             anchor = v if nxt == k + 1 else u
             key = (j, anchor, id(s))
@@ -391,53 +402,19 @@ def _first_falsifying(ctx: EvalContext, plan: _Plan, pin):
             before, i = s, i + 1
             break
         else:
-            if not frames:
+            if frames:
+                it, before, key = frames.pop()
+                path.pop()
+                i -= 1
+                dead.add(key)
+                continue
+            for v in rest:
+                break
+            else:
                 return None
-            it, before, key = frames.pop()
-            path.pop()
-            i -= 1
-            dead.add(key)
-
-
-def _probe(ctx: EvalContext, plan: _Plan):
-    """Whether no run falsifies the plan, decided by pinned walks from its
-    most selective filtered telephone channel, or None where that does not
-    apply: on an explicit protocol, where the first channel is filtered (an
-    unpinned walk then starts from T already) or where no channel is.
-
-    A run falsifies the formula only through a value of T at a filtered
-    channel j, so walks pinned at each word of T at j cover every
-    falsifying run; j is the channel with the fewest such words. On ties
-    the highest channel is pinned: the pinned walk goes down first, and
-    meets the other filtered channels before a stretch with no literal."""
-    p = ctx.protocol
-    if not isinstance(p, TelephoneProtocol):
-        return None
-    lo, hi = p.window
-    groups = plan.groups
-    # The out-of-window channels are folded as ``_first_falsifying`` folds
-    # them, written out so that a nested out-of-window box costs two frames
-    # (this and ``_column``), as a nested walk does.
-    state = plan.start
-    for j in groups:
-        if state is not True and not lo <= j <= hi:
-            state = _step(plan, state, j, _column(ctx, groups[j], j, None))
-    if state is True:
-        return True
-    if lo in groups and _filter_set(p, plan, state, lo) is not None:
-        return None
-    best = None
-    for j in groups:
-        if lo < j <= hi:
-            truth = _filter_set(p, plan, state, j)
-            if truth is not None:
-                words = _words_in(p, j, truth)
-                if best is None or (len(words), -j) < (len(best[1]), -best[0]):
-                    best = j, words
-    if best is None:
-        return None
-    j, words = best
-    return all(_first_falsifying(ctx, plan, (j, t)) is None for t in words)
+            if k > lo:  # the keys down from the last start depend on it
+                dead.clear()
+            it = iter((v,))
 
 
 # --- public entry points --------------------------------------------------------
@@ -465,36 +442,27 @@ def evaluate(ctx: EvalContext, run, f: Formula) -> bool:
 
 def valid_in(ctx: EvalContext, f: Formula) -> bool:
     """True when f holds at every run of the protocol: ``counterexample``
-    finds none. On the telephone a valid formula is settled by pinned walks
-    from its most selective filtered channel, not by an ordered walk."""
+    finds none. On the telephone a valid formula is settled by a walk from
+    its most selective filtered channel, and no ordered walk is made."""
     return counterexample(ctx, f) is None
 
 
 def counterexample(ctx: EvalContext, f: Formula):
     """The first run in enumeration order falsifying f, or None if valid.
 
-    Validity is decided first, on the body under f's leading boxes (see
-    below), by ``_probe`` where it applies: a run falsifies the body only
-    through a word of T at a filtered channel, so pinned walks at those
-    words find a falsifying run if there is one. Only a refuted formula is
-    walked in order, and the ordered walk alone picks the witness, so it is
-    the first falsifying run whichever channel the probe pinned."""
+    [k]φ is valid iff φ is, for any k in or out of the window: a run
+    falsifying φ falsifies [k]φ at every run sharing its value at k. So
+    under leading boxes, the body is asked first whether any run falsifies
+    it, where the walk may start from a filtered channel; only if one does
+    is f walked for its first falsifying run."""
     plan = _compile(f)
     if plan.leaves is None:
         plan.leaves = _leaves(f)
     _check_leaves(ctx, plan.leaves)
-    # [k]φ is valid iff φ is, for any k in or out of the window: a run
-    # falsifying φ falsifies [k]φ at every run sharing its value at k. So
-    # validity is settled on φ; only a refuted formula needs the ordered
-    # walk of f itself, which finds the first falsifying run of f.
     body = f
     while type(body) is Box:
         body = body.body
-    checked = plan if body is f else _compile(body)
-    valid = _probe(ctx, checked)
-    if valid is None and body is not f:  # else the walk below decides
-        valid = _first_falsifying(ctx, checked, None) is None
-    if valid:
+    if body is not f and _first_falsifying(ctx, _compile(body), None) is None:
         return None
-    path = _first_falsifying(ctx, plan, None)
+    path = _first_falsifying(ctx, plan, None, True)
     return None if path is None else tuple(path)

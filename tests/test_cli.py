@@ -69,6 +69,15 @@ def test_scope_parse_error_exits_2(capsys):
     assert "offset 1" in err
 
 
+def test_huge_channel_index_exits_2_with_its_offset(capsys):
+    code, out, err = run(capsys, ["scope", "p@" + "9" * 5000])
+    assert (code, out, err) == (
+        2, "", "error: channel index outside the representable range (at offset 2)\n"
+    )
+    code, out, err = run(capsys, ["scope", "p@" + "0" * 5000 + "1"])
+    assert (code, out, err) == (0, "{1}\n", "")
+
+
 def test_deeply_nested_formula_exits_2(capsys):
     # Despite the name, depth is no error: no formula walker recurses.
     code, out, err = run(capsys, ["scope", "!" * 5000 + "p@0"])

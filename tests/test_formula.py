@@ -137,6 +137,23 @@ def test_parse_rejects_out_of_range_channels():
     assert parse(f"[{-2**63}]p@0") == Box(-2**63, Atom(0, "p"))
 
 
+def test_huge_channel_indices_are_out_of_range():
+    # Past 4,300 digits ``int`` refuses the text itself, so the range is
+    # decided on the digits first; leading zeros do not count.
+    nines = "9" * 5000
+    for text, offset in ((f"p@{nines}", 2), (f"[-{nines}]p@0", 1), (f"[x] p@{nines}", 6)):
+        with pytest.raises(FormulaSyntaxError) as exc:
+            parse(text)
+        assert (str(exc.value), exc.value.position) == (
+            f"channel index outside the representable range (at offset {offset})", offset
+        )
+    assert parse("p@" + "0" * 5000 + "1") == Atom(1, "p")
+    assert parse("[-" + "0" * 5000 + "7]p@0") == Box(-7, Atom(0, "p"))
+    assert parse("p@" + "0" * 30 + "9223372036854775807") == Atom(2**63 - 1, "p")
+    with pytest.raises(FormulaSyntaxError):
+        parse("p@" + "0" * 30 + "9223372036854775808")
+
+
 _SUGAR_ATOMS = ("p", "q", "eq_a", "R2", "_x")
 _SPACES = ("", "", "", " ", "  ", "\t", "\n ")
 _JUNK = list("[]<>()!&|@-0123456789 $é\u00a0") + ["->", "p", "true", "false", "@-", "9" * 20]

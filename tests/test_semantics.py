@@ -538,19 +538,31 @@ class _DrawnTelephone(TelephoneProtocol):
 
 def _walk_candidates(p, plan, local, x):
     """The values the walk visits at channel 1 of the telephone p from the
-    start state of ``plan``, next to x (the first channel when ``local`` is
-    None), got as ``_first_falsifying`` gets them."""
+    start state of ``plan``, next to x, got as ``_first_falsifying`` gets
+    them."""
     return list(semantics._candidates(p, plan, plan.start, 1, local, x))
 
 
-def test_filtered_candidates_are_the_filtered_neighbours():
+def test_filtered_candidates_are_the_filtered_neighbours(monkeypatch):
     # Where the walk tests the truth set T for adjacency or membership (the
-    # telephone's neighbours and first-channel words), it visits the values
-    # that filtering the listed candidates by T would keep, in the same
-    # order, in both directions, for any T. p@1 is the control: its
+    # telephone's neighbours and the words it starts from), it visits the
+    # values that filtering the listed candidates by T would keep, in the
+    # same order, in both directions, for any T. p@1 is the control: its
     # all-false column is False, so channel 1 is never filtered for it.
+    # At the first channel, the walk of !p@0 starts from every word of T:
+    # p holds at no word, so each start is visited and dropped. The walk
+    # of p@0 is the control: it lists channel 0 and stops at its first run.
     rng = random.Random(61)
     filtered, open_ = parse("!p@1"), parse("p@1")
+    at_first = {filtered: parse("!p@0"), open_: parse("p@0")}
+    visited = []
+    real_column = semantics._column
+
+    def column(ctx, lits, k, v):
+        visited.append((k, v))
+        return real_column(ctx, lits, k, v)
+
+    monkeypatch.setattr(semantics, "_column", column)
     cases = []
     for word_len, alphabet in ((1, "abc"), (2, "abc"), (3, "ab"), (2, "bdz"), (3, "abc")):
         p = _DrawnTelephone(word_len, tuple(alphabet), 3)
@@ -585,8 +597,12 @@ def test_filtered_candidates_are_the_filtered_neighbours():
                 def expected(values):
                     return [c for c in values if keep is None or c in keep]
 
-                got = _walk_candidates(p, plan, None, None)
-                assert got == expected(p.iter_values(1)), (truth, f)
+                visited.clear()
+                first = semantics._compile(at_first[f])
+                semantics._first_falsifying(EvalContext(p), first, None)
+                got = [v for k, v in visited if k == 0]
+                words = expected(p.iter_values(0))
+                assert got == (words if f is filtered else words[:1]), (truth, f)
                 for x in p.iter_values(0):
                     got = _walk_candidates(p, plan, p.local(1), x)
                     assert got == expected(p.local(1).successors(x)), (x, truth, f)
@@ -697,26 +713,51 @@ def test_valid_probes_the_most_selective_channel(monkeypatch):
         assert set(calls) <= {"_step"}, n
 
 
-def test_probe_leaves_refuted_formulas_to_the_ordered_walk(monkeypatch):
-    # A first channel that is already filtered needs no probe: one unpinned
-    # walk finds the witness. Otherwise a refuted probe hands over to the
-    # ordered walk of the formula, which still returns the first run.
-    pins = []
+def test_one_walk_finds_the_witness_from_a_filtered_first_channel(monkeypatch):
+    # A first channel that is already filtered is where the walk starts:
+    # one walk finds the witness, and no channel's values are listed.
+    # Otherwise the body under the leading box is asked whether any run
+    # falsifies it, then the formula is walked in order for its first run.
+    calls = []
     real = semantics._first_falsifying
 
-    def counted(ctx, plan, pin):
-        pins.append(pin)
-        return real(ctx, plan, pin)
+    def counted(ctx, plan, pin, ordered=False):
+        calls.append((pin, ordered))
+        return real(ctx, plan, pin, ordered)
 
+    def listed(self, k):
+        calls.append(("iter_values", k))
+        return real_values(self, k)
+
+    real_values = TelephoneProtocol.iter_values
     monkeypatch.setattr(semantics, "_first_falsifying", counted)
+    monkeypatch.setattr(TelephoneProtocol, "iter_values", listed)
     latin = "abcdefghijklmnopqrstuvwxyz"
     ctx = EvalContext(telephone(3, latin, 4))
     assert counterexample(ctx, parse("!(eq_aaa@3 & eq_zzz@0)")) == ("zzz", "azz", "aaz", "aaa")
-    assert pins == [None]
-    pins.clear()
+    assert calls == [(None, True)]
+    calls.clear()
     assert counterexample(ctx, parse("[0]!(eq_aaa@3 & eq_aab@2)")) == ("aaa",) * 4
-    # The last pin decides the box at the witness's first word.
-    assert pins == [(3, "aaa"), None, (0, "aaa")]
+    # The any-run walk of the body starts at (3, aaa); the ordered walk of
+    # the formula lists channel 0, and the box at its first word is a walk
+    # pinned there.
+    assert calls == [(None, False), (None, True), ("iter_values", 0), ((0, "aaa"), False)]
+
+
+def test_the_first_channel_is_decided_once(monkeypatch):
+    # The walk decides whether channel 0 is filtered where it picks its
+    # start, and nowhere else.
+    decided = []
+    real = semantics._filter_set
+
+    def counted(p, plan, state, j):
+        decided.append(j)
+        return real(p, plan, state, j)
+
+    monkeypatch.setattr(semantics, "_filter_set", counted)
+    ctx = EvalContext(telephone(3, "abcdefghijklmnopqrstuvwxyz", 4))
+    assert counterexample(ctx, parse("!(eq_aaa@3 & eq_zzz@0)")) == ("zzz", "azz", "aaz", "aaa")
+    assert decided.count(0) == 1
 
 
 class _PaddedTelephone(TelephoneProtocol):
@@ -783,13 +824,49 @@ def _probe_formula(rng, n, words):
     return core
 
 
-def test_validity_probe_matches_oracle():
-    # The probe pins only words: the padded truth sets hold strings that
-    # are no value of the channel. The witness must be the first run, and
-    # where the probe applies on its own, its verdict must be the oracle's.
-    # The first three shapes are settled only once the out-of-window box
-    # is read: before that, no channel's false column takes them to True.
-    # The fourth has atoms-only channels that no false column settles.
+def _starts_above_lo(monkeypatch, ctx, plan):
+    """Whether some run falsifies ``plan``, asked of the walk directly, and
+    whether that walk starts above the first channel lo: it then neither
+    lists lo's values nor tests words there. Nested walks do not count."""
+    p = ctx.protocol
+    lo = p.window[0]
+    depth, at_lo = [0], []
+    real = semantics._first_falsifying
+
+    def walk(*args):
+        depth[0] += 1
+        try:
+            return real(*args)
+        finally:
+            depth[0] -= 1
+
+    def spy(name):
+        method = getattr(p, name)
+
+        def spied(k, *rest):
+            if depth[0] == 1 and k == lo:
+                at_lo.append(name)
+            return method(k, *rest)
+
+        monkeypatch.setattr(p, name, spied)
+
+    monkeypatch.setattr(semantics, "_first_falsifying", walk)
+    spy("iter_values")
+    spy("has_value")
+    refuted = walk(ctx, plan, None) is not None
+    monkeypatch.undo()
+    return refuted, not at_lo
+
+
+def test_validity_from_the_selective_channel_matches_oracle(monkeypatch):
+    # The walk starts only from words: the padded truth sets hold strings
+    # that are no value of the channel. The witness must be the first run,
+    # and the walk that asks whether any run falsifies the body must give
+    # the oracle's verdict wherever it starts. The first three shapes are
+    # settled only once the out-of-window box is read: before that, no
+    # channel's false column takes them to True, but then a channel above
+    # the first is filtered. The fourth has atoms-only channels that no
+    # false column settles, so its walk starts from the first channel.
     rng = random.Random(67)
     families = []
     for word_len, alphabet, ns, count in ((2, "abc", (3, 4, 5), 18), (3, "ab", (4,), 24)):
@@ -821,15 +898,99 @@ def test_validity_probe_matches_oracle():
             body = f
             while type(body) is Box:
                 body = body.body
-            verdict = semantics._probe(ctx, semantics._compile(body))
-            assert verdict in (None, expected is None), f
+            found, above = _starts_above_lo(monkeypatch, ctx, semantics._compile(body))
+            assert found == (expected is not None), f
             if i < hand:
-                assert (verdict is None) == (i == hand - 1), f
+                assert above == (i < hand - 1), f
             refuted += expected is not None
-            decided += verdict is not None
+            decided += above
             pairs += 1
     assert pairs // 5 < refuted < pairs - pairs // 5, refuted
     assert decided > pairs // 3, decided
+
+
+class _TableTelephone(TelephoneProtocol):
+    """A telephone whose atoms are the names in ``truth``, each true at the
+    words of its set, so one atom may hold at several words."""
+
+    truth: dict = {}
+
+    def atom_declared(self, k, name):
+        return name in self.truth
+
+    def atom_holds(self, k, name, value):
+        return value in self.truth[name]
+
+    def atom_values(self, k, name):
+        return self.truth[name]
+
+
+def _multi_start_instance(rng, word_len, alphabet, n):
+    """A protocol and a formula whose walk starts from the 2-3 words of
+    atom s at a channel k at least two above the first. Below k there is
+    no literal or a filtered channel with at least as many words; above
+    it, a box or a negated atom (so no filtered channel) is true only at
+    the one word of x. So every start leads to the same state, and the
+    walks down from two starts meet the same (channel, value, state)."""
+    p = _TableTelephone(word_len, alphabet, n)
+    words = list(p.iter_values(0))
+    starts = sorted(rng.sample(words, rng.choice((2, 3))))
+
+    def near(w, u):
+        return sum(a != b for a, b in zip(w, u)) <= 1
+
+    # A word next to no start makes the formula valid; one next to a later
+    # start but not the first is where a dead set shared by the starts
+    # would hide the run.
+    pool = rng.choice((
+        words,
+        [w for w in words if not near(w, starts[0])],
+        [w for w in words if not any(near(w, u) for u in starts)],
+    )) or words
+    x = rng.choice(pool)
+    below = rng.sample(words, rng.randint(len(starts), len(words)))
+    p.truth = {"s": frozenset(starts), "x": frozenset((x,)),
+               "y": frozenset(words) - {x}, "b": frozenset(below)}
+    k = rng.randint(2, n - 2)
+    above = Box(k + 1, Atom(k + 1, "x")) if rng.random() < 0.6 else neg(Atom(k + 1, "y"))
+    parts = [Atom(k, "s"), above]
+    if rng.random() < 0.4:
+        parts.append(Atom(rng.randint(0, k - 1), "b"))
+    rng.shuffle(parts)
+    core = neg(conj(parts[0], conj(parts[1], parts[2]) if len(parts) == 3 else parts[1]))
+    roll = rng.random()
+    if roll < 0.25:
+        core = Box(rng.choice((-1, n)), core)
+    elif roll < 0.5:
+        core = Box(rng.randint(0, n - 1), core)
+    elif roll < 0.6:
+        core = Implies(Atom(rng.randint(0, n - 1), "b"), Box(n + 1, core))
+    return p, core
+
+
+def test_walks_from_several_starts_match_oracle():
+    # The walk from the words of T at k goes down to lo before it goes up,
+    # so a dead (channel, value, state) on the way down held no falsifying
+    # run only for the start it came from: each start needs its own dead
+    # set. Two-letter words over "ab" share most neighbours, so the walks
+    # down from two starts meet often; the longer words and the larger
+    # alphabet leave room for valid formulas.
+    rng = random.Random(83)
+    checked = refuted = 0
+    for word_len, alphabet, n, count in ((2, "ab", 6, 30), (3, "ab", 5, 40), (2, "abc", 5, 30)):
+        sample = rng.sample(list(runs(telephone(word_len, alphabet, n))), 10)
+        for _ in range(count):
+            p, f = _multi_start_instance(rng, word_len, alphabet, n)
+            ctx = EvalContext(p)
+            memo = {}
+            expected = enum_counterexample(p, f, memo)
+            assert counterexample(ctx, f) == expected, f
+            assert valid_in(ctx, f) == (expected is None), f
+            for r in sample:
+                assert evaluate(ctx, r, f) == enum_evaluate(p, r, f, memo), (r, f)
+            refuted += expected is not None
+            checked += 1
+    assert checked // 5 < refuted < checked - checked // 5, refuted
 
 
 def test_nested_out_of_window_boxes_fit_the_recursion_limit():
