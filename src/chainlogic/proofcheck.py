@@ -23,7 +23,6 @@ from .formula import (
     Scope,
     VariableLimitError,
     conj,
-    diamond,
     disj,
     is_tautology,
     parse,
@@ -389,191 +388,117 @@ def load_script(path) -> ProofScript:
 
 # --- bundled corpus --------------------------------------------------------
 
-def _hypothetical_syllogism(a: Formula, b: Formula, c: Formula) -> Formula:
-    # (a -> b) -> ((b -> c) -> (a -> c))
-    return Implies(Implies(a, b), Implies(Implies(b, c), Implies(a, c)))
+class _Derivation:
+    """The lines of a proof script, numbered from 1, each holding the formula
+    its rule fixes: an axiom line the instance ``instantiate_axiom`` gives,
+    ``nec(k, i)`` line i boxed at channel k, ``mp(i, j)`` the consequent of
+    line j. Only tautology lines state a formula. Every method returns the
+    number of the last line it added, and ``d[i]`` is line i's formula.
+    Nothing is checked here: ``check_script`` judges the script."""
+
+    def __init__(self):
+        self.lines: list[ProofLine] = []
+
+    def __getitem__(self, i: int) -> Formula:
+        return self.lines[i - 1].formula
+
+    def _add(self, formula: Formula, rule: Rule) -> int:
+        self.lines.append(ProofLine(len(self.lines) + 1, formula, rule))
+        return len(self.lines)
+
+    def taut(self, formula: Formula) -> int:
+        return self._add(formula, TautologyRule())
+
+    def axiom(self, schema: str, **params) -> int:
+        formula, _ = instantiate_axiom(schema, params)
+        return self._add(formula, AxiomRule(schema, **params))
+
+    def nec(self, k: int, i: int) -> int:
+        return self._add(Box(k, self[i]), NecessitationRule(k, i))
+
+    def mp(self, i: int, j: int) -> int:
+        return self._add(self[j].rhs, ModusPonensRule(i, j))
+
+    def boxed(self, k: int, i: int) -> int:
+        """From line i, a -> b, derive [k]a -> [k]b: necessitation,
+        distributivity, modus ponens."""
+        a, b = self[i].lhs, self[i].rhs
+        return self.mp(self.nec(k, i), self.axiom("distributivity", k=k, phi=a, psi=b))
+
+    def conclude(self, conclusion: Formula, *ids: int) -> int:
+        """Derive ``conclusion`` from the lines ``ids`` by the tautology
+        (line ids[0] -> (... -> conclusion)) and one modus ponens a line."""
+        taut = conclusion
+        for i in reversed(ids):
+            taut = Implies(self[i], taut)
+        line = self.taut(taut)
+        for i in ids:
+            line = self.mp(i, line)
+        return line
+
+    def script(self, goal: str) -> ProofScript:
+        return ProofScript(tuple(self.lines), parse(goal))
 
 
 def corpus() -> dict[str, ProofScript]:
     """Named machine-checkable scripts for the stock derived laws, each
-    grounded at fixed channels and concrete atoms."""
+    grounded at fixed channels and concrete atoms. A script states its
+    steps and tautologies; every other line takes the formula its rule
+    fixes (``_Derivation``). Each goal is stated once, as text parsed apart
+    from the lines, so ``check_script`` tests that the last line reaches
+    it."""
     out: dict[str, ProofScript] = {}
 
-    # prop1: [0]p@0 -> [0][0]p@0 (knowledge is transitive).
-    box_p = parse("[0]p@0")
-    goal = Implies(box_p, Box(0, box_p))
-    out["prop1"] = ProofScript(
-        lines=(ProofLine(1, goal, AxiomRule("self_awareness", k=0, phi=box_p)),),
-        goal=goal,
-    )
+    # prop1: knowledge is transitive.
+    d = _Derivation()
+    d.axiom("self_awareness", k=0, phi=parse("[0]p@0"))
+    out["prop1"] = d.script("[0]p@0 -> [0][0]p@0")
 
-    # prop2: <0>p@0 -> [0]<0>p@0 (possibility is known).
-    dia_p = diamond(0, parse("p@0"))
-    goal = Implies(dia_p, Box(0, dia_p))
-    out["prop2"] = ProofScript(
-        lines=(ProofLine(1, goal, AxiomRule("self_awareness", k=0, phi=dia_p)),),
-        goal=goal,
-    )
+    # prop2: possibility is known.
+    d = _Derivation()
+    d.axiom("self_awareness", k=0, phi=parse("<0>p@0"))
+    out["prop2"] = d.script("<0>p@0 -> [0]<0>p@0")
 
-    # prop3: [0]<2>p@2 -> [1]<2>p@2 (knowledge about a far channel survives
-    # moving one step toward it).
-    dia2 = diamond(2, parse("p@2"))
-    goal = Implies(Box(0, dia2), Box(1, dia2))
-    out["prop3"] = ProofScript(
-        lines=(ProofLine(1, goal, AxiomRule("gateway", k=0, n=1, phi=dia2)),),
-        goal=goal,
-    )
+    # prop3: knowledge about a far channel survives moving one step toward it.
+    d = _Derivation()
+    d.axiom("gateway", k=0, n=1, phi=parse("<2>p@2"))
+    out["prop3"] = d.script("[0]<2>p@2 -> [1]<2>p@2")
 
-    # prop4: [0][2]p@2 -> [0][1][2]p@2.
+    # prop4: the gateway step under [0], after self-awareness adds the [0].
+    d = _Derivation()
     bn = parse("[2]p@2")
-    a = Box(0, bn)            # [0][2]p@2
-    b = Box(1, bn)            # [1][2]p@2
-    l1 = Implies(a, b)
-    l4 = Implies(Box(0, a), Box(0, b))
-    l5 = Implies(a, Box(0, a))
-    goal = Implies(a, Box(0, b))
-    out["prop4"] = ProofScript(
-        lines=(
-            ProofLine(1, l1, AxiomRule("gateway", k=0, n=1, phi=bn)),
-            ProofLine(2, Box(0, l1), NecessitationRule(0, 1)),
-            ProofLine(
-                3,
-                Implies(Box(0, l1), l4),
-                AxiomRule("distributivity", k=0, phi=a, psi=b),
-            ),
-            ProofLine(4, l4, ModusPonensRule(2, 3)),
-            ProofLine(5, l5, AxiomRule("self_awareness", k=0, phi=a)),
-            ProofLine(
-                6,
-                _hypothetical_syllogism(a, Box(0, a), Box(0, b)),
-                TautologyRule(),
-            ),
-            ProofLine(7, Implies(l4, goal), ModusPonensRule(5, 6)),
-            ProofLine(8, goal, ModusPonensRule(4, 7)),
-        ),
-        goal=goal,
-    )
+    lift = d.boxed(0, d.axiom("gateway", k=0, n=1, phi=bn))
+    aware = d.axiom("self_awareness", k=0, phi=Box(0, bn))
+    d.conclude(Implies(d[aware].lhs, d[lift].rhs), aware, lift)
+    out["prop4"] = d.script("[0][2]p@2 -> [0][1][2]p@2")
 
-    # prop5: [1]([0]p@0 | [2]q@2) -> ([1]p@0 | [1]q@2).
-    phi = parse("p@0")
-    psi = parse("q@2")
-    bk, bn_ = Box(0, phi), Box(2, psi)
-    premise = Box(1, disj(bk, bn_))
-    split = disj(Box(1, bk), Box(1, bn_))
-    goal = Implies(premise, disj(Box(1, phi), Box(1, psi)))
-    refl_k = Implies(bk, phi)
-    refl_n = Implies(bn_, psi)
-    drop_k = Implies(Box(1, bk), Box(1, phi))
-    drop_n = Implies(Box(1, bn_), Box(1, psi))
-    # (premise -> split) -> (drop_k -> (drop_n -> goal)) is propositional.
-    glue = Implies(
-        Implies(premise, split), Implies(drop_k, Implies(drop_n, goal))
-    )
-    out["prop5"] = ProofScript(
-        lines=(
-            ProofLine(
-                1,
-                Implies(premise, split),
-                AxiomRule("disjunction", k=1, phi=bk, psi=bn_),
-            ),
-            ProofLine(2, refl_k, AxiomRule("reflexivity", k=0, phi=phi)),
-            ProofLine(3, Box(1, refl_k), NecessitationRule(1, 2)),
-            ProofLine(
-                4,
-                Implies(Box(1, refl_k), drop_k),
-                AxiomRule("distributivity", k=1, phi=bk, psi=phi),
-            ),
-            ProofLine(5, drop_k, ModusPonensRule(3, 4)),
-            ProofLine(6, refl_n, AxiomRule("reflexivity", k=2, phi=psi)),
-            ProofLine(7, Box(1, refl_n), NecessitationRule(1, 6)),
-            ProofLine(
-                8,
-                Implies(Box(1, refl_n), drop_n),
-                AxiomRule("distributivity", k=1, phi=bn_, psi=psi),
-            ),
-            ProofLine(9, drop_n, ModusPonensRule(7, 8)),
-            ProofLine(10, glue, TautologyRule()),
-            ProofLine(11, Implies(drop_k, Implies(drop_n, goal)), ModusPonensRule(1, 10)),
-            ProofLine(12, Implies(drop_n, goal), ModusPonensRule(5, 11)),
-            ProofLine(13, goal, ModusPonensRule(9, 12)),
-        ),
-        goal=goal,
-    )
+    # prop5: split the disjunction at 1, then drop each inner box under [1]
+    # by reflexivity.
+    d = _Derivation()
+    p, q = parse("p@0"), parse("q@2")
+    split = d.axiom("disjunction", k=1, phi=Box(0, p), psi=Box(2, q))
+    drop_p = d.boxed(1, d.axiom("reflexivity", k=0, phi=p))
+    drop_q = d.boxed(1, d.axiom("reflexivity", k=2, phi=q))
+    joined = disj(d[drop_p].rhs, d[drop_q].rhs)
+    d.conclude(Implies(d[split].lhs, joined), split, drop_p, drop_q)
+    out["prop5"] = d.script("[1]([0]p@0 | [2]q@2) -> ([1]p@0 | [1]q@2)")
 
-    # lemma8: [1](p@1 & q@1) -> ([1]p@1 & [1]q@1) (knowledge of a
-    # conjunction splits).
-    phi = parse("p@1")
-    psi = parse("q@1")
-    both = conj(phi, psi)
-    keep_l = Implies(both, phi)
-    keep_r = Implies(both, psi)
-    half_l = Implies(Box(1, both), Box(1, phi))
-    half_r = Implies(Box(1, both), Box(1, psi))
-    goal = Implies(Box(1, both), conj(Box(1, phi), Box(1, psi)))
-    pair_up = Implies(half_l, Implies(half_r, goal))
-    out["lemma8"] = ProofScript(
-        lines=(
-            ProofLine(1, keep_l, TautologyRule()),
-            ProofLine(2, Box(1, keep_l), NecessitationRule(1, 1)),
-            ProofLine(
-                3,
-                Implies(Box(1, keep_l), half_l),
-                AxiomRule("distributivity", k=1, phi=both, psi=phi),
-            ),
-            ProofLine(4, half_l, ModusPonensRule(2, 3)),
-            ProofLine(5, keep_r, TautologyRule()),
-            ProofLine(6, Box(1, keep_r), NecessitationRule(1, 5)),
-            ProofLine(
-                7,
-                Implies(Box(1, keep_r), half_r),
-                AxiomRule("distributivity", k=1, phi=both, psi=psi),
-            ),
-            ProofLine(8, half_r, ModusPonensRule(6, 7)),
-            ProofLine(9, pair_up, TautologyRule()),
-            ProofLine(10, Implies(half_r, goal), ModusPonensRule(4, 9)),
-            ProofLine(11, goal, ModusPonensRule(8, 10)),
-        ),
-        goal=goal,
-    )
+    # lemma8: knowledge of a conjunction splits.
+    d = _Derivation()
+    both = parse("p@1 & q@1")
+    left = d.boxed(1, d.taut(Implies(both, parse("p@1"))))
+    right = d.boxed(1, d.taut(Implies(both, parse("q@1"))))
+    joined = conj(d[left].rhs, d[right].rhs)
+    d.conclude(Implies(d[left].lhs, joined), left, right)
+    out["lemma8"] = d.script("[1](p@1 & q@1) -> ([1]p@1 & [1]q@1)")
 
     # lemma9_3way: a three-disjunct split at k=1 with the left group {0}
-    # and the right group {2, 3}:
-    # [1]((p@0 | q@2) | r@3) -> ([1]p@0 | [1](q@2 | r@3)).
-    f0 = parse("p@0")
-    f2 = parse("q@2")
-    f3 = parse("r@3")
-    flat = disj(disj(f0, f2), f3)
-    grouped = disj(f0, disj(f2, f3))
-    regroup = Implies(flat, grouped)
-    boxed_regroup = Implies(Box(1, flat), Box(1, grouped))
-    split = Implies(Box(1, grouped), disj(Box(1, f0), Box(1, disj(f2, f3))))
-    goal = Implies(Box(1, flat), disj(Box(1, f0), Box(1, disj(f2, f3))))
-    out["lemma9_3way"] = ProofScript(
-        lines=(
-            ProofLine(1, regroup, TautologyRule()),
-            ProofLine(2, Box(1, regroup), NecessitationRule(1, 1)),
-            ProofLine(
-                3,
-                Implies(Box(1, regroup), boxed_regroup),
-                AxiomRule("distributivity", k=1, phi=flat, psi=grouped),
-            ),
-            ProofLine(4, boxed_regroup, ModusPonensRule(2, 3)),
-            ProofLine(
-                5,
-                split,
-                AxiomRule("disjunction", k=1, phi=f0, psi=disj(f2, f3)),
-            ),
-            ProofLine(
-                6,
-                _hypothetical_syllogism(
-                    Box(1, flat), Box(1, grouped), disj(Box(1, f0), Box(1, disj(f2, f3)))
-                ),
-                TautologyRule(),
-            ),
-            ProofLine(7, Implies(split, goal), ModusPonensRule(4, 6)),
-            ProofLine(8, goal, ModusPonensRule(5, 7)),
-        ),
-        goal=goal,
-    )
+    # and the right group {2, 3}.
+    d = _Derivation()
+    p, qr = parse("p@0"), parse("q@2 | r@3")
+    regroup = d.boxed(1, d.taut(Implies(parse("(p@0 | q@2) | r@3"), disj(p, qr))))
+    split = d.axiom("disjunction", k=1, phi=p, psi=qr)
+    d.conclude(Implies(d[regroup].lhs, d[split].rhs), regroup, split)
+    out["lemma9_3way"] = d.script("[1]((p@0 | q@2) | r@3) -> ([1]p@0 | [1](q@2 | r@3))")
 
     return out

@@ -454,15 +454,22 @@ def counterexample(ctx: EvalContext, f: Formula):
     falsifying φ falsifies [k]φ at every run sharing its value at k. So
     under leading boxes, the body is asked first whether any run falsifies
     it, where the walk may start from a filtered channel; only if one does
-    is f walked for its first falsifying run."""
+    is f walked for its first falsifying run. When the innermost leading
+    box lies outside the window, the body's verdict is also the box's, and
+    it is recorded in ``ctx._memo``, so the walk of f does not ask again."""
     plan = _compile(f)
     if plan.leaves is None:
         plan.leaves = _leaves(f)
     _check_leaves(ctx, plan.leaves)
-    body = f
+    body, k = f, None
     while type(body) is Box:
-        body = body.body
-    if body is not f and _first_falsifying(ctx, _compile(body), None) is None:
-        return None
+        body, k = body.body, body.channel
+    if k is not None:
+        holds = _first_falsifying(ctx, _compile(body), None) is None
+        lo, hi = ctx.protocol.window
+        if not lo <= k <= hi:
+            ctx._memo[k, None, body] = holds
+        if holds:
+            return None
     path = _first_falsifying(ctx, plan, None, True)
     return None if path is None else tuple(path)

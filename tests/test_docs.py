@@ -2,12 +2,15 @@ import ast
 import importlib
 import inspect
 import io
+import json
 import pathlib
 import pkgutil
 import re
+import shlex
 import tokenize
 
 import chainlogic
+from chainlogic import cli, corpus, script_to_dict
 
 _MODULES = [chainlogic] + [
     importlib.import_module(f"chainlogic.{info.name}")
@@ -73,3 +76,48 @@ def test_cited_private_names_exist():
         if m.group(1) not in known
     ]
     assert stale == []
+
+
+def _readme_block(heading: str, language: str) -> str:
+    """The first fenced ``language`` block after the README heading."""
+    text = (_ROOT / "README.md").read_text()
+    after = text[text.index(f"\n{heading}\n"):]
+    return re.search(rf"```{language}\n(.*?)```", after, re.S).group(1)
+
+
+def test_readme_quick_tour_runs():
+    exec(_readme_block("## Library quick tour", "python"), {})
+
+
+def test_readme_cli_examples_print_what_they_say(tmp_path, monkeypatch):
+    # Each README command line with a "# prints X" comment, continuation
+    # lines joined; the proof script it names is the corpus's prop4.
+    block = _readme_block("## CLI", "sh").replace("\\\n", " ")
+    examples = re.findall(r"^chainlogic (.*?)\s+# prints (\S+)$", block, re.M)
+    assert {printed for _, printed in examples} == {"{2}", "true", "valid", "accepted"}
+    doc = script_to_dict(corpus()["prop4"])
+    (tmp_path / "prop4.json").write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    for command, printed in examples:
+        out, err = io.StringIO(), io.StringIO()
+        assert cli.run_cli(shlex.split(command), stdout=out, stderr=err) == 0, command
+        assert (out.getvalue(), err.getvalue()) == (printed + "\n", ""), command
+
+
+def test_package_has_no_unused_imports():
+    # __init__.py imports to re-export, so it is left out.
+    unused = []
+    for path in sorted(_SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) == "__future__":
+                    continue
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        unused.append((path.name, node.lineno, name))
+    assert unused == []

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -219,6 +220,19 @@ def test_corpus_contents():
     assert scripts["lemma9_3way"].goal == parse(
         "[1](p@0 | q@2 | r@3) -> ([1]p@0 | [1](q@2 | r@3))"
     )
+
+
+def test_corpus_is_pinned():
+    # Every line, rule and goal of the corpus, as its JSON documents.
+    scripts = corpus()
+    docs = json.dumps({n: script_to_dict(s) for n, s in scripts.items()}, sort_keys=True)
+    assert hashlib.sha256(docs.encode()).hexdigest() == (
+        "46ae0ace1af7385b6935e3d396d3a89fa13ea21a4958218981d3db752d7eca05"
+    )
+    assert list(scripts) == [
+        "prop1", "prop2", "prop3", "prop4", "prop5", "lemma8", "lemma9_3way",
+    ]
+    assert [len(s.lines) for s in scripts.values()] == [1, 1, 1, 8, 13, 11, 8]
 
 
 def test_premise_taint_blocks_necessitation():

@@ -760,6 +760,29 @@ def test_the_first_channel_is_decided_once(monkeypatch):
     assert decided.count(0) == 1
 
 
+def test_out_of_window_leading_box_walks_its_body_once(monkeypatch):
+    # The body's verdict under an out-of-window leading box is recorded as
+    # the box's, so the ordered walk's fold of the box hits the memo; a
+    # second leading box adds one walk, for its own body.
+    calls = []
+    real = semantics._first_falsifying
+
+    def counted(ctx, plan, pin, ordered=False):
+        calls.append((pin, ordered))
+        return real(ctx, plan, pin, ordered)
+
+    monkeypatch.setattr(semantics, "_first_falsifying", counted)
+    t = telephone(3, "abcdefghijklmnopqrstuvwxyz", 4)
+    for text, walks, witness in [
+        ("[9]!(eq_aaa@3 & eq_aab@2)", 2, ("aaa",) * 4),
+        ("[9][8]!(eq_aaa@3 & eq_aab@2)", 3, ("aaa",) * 4),
+        ("[9]!(eq_aaa@3 & eq_zzz@2)", 1, None),
+    ]:
+        calls.clear()
+        assert counterexample(EvalContext(t), parse(text)) == witness, text
+        assert len(calls) == walks, (text, calls)
+
+
 class _PaddedTelephone(TelephoneProtocol):
     """A telephone whose atom eq_w also holds at two strings that are no
     word: one with a letter outside the alphabet and one a letter longer.
