@@ -20,9 +20,6 @@ from .protocol import is_run, load_protocol, protocol_to_dict, telephone
 from .search import ExhaustiveMode, RandomMode, SearchBounds, embed_formula, falsify
 from .semantics import EvalContext, counterexample, evaluate
 
-_NAMED_ALPHABETS = {"latin": "abcdefghijklmnopqrstuvwxyz"}
-
-
 class _UsageError(ValueError):
     pass
 
@@ -57,7 +54,19 @@ def _parse_run(text: str, protocol) -> tuple:
     return r
 
 
-def _eval_on(args, out, protocol) -> int:
+def _protocol(args):
+    """The protocol a verb runs on: the --protocol file, or the telephone
+    the telephone command's options describe."""
+    if args.command != "telephone":
+        return load_protocol(args.protocol)
+    if "," in args.alphabet:
+        # Runs are written and read with "," between their words.
+        raise _UsageError("--alphabet cannot contain ','")
+    return telephone(args.len, args.alphabet, args.chain)
+
+
+def _cmd_eval(args, out) -> int:
+    protocol = _protocol(args)
     ctx = EvalContext(protocol, strict_window=args.strict_window)
     r = _parse_run(args.run, protocol)
     value = evaluate(ctx, r, parse(args.formula))
@@ -70,10 +79,11 @@ def _eval_on(args, out, protocol) -> int:
     return 0 if value else 1
 
 
-def _witness_on(args, out, protocol, command: str) -> int:
+def _cmd_witness(args, out) -> int:
     """``valid`` or ``counterexample``: one search for the first falsifying
     run, reported in the verb's own payload and text."""
-    ctx = EvalContext(protocol, strict_window=args.strict_window)
+    command = getattr(args, "verb", args.command)
+    ctx = EvalContext(_protocol(args), strict_window=args.strict_window)
     witness = counterexample(ctx, parse(args.formula))
     found = witness is not None
     run = list(witness) if found else None
@@ -85,14 +95,6 @@ def _witness_on(args, out, protocol, command: str) -> int:
         lines = [",".join(run)] if found else ["none: the formula is valid on this protocol"]
     _emit(args, out, {"command": command, "formula": args.formula, **payload}, lines)
     return 1 if found else 0
-
-
-def _cmd_eval(args, out) -> int:
-    return _eval_on(args, out, load_protocol(args.protocol))
-
-
-def _cmd_valid(args, out) -> int:
-    return _witness_on(args, out, load_protocol(args.protocol), "valid")
 
 
 def _cmd_prove(args, out) -> int:
@@ -163,17 +165,6 @@ def _cmd_falsify(args, out) -> int:
     return 1
 
 
-def _cmd_telephone(args, out) -> int:
-    alphabet = _NAMED_ALPHABETS.get(args.alphabet, args.alphabet)
-    if "," in alphabet:
-        # Runs are written and read with "," between their words.
-        raise _UsageError("--alphabet cannot contain ','")
-    protocol = telephone(args.len, alphabet, args.chain)
-    if args.verb == "eval":
-        return _eval_on(args, out, protocol)
-    return _witness_on(args, out, protocol, args.verb)
-
-
 def _add_common(parser: argparse.ArgumentParser, evaluates: bool) -> None:
     """--json for every verb; --strict-window for the verbs that evaluate
     on a protocol."""
@@ -209,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", required=True, help="protocol JSON file")
     p.add_argument("--formula", required=True)
     _add_common(p, evaluates=True)
-    p.set_defaults(handler=_cmd_valid)
+    p.set_defaults(handler=_cmd_witness)
 
     p = sub.add_parser("prove", help="verify a proof script")
     p.add_argument("--script", required=True, help="proof script JSON file")
@@ -240,13 +231,12 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--run", required=True)
     v.add_argument("--formula", required=True)
     _add_common(v, evaluates=True)
-    v = verbs.add_parser("valid")
-    v.add_argument("--formula", required=True)
-    _add_common(v, evaluates=True)
-    v = verbs.add_parser("counterexample")
-    v.add_argument("--formula", required=True)
-    _add_common(v, evaluates=True)
-    p.set_defaults(handler=_cmd_telephone)
+    v.set_defaults(handler=_cmd_eval)
+    for verb in ("valid", "counterexample"):
+        v = verbs.add_parser(verb)
+        v.add_argument("--formula", required=True)
+        _add_common(v, evaluates=True)
+        v.set_defaults(handler=_cmd_witness)
 
     return parser
 
@@ -285,7 +275,3 @@ def run_cli(argv=None, stdout=None, stderr=None) -> int:
 
 def main() -> None:
     sys.exit(run_cli())
-
-
-if __name__ == "__main__":
-    main()

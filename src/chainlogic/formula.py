@@ -590,7 +590,9 @@ class Skeleton:
         return len(self.bindings)
 
 
-def _variables(f: Formula, index: dict[Formula, int]) -> dict[Formula, int]:
+def _variables(f: Formula) -> dict[Formula, int]:
+    """f's maximal box/atom subformulas, each numbered by first occurrence."""
+    index: dict[Formula, int] = {}
     for g in _literal_nodes(f, False):
         index.setdefault(g, len(index))
     return index
@@ -599,7 +601,7 @@ def _variables(f: Formula, index: dict[Formula, int]) -> dict[Formula, int]:
 def skeleton(f: Formula) -> Skeleton:
     """Abstract maximal box/atom subformulas to variables, numbered by
     first occurrence in a left-to-right traversal."""
-    return Skeleton(tuple(_variables(f, {})))
+    return Skeleton(tuple(_variables(f)))
 
 
 def _variable_mask(i: int, num_vars: int) -> int:
@@ -618,7 +620,7 @@ def _variable_mask(i: int, num_vars: int) -> int:
 def _truth_table(f: Formula, max_vars: int):
     """Skeleton variable numbering of f, each variable's truth-table column
     as a bitmask over all assignments, and the all-ones mask."""
-    index = _variables(f, {})
+    index = _variables(f)
     n = len(index)
     if n > max_vars:
         raise VariableLimitError(

@@ -66,9 +66,7 @@ class HammingLocal:
     kept per word.
     """
 
-    def __init__(self, word_len: int, alphabet: tuple[str, ...]):
-        self.word_len = word_len
-        self.alphabet = alphabet
+    def __init__(self, alphabet: tuple[str, ...]):
         self._letters = tuple(sorted(set(alphabet)))
         # Per letter, the alphabet's letters below it and above it.
         self._around = {
@@ -259,23 +257,41 @@ class ExplicitChainProtocol(ChainProtocol):
         return out
 
 
+_NAMED_ALPHABETS = {"latin": "abcdefghijklmnopqrstuvwxyz"}
+
+
 class TelephoneProtocol(ChainProtocol):
     """Word-passing chain: every channel carries words of a fixed length over
     one alphabet and each hop changes at most one letter.
+
+    ``alphabet`` is a named alphabet (``"latin"`` is a-z) or a string or
+    iterable of single characters; at least two distinct letters are
+    required, and the chain needs at least two channels.
 
     For every word w and in-window channel k the atom ``eq_w`` is declared
     at k and true exactly at w. Value sets and atom tables are computed,
     never materialized, so long words stay affordable.
     """
 
-    def __init__(self, word_len: int, alphabet: tuple[str, ...], chain_len: int):
-        self.word_len = word_len
+    def __init__(self, word_len: int, alphabet, chain_len: int):
+        if isinstance(alphabet, str):
+            alphabet = _NAMED_ALPHABETS.get(alphabet, alphabet)
         # Sorted and without repeats, so every word comes once and in the
         # sorted order its neighbour lists have.
-        self.alphabet = tuple(sorted(set(alphabet)))
+        alpha = tuple(sorted(set(alphabet)))
+        if word_len < 1:
+            raise ValueError("word_len must be at least 1")
+        if len(alpha) < 2:
+            raise ValueError("alphabet needs at least two distinct letters")
+        if any(len(c) != 1 for c in alpha):
+            raise ValueError("alphabet entries must be single characters")
+        if chain_len < 2:
+            raise ValueError("chain_len must be at least 2")
+        self.word_len = word_len
+        self.alphabet = alpha
         self.window = (0, chain_len - 1)
-        self._alpha_set = frozenset(alphabet)
-        self._shared_local = HammingLocal(word_len, self.alphabet)
+        self._alpha_set = frozenset(alpha)
+        self._shared_local = HammingLocal(alpha)
 
     def iter_values(self, k: int):
         """Every word of the channel, once each, in sorted order."""
@@ -314,22 +330,8 @@ class TelephoneProtocol(ChainProtocol):
         return []
 
 
-def telephone(word_len: int, alphabet, chain_len: int) -> TelephoneProtocol:
-    """Build the word-passing game on a chain.
-
-    ``alphabet`` is a string or iterable of single characters; at least two
-    distinct letters are required, and the chain needs at least two channels.
-    """
-    alpha = tuple(sorted(set(alphabet)))
-    if word_len < 1:
-        raise ValueError("word_len must be at least 1")
-    if len(alpha) < 2:
-        raise ValueError("alphabet needs at least two distinct letters")
-    if any(len(c) != 1 for c in alpha):
-        raise ValueError("alphabet entries must be single characters")
-    if chain_len < 2:
-        raise ValueError("chain_len must be at least 2")
-    return TelephoneProtocol(word_len, alpha, chain_len)
+# The word-passing game on a chain, built and checked by its one constructor.
+telephone = TelephoneProtocol
 
 
 # --- run-level operations ---------------------------------------------------
@@ -470,8 +472,9 @@ def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
 def protocol_from_dict(doc: dict) -> ExplicitChainProtocol:
     """Decode the JSON protocol document shape into an explicit protocol.
 
-    Structural errors raise ProtocolFormatError; semantic problems (pair or
-    atom domains) are left to the protocol's validate() method.
+    Structural errors raise ProtocolFormatError; the constructor names a
+    channel with no value set or no local condition. Semantic problems
+    (pair or atom domains) are left to the protocol's validate() method.
     """
     if not isinstance(doc, dict):
         raise ProtocolFormatError("protocol document must be a JSON object")
@@ -521,9 +524,6 @@ def protocol_from_dict(doc: dict) -> ExplicitChainProtocol:
                     f"atom {name!r} at channel {k} must map to a list of strings"
                 )
         atoms[k] = {name: list(tv) for name, tv in table.items()}
-    for k in range(lo, hi + 1):
-        if k not in values:
-            raise ProtocolFormatError(f"channel {k} is missing")
 
     local: dict[int, list[tuple[str, str]]] = {}
     if not isinstance(doc["local"], list):
@@ -552,9 +552,6 @@ def protocol_from_dict(doc: dict) -> ExplicitChainProtocol:
                 f'channel {k} "pairs" must be a list of [prev, cur] string pairs'
             )
         local[k] = [tuple(pair) for pair in pairs]
-    for k in range(lo + 1, hi + 1):
-        if k not in local:
-            raise ProtocolFormatError(f"local condition for channel {k} is missing")
 
     return ExplicitChainProtocol((lo, hi), values, local, atoms)
 

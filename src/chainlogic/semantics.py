@@ -180,7 +180,7 @@ def _compile_object(key: int, f: Formula) -> _Plan:
     parsed again compiles again, where a cache keyed by equality would
     compare it structurally with the earlier one on every call."""
     groups: dict[int, list] = {}
-    for lit in _variables(f, {}):
+    for lit in _variables(f):
         groups.setdefault(lit.channel, []).append(lit)
     return _Plan(groups, _partial(f, {}.get))
 

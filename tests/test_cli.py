@@ -423,6 +423,13 @@ def test_alphabet_with_a_comma_exits_2(capsys, verb, extra):
     assert err == "error: --alphabet cannot contain ','\n"
 
 
+def test_named_alphabet_matches_the_library(capsys):
+    # The witness test_a_named_alphabet_is_resolved pins for the library.
+    argv = ["telephone", "--len", "3", "--alphabet", "latin", "--chain", "4",
+            "counterexample", "--formula", "!eq_aab@2"]
+    assert run(capsys, argv) == (1, "aaa,aaa,aab,aaa\n", "")
+
+
 def test_falsify_negative_budget_exits_2(capsys):
     code, out, err = run(
         capsys,

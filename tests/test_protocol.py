@@ -259,7 +259,7 @@ def test_hamming_neighbours_match_set_and_sort(alphabet):
     rng = random.Random(len(alphabet))
     outside = "#AbY~"
     for word_len in range(1, 6):
-        cond = HammingLocal(word_len, tuple(alphabet))
+        cond = HammingLocal(tuple(alphabet))
         for i in range(60):
             pool = alphabet + outside if i % 3 == 0 else alphabet
             prev = "".join(rng.choice(pool) for _ in range(word_len))
@@ -274,8 +274,7 @@ def test_hamming_holds_is_membership_in_successors(alphabet):
     # alphabet's. The seed depends on the alphabet only.
     rng = random.Random(sum(map(ord, alphabet)))
     pool = alphabet + "#AbY~"
-    word_len = 3
-    cond = HammingLocal(word_len, tuple(alphabet))
+    cond = HammingLocal(tuple(alphabet))
     agreed = 0
     for _ in range(2_000):
         x = "".join(rng.choice(pool) for _ in range(rng.randint(0, 4)))
@@ -337,12 +336,25 @@ def test_atom_values_is_the_truth_set():
 
 
 def test_telephone_preconditions():
-    with pytest.raises(ValueError):
-        telephone(0, "ab", 2)
-    with pytest.raises(ValueError):
-        telephone(2, "a", 2)
-    with pytest.raises(ValueError):
-        telephone(2, "ab", 1)
+    # telephone is the constructor, so building the class directly is
+    # checked the same way.
+    for build in (telephone, TelephoneProtocol):
+        with pytest.raises(ValueError, match="word_len"):
+            build(0, "ab", 2)
+        with pytest.raises(ValueError, match="two distinct letters"):
+            build(2, "a", 2)
+        with pytest.raises(ValueError, match="chain_len"):
+            build(2, "ab", 1)
+        with pytest.raises(ValueError, match="single characters"):
+            build(2, ("a", "bc"), 2)
+
+
+def test_a_named_alphabet_is_resolved():
+    # "latin" names a-z, as on the command line, not the letters a, i, l,
+    # n and t.
+    t = telephone(3, "latin", 4)
+    assert t.alphabet == tuple(string.ascii_lowercase)
+    assert counterexample(EvalContext(t), parse("!eq_aab@2")) == ("aaa", "aaa", "aab", "aaa")
 
 
 def test_protocol_json_round_trip():
@@ -353,6 +365,19 @@ def test_protocol_json_round_trip():
     assert list(runs(again)) == list(runs(p))
 
 
+# Edits whose message must name the fault: the constructor reports a
+# channel without a value set or a local condition, but an empty window is
+# reported before any channel is read.
+_DROP_LAST_CHANNEL = lambda d: d["channels"].pop()
+_DROP_LAST_LOCAL = lambda d: d["local"].pop()
+_REVERSE_WINDOW = lambda d: d.update(window=[2, 1])
+_FAULT = {
+    _DROP_LAST_CHANNEL: "channel 2",
+    _DROP_LAST_LOCAL: "channel 2",
+    _REVERSE_WINDOW: "empty window",
+}
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -360,8 +385,8 @@ def test_protocol_json_round_trip():
         lambda d: d["channels"][0].update(color="red"),
         lambda d: d["local"][0].update(note="x"),
         lambda d: d.pop("window"),
-        lambda d: d["channels"].pop(),
-        lambda d: d["local"].pop(),
+        _DROP_LAST_CHANNEL,
+        _DROP_LAST_LOCAL,
         lambda d: d["local"].append({"channel": 2, "pairs": []}),
         lambda d: d["channels"].append(
             {"index": 0, "values": ["u", "v"], "atoms": {}}
@@ -372,7 +397,7 @@ def test_protocol_json_round_trip():
         lambda d: d.update(window=[False, 2]),
         lambda d: d["channels"][0].update(index=False),
         lambda d: d["local"][0].update(channel=True),
-        lambda d: d.update(window=[2, 1]),
+        _REVERSE_WINDOW,
         lambda d: d["channels"][0].pop("values"),
         lambda d: d["channels"][0]["atoms"].update(p="u"),
         lambda d: d["local"][0].pop("pairs"),
@@ -381,7 +406,7 @@ def test_protocol_json_round_trip():
 def test_protocol_format_rejections(mutate):
     doc = protocol_to_dict(gateway_countermodel())
     mutate(doc)
-    with pytest.raises(ProtocolFormatError):
+    with pytest.raises(ProtocolFormatError, match=_FAULT.get(mutate)):
         protocol_from_dict(doc)
 
 
