@@ -208,13 +208,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_prove)
 
     p = sub.add_parser("falsify", help="search small protocols for a countermodel")
-    p.add_argument("--formula", required=True)
-    p.add_argument("--channels", type=int, required=True)
-    p.add_argument("--max-values", type=int, required=True)
-    p.add_argument("--atoms", type=int, default=1)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--budget", type=int, default=100_000)
+    p.add_argument("--formula", required=True, help="formula to refute")
+    p.add_argument("--channels", type=int, required=True, help="channels per candidate")
+    p.add_argument(
+        "--max-values", type=int, required=True, help="most values on one channel"
+    )
+    p.add_argument("--atoms", type=int, default=1, help="atoms per channel (default: 1)")
+    p.add_argument(
+        "--seed", type=int, default=None,
+        help="random mode: seed of the sampler; needs --samples",
+    )
+    p.add_argument(
+        "--samples", type=int, default=None,
+        help="random mode: candidates to sample; needs --seed",
+    )
+    p.add_argument(
+        "--budget", type=int, default=100_000,
+        help="candidates to scan: positions in the full canonical order, "
+        "skipped candidates included, or samples in random mode "
+        "(default: 100,000)",
+    )
     _add_common(p, evaluates=False)
     p.set_defaults(handler=_cmd_falsify)
 

@@ -29,8 +29,18 @@ Both are decided on the integer encoding, before any protocol is built:
   each isomorphism class passes every swap, so testing only swaps is
   sound, and it costs sum C(s_i, 2) comparisons per candidate.
 
-The first refuting candidate is therefore checked, as itself, so the
-witness and its first falsifying run are unchanged.
+The first refuting candidate is therefore among the ones kept, as itself.
+
+The kept candidates of one (sizes, relation masks) block share its runs
+and differ only in their truth tables, so ``falsify`` decides them
+together, as in bit-parallel logic simulation: candidate i of the block
+is bit i of an integer, and the formula is evaluated once per run of the
+block, over all of them at once (``_refuted``). The lowest refuted bit is
+the first refuting candidate; only that one is built, and
+``counterexample`` on it gives the witness, so the witness, its first
+falsifying run and the budget cut are those of a candidate-by-candidate
+scan. At most ``_SLICE`` candidates are decided at a time, and none at or
+past the budget.
 
 Random mode and the soundness sweeps sample on the same encoding: a draw
 is its (sizes, relation masks, truth masks) integers. A block is an
@@ -43,14 +53,17 @@ draw kept is built, and building it makes only its atom tables. The
 exhaustive scan reads each block it does not skip from the same cache, so
 a second scan of the same bounds builds no block. A second bounded cache,
 keyed by the block, holds its runs in ``protocol.runs`` order, listed the
-first time a sweep picks a run there. Local conditions and atom truth
-sets come from two more bounded caches, one object per relation mask and
-per truth mask, shared because nothing mutates them.
+first time a sweep picks a run there or a ``falsify`` decides the block.
+Local conditions and atom truth sets come from two more bounded caches,
+one object per relation mask and per truth mask, shared because nothing
+mutates them.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -61,6 +74,7 @@ from .formula import (
     Box,
     Formula,
     Implies,
+    _flatten,
     _leaves,
     diamond,
     disj,
@@ -74,6 +88,7 @@ from .semantics import EvalContext, counterexample, evaluate
 
 _VALUE_LABELS = "abcdefghijklmnopqrstuvwxyz"
 _ATOM_NAMES = ("p", "q", "r", "s", "t", "u", "v", "w")
+_SLICE = 1024  # candidates of one block an exhaustive falsify decides at a time
 
 
 class SearchSpaceError(ValueError):
@@ -186,9 +201,10 @@ def _block(sizes: tuple[int, ...], relation_masks: tuple[int, ...]) -> ExplicitC
 def _block_runs(block: ExplicitChainProtocol) -> tuple:
     """The runs of a block, and so of each of its candidates, in
     ``protocol.runs`` order. Listed when a sweep first picks a run in the
-    block, not when the block is made: sampling on wide bounds would list
-    up to max_values^channels runs per draw. A sweep on wide bounds keeps
-    the run lists of up to 1,024 blocks."""
+    block or an exhaustive ``falsify`` first decides it, not when the block
+    is made: sampling on wide bounds would list up to max_values^channels
+    runs per draw. A sweep or scan on wide bounds keeps the run lists of up
+    to 1,024 blocks."""
     return tuple(runs(block))
 
 
@@ -274,16 +290,20 @@ def _truth_swaps(relation_masks: tuple[int, ...], swaps: list):
     return out
 
 
-def _exhaustive_candidates(bounds: SearchBounds, read, reduced: bool = False):
-    """Yield (position, protocol) for the candidates with runs, in canonical
-    order, where position is the rank among all candidates with runs.
+def _exhaustive_blocks(bounds: SearchBounds, read, reduced: bool = False):
+    """Yield (position, block, kept) for the (sizes, relation masks) blocks
+    with runs, in canonical order: position is the rank, among all
+    candidates with runs, of the block's first candidate; block is its
+    atomless protocol; and kept[k] lists channel k's (weight, truth masks)
+    choices, so the block's candidates are ``itertools.product(*kept)``,
+    each at position plus the sum of its weights.
 
     Only the truth tables of the (channel, atom) pairs in ``read`` vary;
     every other atom keeps the all-zero table (declared, true nowhere), and
     the skipped tables still count towards the positions. A formula that
     reads only ``read`` has the same verdict on every candidate of a
     (sizes, relation masks) block that differs in the other tables, so the
-    first candidate refuting it is among the ones yielded.
+    first candidate refuting it is among the ones kept.
 
     ``reduced`` also skips, still counting their positions, every candidate
     with a value on no run and every candidate that a swap of two values on
@@ -299,8 +319,8 @@ def _exhaustive_candidates(bounds: SearchBounds, read, reduced: bool = False):
         # it. choices[k] lists channel k's tables with their summed weight;
         # a swap on channel k changes only those tables, so the kept
         # candidates of a block are a product of per-channel lists.
-        block = 1 << (len(names) * sum(sizes))
-        weight = block
+        span = 1 << (len(names) * sum(sizes))
+        weight = span
         choices = []
         for k, s in enumerate(sizes):
             tables = []
@@ -327,7 +347,7 @@ def _exhaustive_candidates(bounds: SearchBounds, read, reduced: bool = False):
             if reduced:
                 truth_swaps = _truth_swaps(relation_masks, swaps) if live == full else None
                 if truth_swaps is None:
-                    position += block
+                    position += span
                     continue
                 kept = [
                     [
@@ -336,13 +356,99 @@ def _exhaustive_candidates(bounds: SearchBounds, read, reduced: bool = False):
                     ]
                     for channel, here in zip(choices, truth_swaps)
                 ]
-            shared = _block(sizes, relation_masks)
-            for picked in itertools.product(*kept):
-                yield (
-                    position + sum(w for w, _ in picked),
-                    _build_protocol(shared, tuple(t for _, t in picked), names),
+            yield position, _block(sizes, relation_masks), kept
+            position += span
+
+
+def _exhaustive_candidates(bounds: SearchBounds, read, reduced: bool = False):
+    """Yield (position, protocol) for each candidate that
+    ``_exhaustive_blocks`` keeps, in canonical order."""
+    names = bounds.atom_names
+    for position, block, kept in _exhaustive_blocks(bounds, read, reduced):
+        for picked in itertools.product(*kept):
+            yield (
+                position + sum(w for w, _ in picked),
+                _build_protocol(block, tuple(t for _, t in picked), names),
+            )
+
+
+def _pick(kept, i: int):
+    """The i-th candidate of ``itertools.product(*kept)``, as (its weight,
+    its truth masks), decoded in mixed radix."""
+    weight, tables = 0, []
+    for channel in reversed(kept):
+        i, d = divmod(i, len(channel))
+        w, t = channel[d]
+        weight += w
+        tables.append(t)
+    return weight, tuple(reversed(tables))
+
+
+def _columns(block: ExplicitChainProtocol, kept, read, names: tuple[str, ...]) -> dict:
+    """Per read atom (k, name), per value label v of channel k, the mask of
+    the block's kept candidates whose table of that atom holds at v: bit i
+    stands for the i-th candidate of ``itertools.product(*kept)``.
+
+    Candidate i picks choice (i // stride) % len(kept[k]) on channel k,
+    where stride is the product of the later channels' choice counts, so
+    one period of a column is a run of stride bits per choice that holds,
+    and the column repeats that period across the block."""
+    total = math.prod(map(len, kept))
+    stride = total
+    out = {}
+    for k, channel in enumerate(kept):
+        stride //= len(channel)
+        period = len(channel) * stride
+        repeat = ((1 << total) - 1) // ((1 << period) - 1)
+        ones = (1 << stride) - 1
+        for a, name in enumerate(names):
+            if (k, name) not in read:
+                continue
+            out[k, name] = {
+                label: repeat * sum(
+                    ones << (j * stride) for j, (_, t) in enumerate(channel) if t[a] >> v & 1
                 )
-            position += block
+                for v, label in enumerate(block.values(k))
+            }
+    return out
+
+
+def _refuted(entries: tuple, block_runs: tuple, columns: dict, lo: int, width: int) -> int:
+    """The candidates lo .. lo + width - 1 of a block, as bits 0 .. width - 1,
+    that falsify the formula ``entries`` (``_flatten`` order) at some run
+    of the block. Each entry is decided for every candidate at once, one
+    mask per run, from ``_columns``' masks: false is no candidate, a -> b
+    is ~a | b, and [k]a is the meet of a over the runs that share the
+    run's value at k, or over every run when k is outside the window."""
+    full = (1 << width) - 1
+    window = range(len(block_runs[0]))
+    rows = []
+    for entry in entries:
+        kind = entry[0]
+        if kind is Implies:
+            row = [full ^ a | b for a, b in zip(rows[entry[1]], rows[entry[2]])]
+        elif kind is Box:
+            k, body = entry[1], rows[entry[2]]
+            if k in window:
+                meet = {}
+                for r, a in zip(block_runs, body):
+                    meet[r[k]] = meet.get(r[k], full) & a
+                row = [meet[r[k]] for r in block_runs]
+            else:
+                everywhere = full
+                for a in body:
+                    everywhere &= a
+                row = [everywhere] * len(block_runs)
+        elif kind is Atom:
+            column = columns[entry[1], entry[2]]
+            row = [column[r[entry[1]]] >> lo & full for r in block_runs]
+        else:
+            row = [0] * len(block_runs)
+        rows.append(row)
+    out = 0
+    for a in rows[-1]:
+        out |= full ^ a
+    return out
 
 
 def _random_candidate(rng: random.Random, bounds: SearchBounds):
@@ -447,26 +553,42 @@ def falsify(f: Formula, bounds: SearchBounds, budget: int):
 
     The formula is evaluated after shifting its lowest channel to 0 (use
     embed_formula to see the shifted form; that form is not shifted
-    again). An exhaustive scan checks only the candidates that can be
-    first (see the module docstring), and ``budget`` still counts
-    positions in the full canonical order: the candidates with runs,
-    skipped ones included.
+    again). An exhaustive scan decides only the candidates that can be
+    first (see the module docstring), ``_SLICE`` of a block at a time in
+    one pass over the block's runs, and builds and walks only the first
+    refuting one. ``budget`` still counts positions in the full canonical
+    order: the candidates with runs, skipped ones included.
     """
     g, read = _embedding(f, bounds)
     if budget < 0:
         raise SearchSpaceError(f"budget must not be negative, got {budget}")
     if isinstance(bounds.mode, RandomMode):
         # islice, so no sample is drawn past the budget.
-        scan = enumerate(itertools.islice(enumerate_protocols(bounds), budget))
-    else:
-        _check_ceiling(bounds)
-        scan = _exhaustive_candidates(bounds, read, reduced=True)
-    for position, p in scan:
+        for p in itertools.islice(enumerate_protocols(bounds), budget):
+            witness = counterexample(EvalContext(p), g)
+            if witness is not None:
+                return p, witness
+        return None
+    _check_ceiling(bounds)
+    names = bounds.atom_names
+    entries = _flatten(g)
+    for position, block, kept in _exhaustive_blocks(bounds, read, reduced=True):
         if position >= budget:
             break
-        witness = counterexample(EvalContext(p), g)
-        if witness is not None:
-            return p, witness
+        # Positions grow with the index, so the candidates below the
+        # budget are a prefix of the block.
+        below = bisect.bisect_left(
+            range(math.prod(map(len, kept))), budget - position,
+            key=lambda i: _pick(kept, i)[0],
+        )
+        columns = _columns(block, kept, read, names)
+        block_runs = _block_runs(block)
+        for lo in range(0, below, _SLICE):
+            refuted = _refuted(entries, block_runs, columns, lo, min(_SLICE, below - lo))
+            if refuted:
+                _, tables = _pick(kept, lo + (refuted & -refuted).bit_length() - 1)
+                p = _build_protocol(block, tables, names)
+                return p, counterexample(EvalContext(p), g)
     return None
 
 

@@ -113,6 +113,19 @@ def test_nested_boxes_get_an_answer(capsys, verb, extra, code, text):
     )
 
 
+def test_falsify_walks_only_a_refuting_candidate(capsys):
+    # Exhaustive falsify decides its candidates without a walk, so a valid
+    # formula with 3,000 nested boxes gets its answer; the witness walk of
+    # a refuted one still runs out of frames.
+    base = ["falsify", "--channels", "2", "--max-values", "2", "--formula"]
+    code, out, err = run(capsys, base + ["(" + "[0]" * 3000 + "p@0) -> p@0"])
+    assert (code, err) == (0, "")
+    assert out.startswith("no countermodel")
+    assert run(capsys, base + ["[0]" * 3000 + "p@0"]) == (
+        2, "", "error: input nested too deeply\n"
+    )
+
+
 def test_repeated_falsify_compares_no_more_formulas(capsys, monkeypatch):
     # Each call parses its formula afresh. The compiled-plan cache must not
     # hold the first call's formula as a key that every later call then
@@ -321,6 +334,20 @@ def test_falsify_not_found(capsys):
     assert code == 0
     assert "no countermodel" in out
     assert "proves nothing" in out
+
+
+def test_falsify_help_describes_every_option(capsys):
+    code, out, _ = run(capsys, ["falsify", "--help"])
+    assert code == 0
+    for option, text in (
+        ("--formula", "formula to refute"),
+        ("--atoms", "(default: 1)"),
+        ("--seed", "needs --samples"),
+        ("--samples", "needs --seed"),
+        ("--budget", "skipped candidates included"),
+        ("--budget", "(default: 100,000)"),
+    ):
+        assert option in out and text in " ".join(out.split()), (option, text)
 
 
 def test_falsify_seed_without_samples_exits_2(capsys):

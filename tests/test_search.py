@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import json
@@ -6,9 +7,11 @@ import random
 import pytest
 
 from chainlogic import (
+    Box,
     EvalContext,
     ExhaustiveMode,
     ExplicitChainProtocol,
+    Implies,
     RandomMode,
     SearchBounds,
     SearchSpaceError,
@@ -34,6 +37,8 @@ from chainlogic import (
     soundness_sweep,
     valid_in,
 )
+
+from chainlogic.formula import _flatten
 
 from conftest import (
     candidate_key,
@@ -242,28 +247,115 @@ def test_every_skipped_candidate_has_an_earlier_checked_equivalent(bounds):
         assert earliest.get(trimmed, position) < position, position
 
 
-def test_display_laws_check_few_candidates(monkeypatch):
-    # Each law holds, so every candidate that is not skipped is checked;
-    # a protocol is built only for those.
-    calls = []
+def _count_decisions(monkeypatch):
+    """Record, for each falsify call after this, the calls to
+    counterexample and _build_protocol and the candidates the block pass
+    decides."""
+    calls = {"counterexample": 0, "_build_protocol": 0, "decided": 0}
 
     def counting(name):
         real = getattr(search, name)
 
         def counted(*args):
-            calls.append(name)
+            calls[name] += 1
             return real(*args)
 
         monkeypatch.setattr(search, name, counted)
 
     counting("counterexample")
     counting("_build_protocol")
+    real_refuted = search._refuted
+
+    def refuted(entries, block_runs, columns, lo, width):
+        calls["decided"] += width
+        return real_refuted(entries, block_runs, columns, lo, width)
+
+    monkeypatch.setattr(search, "_refuted", refuted)
+    return calls
+
+
+def test_display_laws_check_few_candidates(monkeypatch):
+    # Each law holds, so every candidate that is not skipped is decided by
+    # the block pass, and no protocol is built or walked.
+    calls = _count_decisions(monkeypatch)
     counts = []
     for f in display_gateway_family():
-        del calls[:]
+        calls.update(dict.fromkeys(calls, 0))
         assert falsify(f, SearchBounds(3, 2, 1), budget=10**6) is None
-        counts.append((calls.count("counterexample"), calls.count("_build_protocol")))
-    assert counts == [(70, 70), (70, 70), (226, 226)]
+        counts.append((calls["counterexample"], calls["_build_protocol"], calls["decided"]))
+    assert counts == [(0, 0, 70), (0, 0, 70), (0, 0, 226)]
+
+
+def _modal_depth(f):
+    if isinstance(f, Box):
+        return 1 + _modal_depth(f.body)
+    if isinstance(f, Implies):
+        return max(_modal_depth(f.lhs), _modal_depth(f.rhs))
+    return 0
+
+
+@pytest.mark.parametrize("bounds", [SearchBounds(3, 2, 1), SearchBounds(2, 3, 1)])
+def test_block_pass_matches_the_walk(bounds):
+    # On every kept block, the candidates the block pass refutes are the
+    # ones on which counterexample finds a falsifying run, also when the
+    # block is decided in two slices. The formulas are refuted by none,
+    # some and all of a block's candidates.
+    rng = random.Random(41 + bounds.max_values_per_channel)
+    c = bounds.num_channels
+    window = range(c)
+    names = bounds.atom_names
+    every_atom = {(k, name) for k in window for name in names}
+    formulas = [parse(f"[{c + 2}]p@0 -> p@0"), parse(f"p@0 -> [{c + 2}]p@{c - 1}")]
+    while len(formulas) < 14:
+        f = random_formula(rng, window, names, rng.randint(1, 4))
+        if len(formulas) % 2:
+            f = Box(-1, f)  # a box over a channel outside the window
+        if 1 <= _modal_depth(f) <= 3:
+            formulas.append(f)
+    outcomes = collections.Counter()
+    for _, block, kept in search._exhaustive_blocks(bounds, every_atom, reduced=True):
+        candidates = [
+            search._build_protocol(block, tuple(t for _, t in picked), names)
+            for picked in itertools.product(*kept)
+        ]
+        block_runs = search._block_runs(block)
+        columns = search._columns(block, kept, every_atom, names)
+        half = len(candidates) // 2
+        for g in formulas:
+            expected = sum(
+                1 << i for i, p in enumerate(candidates)
+                if counterexample(EvalContext(p), g) is not None
+            )
+            entries = _flatten(g)
+            got = search._refuted(entries, block_runs, columns, 0, len(candidates))
+            assert got == expected, render(g)
+            assert search._refuted(entries, block_runs, columns, 0, half) == expected & ((1 << half) - 1)
+            assert search._refuted(
+                entries, block_runs, columns, half, len(candidates) - half
+            ) == expected >> half
+            everyone = (1 << len(candidates)) - 1
+            outcomes["none" if expected == 0 else "all" if expected == everyone else "some"] += 1
+    assert min(outcomes["none"], outcomes["some"], outcomes["all"]) >= 20, outcomes
+
+
+def test_budget_cuts_a_wide_block(monkeypatch):
+    # The first refuting candidate is the last of the first block, which
+    # has 256 candidates; the block pass decides none at or past the budget.
+    bounds = SearchBounds(1, 2, 8)
+    f = parse("!(p@0 & q@0 & r@0 & s@0 & t@0 & u@0 & v@0 & w@0)")
+    assert _reference_falsify(f, bounds, 256)[0] == 255
+    calls = _count_decisions(monkeypatch)
+    for budget in (10, 255, 256):
+        calls.update(dict.fromkeys(calls, 0))
+        got = falsify(f, bounds, budget)
+        _, expected = _reference_falsify(f, bounds, budget)
+        if expected is None:
+            assert got is None, budget
+        else:
+            assert protocol_to_dict(got[0]) == protocol_to_dict(expected[0])
+            assert got[1] == expected[1]
+        assert calls["decided"] <= budget
+    assert calls["decided"] == 256 and calls["counterexample"] == 1
 
 
 def test_second_scan_builds_no_block(monkeypatch):
