@@ -7,40 +7,47 @@ sizes ascending, then relation bitmasks ascending, then truth-table
 bitmasks ascending, which pins witnesses across platforms. Absence of a
 countermodel within bounds proves nothing beyond the explored space.
 
-An exhaustive ``falsify`` generates only the truth tables of the atoms its
-formula reads; every other atom keeps the all-zero table. A table the
-formula cannot see cannot change its verdict, so the first countermodel is
-the one a scan of every candidate finds, and ``budget`` still counts
-positions in that full canonical order. A (sizes, relation masks) block
-without runs is skipped whole.
+The candidates of one (sizes, relation masks) block differ only in their
+truth tables: the one at offset t has the truth masks t spells, sizes[k]
+bits per (channel k, atom), in channel and then atom order from the most
+significant bit, as in canonical order. An exhaustive ``falsify`` decides
+only the offsets that are 0 outside the tables of the atoms its formula
+reads, so every other atom keeps the all-zero table. A table the formula
+cannot see cannot change its verdict, so the first countermodel is the one
+a scan of every candidate finds, and ``budget`` still counts positions in
+that full canonical order. A block without runs is skipped whole.
 
-It also skips two kinds of candidate, each of which has the verdict of a
-candidate earlier in canonical order and so cannot be the first to refute.
-Both are decided on the integer encoding, before any protocol is built:
+It also skips two kinds of block whole, each candidate of which has the
+verdict of a candidate in an earlier block and so cannot be the first to
+refute. Both are decided on the relation masks, before any protocol is
+built:
 
-- Dead values. A candidate in which some value lies on no run (found by
-  forward and backward reachability bitmasks) has the runs, and so the
-  verdicts, of its twin with the dead values deleted and the survivors
-  renamed in order. The twin's sizes are componentwise smaller, so it
-  comes earlier.
-- Relabelling. A swap of two values on one channel maps a candidate to an
-  isomorphic one in the same block; it comes earlier when the swap makes
-  the (relation masks, truth masks) tuple smaller. The least member of
-  each isomorphism class passes every swap, so testing only swaps is
-  sound, and it costs sum C(s_i, 2) comparisons per candidate.
+- Dead values. In a block in which some value lies on no run (found by
+  forward and backward reachability bitmasks), each candidate has the
+  runs, and so the verdicts, of its twin with the dead values deleted and
+  the survivors renamed in order. The twin's sizes are componentwise
+  smaller, so it comes earlier.
+- Relabelling. A swap of two values on one channel maps each candidate
+  of a block to an isomorphic one in the block of the swapped relation
+  masks, which comes earlier when they are smaller. The least member of
+  each isomorphism class lies in a block that passes every swap, so
+  testing only swaps is sound, and it costs sum C(s_i, 2) comparisons per
+  block. A block that a swap maps to itself is decided whole.
 
 The first refuting candidate is therefore among the ones kept, as itself.
 
-The kept candidates of one (sizes, relation masks) block share its runs
-and differ only in their truth tables, so ``falsify`` decides them
-together, as in bit-parallel logic simulation: candidate i of the block
-is bit i of an integer, and the formula is evaluated once per run of the
-block, over all of them at once (``_refuted``). The lowest refuted bit is
-the first refuting candidate; only that one is built, and
-``counterexample`` on it gives the witness, so the witness, its first
-falsifying run and the budget cut are those of a candidate-by-candidate
-scan. At most ``_SLICE`` candidates are decided at a time, and none at or
-past the budget.
+The kept candidates of one block share its runs, so ``falsify`` decides
+them together, as in bit-parallel logic simulation: candidate i of the
+block, the offset whose read bits spell i, is bit i of an integer, and the
+formula is evaluated once per run of the block, over all of them at once
+(``_holds``). Per run, the pass keeps the mask of the candidates at which
+the formula holds; the lowest one missing from their meet is the first
+refuting candidate, and the first run, in ``protocol.runs`` order, whose
+mask lacks it is its first falsifying run, the one ``counterexample``
+gives. Only that candidate is built and no walk is made, so the witness,
+its run and the budget cut are those of a candidate-by-candidate scan, at
+any modal depth. At most ``_SLICE`` candidates are decided at a time, and
+none at or past the budget.
 
 Random mode and the soundness sweeps sample on the same encoding: a draw
 is its (sizes, relation masks, truth masks) integers. A block is an
@@ -51,7 +58,8 @@ holds the blocks; a block without a run, found by the reachability
 bitmasks, is cached as None, and a draw in it is rejected, so only the
 draw kept is built, and building it makes only its atom tables. The
 exhaustive scan reads each block it does not skip from the same cache, so
-a second scan of the same bounds builds no block. A second bounded cache,
+a second scan of the same bounds builds no block, as long as the bounds
+keep at most the cache's 1,024 blocks. A second bounded cache,
 keyed by the block, holds its runs in ``protocol.runs`` order, listed the
 first time a sweep picks a run there or a ``falsify`` decides the block.
 Local conditions and atom truth sets come from two more bounded caches,
@@ -63,10 +71,9 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .formula import (
     Atom,
@@ -76,6 +83,7 @@ from .formula import (
     Implies,
     _flatten,
     _leaves,
+    _variable_mask,
     diamond,
     disj,
     parse,
@@ -184,7 +192,9 @@ def _block(sizes: tuple[int, ...], relation_masks: tuple[int, ...]) -> ExplicitC
     block is it with atom tables. Sampling and the exhaustive scan both
     read their blocks here. 1,024 entries hold all 340 blocks of three
     channels with at most two values each, the bounds the sweeps are run
-    on, and all 673 of two channels with at most three."""
+    on, and all 673 of two channels with at most three. Bounds with more
+    kept blocks evict each before a second scan reads it: a scan of
+    (3, 3, 1), which keeps 1,924, builds them all again."""
     if not _live(sizes, relation_masks)[0]:
         return None
     return ExplicitChainProtocol(
@@ -254,9 +264,8 @@ def _delta_swap(x: int, select: int, delta: int) -> int:
 
 def _swaps(sizes: tuple[int, ...]) -> list:
     """Every exchange of two values a < b on one channel k, as (k, its
-    (select, delta) on relation k, where k is the right side, on relation
-    k + 1, where k is the left side, and on k's truth masks); None where k
-    has no such relation."""
+    (select, delta) on relation k, k on the right, and on relation k + 1,
+    k on the left), each None where k has no such relation."""
     out = []
     for k, s in enumerate(sizes):
         for a, b in itertools.combinations(range(s), 2):
@@ -266,74 +275,39 @@ def _swaps(sizes: tuple[int, ...]) -> list:
             if k + 1 < len(sizes):  # rows a and b
                 width = sizes[k + 1]
                 as_left = (((1 << width) - 1) << (a * width), (b - a) * width)
-            out.append((k, as_right, as_left, (1 << a, b - a)))
+            out.append((k, as_right, as_left))
     return out
 
 
-def _truth_swaps(relation_masks: tuple[int, ...], swaps: list):
-    """None when some swap turns the relation masks into smaller ones.
-    Otherwise, per channel, the truth-mask swaps of the swaps that leave
-    the relation masks as they are: only those can still make a candidate
-    of the block smaller, through its truth masks on that channel."""
-    out = [[] for _ in range(len(relation_masks) + 1)]
-    for k, as_right, as_left, on_truth in swaps:
+def _smaller_by_swap(relation_masks: tuple[int, ...], swaps: list) -> bool:
+    """Whether some swap turns the relation masks into smaller ones."""
+    for k, as_right, as_left in swaps:
         moved = list(relation_masks)
         if as_right:
             moved[k - 1] = _delta_swap(moved[k - 1], *as_right)
         if as_left:
             moved[k] = _delta_swap(moved[k], *as_left)
-        moved = tuple(moved)
-        if moved < relation_masks:
-            return None
-        if moved == relation_masks:
-            out[k].append(on_truth)
-    return out
+        if tuple(moved) < relation_masks:
+            return True
+    return False
 
 
-def _exhaustive_blocks(bounds: SearchBounds, read, reduced: bool = False):
-    """Yield (position, block, kept) for the (sizes, relation masks) blocks
-    with runs, in canonical order: position is the rank, among all
-    candidates with runs, of the block's first candidate; block is its
-    atomless protocol; and kept[k] lists channel k's (weight, truth masks)
-    choices, so the block's candidates are ``itertools.product(*kept)``,
-    each at position plus the sum of its weights.
+def _exhaustive_blocks(bounds: SearchBounds, reduced: bool = False):
+    """Yield (position, sizes, block) for the (sizes, relation masks)
+    blocks with runs, in canonical order: position is the rank, among all
+    candidates with runs, of the block's first candidate, and block is its
+    atomless protocol; candidate position + t has the masks t spells.
 
-    Only the truth tables of the (channel, atom) pairs in ``read`` vary;
-    every other atom keeps the all-zero table (declared, true nowhere), and
-    the skipped tables still count towards the positions. A formula that
-    reads only ``read`` has the same verdict on every candidate of a
-    (sizes, relation masks) block that differs in the other tables, so the
-    first candidate refuting it is among the ones kept.
-
-    ``reduced`` also skips, still counting their positions, every candidate
-    with a value on no run and every candidate that a swap of two values on
-    one channel turns into an earlier one of its block. Both tests read the
-    integer encoding, so no protocol is built for a skipped candidate.
+    ``reduced`` also skips, still counting their positions, every block
+    with a value on no run and every block that a swap of two values on
+    one channel turns into an earlier one. Both tests read the relation
+    masks, so no protocol is built for a skipped block.
     """
-    c = bounds.num_channels
-    names = bounds.atom_names
     position = 0
-    for sizes in itertools.product(range(1, bounds.max_values_per_channel + 1), repeat=c):
-        # A truth table's weight is the number of candidates one step of it
-        # skips: the product of the table counts of the coordinates after
-        # it. choices[k] lists channel k's tables with their summed weight;
-        # a swap on channel k changes only those tables, so the kept
-        # candidates of a block are a product of per-channel lists.
-        span = 1 << (len(names) * sum(sizes))
-        weight = span
-        choices = []
-        for k, s in enumerate(sizes):
-            tables = []
-            for name in names:
-                weight >>= s
-                tables.append(
-                    [(t * weight, t) for t in range(1 << s)] if (k, name) in read
-                    else [(0, 0)]
-                )
-            choices.append([
-                (sum(w for w, _ in picked), tuple(t for _, t in picked))
-                for picked in itertools.product(*tables)
-            ])
+    for sizes in itertools.product(
+        range(1, bounds.max_values_per_channel + 1), repeat=bounds.num_channels
+    ):
+        span = 1 << (bounds.atoms_per_channel * sum(sizes))
         full = [(1 << s) - 1 for s in sizes]
         swaps = _swaps(sizes) if reduced else []
         relation_ranges = [
@@ -343,81 +317,75 @@ def _exhaustive_blocks(bounds: SearchBounds, read, reduced: bool = False):
             live = _live(sizes, relation_masks)
             if not live[0]:
                 continue
-            kept = choices
-            if reduced:
-                truth_swaps = _truth_swaps(relation_masks, swaps) if live == full else None
-                if truth_swaps is None:
-                    position += span
-                    continue
-                kept = [
-                    [
-                        (w, t) for w, t in channel
-                        if not any(tuple(_delta_swap(x, *swap) for x in t) < t for swap in here)
-                    ]
-                    for channel, here in zip(choices, truth_swaps)
-                ]
-            yield position, _block(sizes, relation_masks), kept
+            if reduced and (live != full or _smaller_by_swap(relation_masks, swaps)):
+                position += span
+                continue
+            yield position, sizes, _block(sizes, relation_masks)
             position += span
 
 
+def _tables(sizes: tuple[int, ...], names: tuple[str, ...]):
+    """Yield (k, name, low) for the truth tables of a block's candidates in
+    canonical order: table (k, name) is bits low .. low + sizes[k] - 1 of
+    a candidate's offset in the block, bit low + v for value v."""
+    low = len(names) * sum(sizes)
+    for k, s in enumerate(sizes):
+        for name in names:
+            low -= s
+            yield k, name, low
+
+
+def _truth_masks(sizes: tuple[int, ...], names: tuple[str, ...], t: int) -> tuple:
+    """Per channel, per atom, the truth mask that offset t spells."""
+    masks = [[] for _ in sizes]
+    for k, _, low in _tables(sizes, names):
+        masks[k].append(t >> low & ((1 << sizes[k]) - 1))
+    return tuple(map(tuple, masks))
+
+
+def _read_columns(sizes: tuple[int, ...], names: tuple[str, ...], read):
+    """The offset bits of the tables of the (channel, atom) pairs in
+    ``read``, lowest first, and per such pair, per value label, the mask of
+    the candidates whose table holds there: candidate i is offset
+    ``_offset(bits, i)``, so read bit j has ``_variable_mask(j, len(bits))``."""
+    tables = [(k, name, low) for k, name, low in _tables(sizes, names) if (k, name) in read]
+    bits = sorted(low + v for k, _, low in tables for v in range(sizes[k]))
+    columns = {
+        (k, name): {
+            _VALUE_LABELS[v]: _variable_mask(bits.index(low + v), len(bits))
+            for v in range(sizes[k])
+        }
+        for k, name, low in tables
+    }
+    return bits, columns
+
+
+def _offset(bits: list[int], i: int) -> int:
+    """The offset whose bits at ``bits`` spell i, bit j of i at bits[j],
+    and whose other bits are 0. Offsets grow with i."""
+    return sum(1 << b for j, b in enumerate(bits) if i >> j & 1)
+
+
 def _exhaustive_candidates(bounds: SearchBounds, read, reduced: bool = False):
-    """Yield (position, protocol) for each candidate that
-    ``_exhaustive_blocks`` keeps, in canonical order."""
+    """Yield (position, protocol) for each candidate of the blocks that
+    ``_exhaustive_blocks`` keeps whose tables outside ``read`` are all
+    zero, in canonical order."""
     names = bounds.atom_names
-    for position, block, kept in _exhaustive_blocks(bounds, read, reduced):
-        for picked in itertools.product(*kept):
-            yield (
-                position + sum(w for w, _ in picked),
-                _build_protocol(block, tuple(t for _, t in picked), names),
-            )
+    decoded = {}
+    for position, sizes, block in _exhaustive_blocks(bounds, reduced):
+        if sizes not in decoded:
+            bits = _read_columns(sizes, names, read)[0]
+            offsets = [_offset(bits, i) for i in range(1 << len(bits))]
+            decoded[sizes] = [(t, _truth_masks(sizes, names, t)) for t in offsets]
+        for t, masks in decoded[sizes]:
+            yield position + t, _build_protocol(block, masks, names)
 
 
-def _pick(kept, i: int):
-    """The i-th candidate of ``itertools.product(*kept)``, as (its weight,
-    its truth masks), decoded in mixed radix."""
-    weight, tables = 0, []
-    for channel in reversed(kept):
-        i, d = divmod(i, len(channel))
-        w, t = channel[d]
-        weight += w
-        tables.append(t)
-    return weight, tuple(reversed(tables))
-
-
-def _columns(block: ExplicitChainProtocol, kept, read, names: tuple[str, ...]) -> dict:
-    """Per read atom (k, name), per value label v of channel k, the mask of
-    the block's kept candidates whose table of that atom holds at v: bit i
-    stands for the i-th candidate of ``itertools.product(*kept)``.
-
-    Candidate i picks choice (i // stride) % len(kept[k]) on channel k,
-    where stride is the product of the later channels' choice counts, so
-    one period of a column is a run of stride bits per choice that holds,
-    and the column repeats that period across the block."""
-    total = math.prod(map(len, kept))
-    stride = total
-    out = {}
-    for k, channel in enumerate(kept):
-        stride //= len(channel)
-        period = len(channel) * stride
-        repeat = ((1 << total) - 1) // ((1 << period) - 1)
-        ones = (1 << stride) - 1
-        for a, name in enumerate(names):
-            if (k, name) not in read:
-                continue
-            out[k, name] = {
-                label: repeat * sum(
-                    ones << (j * stride) for j, (_, t) in enumerate(channel) if t[a] >> v & 1
-                )
-                for v, label in enumerate(block.values(k))
-            }
-    return out
-
-
-def _refuted(entries: tuple, block_runs: tuple, columns: dict, lo: int, width: int) -> int:
-    """The candidates lo .. lo + width - 1 of a block, as bits 0 .. width - 1,
-    that falsify the formula ``entries`` (``_flatten`` order) at some run
-    of the block. Each entry is decided for every candidate at once, one
-    mask per run, from ``_columns``' masks: false is no candidate, a -> b
+def _holds(entries: tuple, block_runs: tuple, columns: dict, lo: int, width: int) -> list[int]:
+    """Per run of a block, the mask of the candidates lo .. lo + width - 1,
+    as bits 0 .. width - 1, at which the formula ``entries`` (``_flatten``
+    order) holds. Each entry is decided for every candidate at once, one
+    mask per run, from the atoms' columns: false is no candidate, a -> b
     is ~a | b, and [k]a is the meet of a over the runs that share the
     run's value at k, or over every run when k is outside the window."""
     full = (1 << width) - 1
@@ -435,20 +403,14 @@ def _refuted(entries: tuple, block_runs: tuple, columns: dict, lo: int, width: i
                     meet[r[k]] = meet.get(r[k], full) & a
                 row = [meet[r[k]] for r in block_runs]
             else:
-                everywhere = full
-                for a in body:
-                    everywhere &= a
-                row = [everywhere] * len(block_runs)
+                row = [reduce(int.__and__, body, full)] * len(block_runs)
         elif kind is Atom:
             column = columns[entry[1], entry[2]]
             row = [column[r[entry[1]]] >> lo & full for r in block_runs]
         else:
             row = [0] * len(block_runs)
         rows.append(row)
-    out = 0
-    for a in rows[-1]:
-        out |= full ^ a
-    return out
+    return rows[-1]
 
 
 def _random_candidate(rng: random.Random, bounds: SearchBounds):
@@ -555,9 +517,10 @@ def falsify(f: Formula, bounds: SearchBounds, budget: int):
     embed_formula to see the shifted form; that form is not shifted
     again). An exhaustive scan decides only the candidates that can be
     first (see the module docstring), ``_SLICE`` of a block at a time in
-    one pass over the block's runs, and builds and walks only the first
-    refuting one. ``budget`` still counts positions in the full canonical
-    order: the candidates with runs, skipped ones included.
+    one pass over the block's runs, which also names the witness run, and
+    builds only the first refuting candidate; it makes no walk, so it has
+    no limit on modal depth. ``budget`` still counts positions in the full
+    canonical order: the candidates with runs, skipped ones included.
     """
     g, read = _embedding(f, bounds)
     if budget < 0:
@@ -572,23 +535,25 @@ def falsify(f: Formula, bounds: SearchBounds, budget: int):
     _check_ceiling(bounds)
     names = bounds.atom_names
     entries = _flatten(g)
-    for position, block, kept in _exhaustive_blocks(bounds, read, reduced=True):
+    for position, sizes, block in _exhaustive_blocks(bounds, reduced=True):
         if position >= budget:
             break
-        # Positions grow with the index, so the candidates below the
-        # budget are a prefix of the block.
+        bits, columns = _read_columns(sizes, names, read)
+        # Offsets grow with the index, so the candidates below the budget
+        # are a prefix of the block.
         below = bisect.bisect_left(
-            range(math.prod(map(len, kept))), budget - position,
-            key=lambda i: _pick(kept, i)[0],
+            range(1 << len(bits)), budget - position, key=lambda i: _offset(bits, i)
         )
-        columns = _columns(block, kept, read, names)
         block_runs = _block_runs(block)
         for lo in range(0, below, _SLICE):
-            refuted = _refuted(entries, block_runs, columns, lo, min(_SLICE, below - lo))
-            if refuted:
-                _, tables = _pick(kept, lo + (refuted & -refuted).bit_length() - 1)
-                p = _build_protocol(block, tables, names)
-                return p, counterexample(EvalContext(p), g)
+            width = min(_SLICE, below - lo)
+            holds = _holds(entries, block_runs, columns, lo, width)
+            meet = reduce(int.__and__, holds, (1 << width) - 1)
+            if meet != (1 << width) - 1:
+                i = (~meet & (meet + 1)).bit_length() - 1  # lowest bit not in meet
+                run = next(r for r, a in zip(block_runs, holds) if not a >> i & 1)
+                masks = _truth_masks(sizes, names, _offset(bits, lo + i))
+                return _build_protocol(block, masks, names), run
     return None
 
 

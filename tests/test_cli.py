@@ -114,16 +114,16 @@ def test_nested_boxes_get_an_answer(capsys, verb, extra, code, text):
 
 
 def test_falsify_walks_only_a_refuting_candidate(capsys):
-    # Exhaustive falsify decides its candidates without a walk, so a valid
-    # formula with 3,000 nested boxes gets its answer; the witness walk of
-    # a refuted one still runs out of frames.
+    # Exhaustive falsify decides its candidates and names the witness run
+    # without a walk, so formulas with 3,000 nested boxes get their answer,
+    # valid or refuted.
     base = ["falsify", "--channels", "2", "--max-values", "2", "--formula"]
     code, out, err = run(capsys, base + ["(" + "[0]" * 3000 + "p@0) -> p@0"])
     assert (code, err) == (0, "")
     assert out.startswith("no countermodel")
-    assert run(capsys, base + ["[0]" * 3000 + "p@0"]) == (
-        2, "", "error: input nested too deeply\n"
-    )
+    code, out, err = run(capsys, base + ["[0]" * 3000 + "p@0"])
+    assert (code, err) == (1, "")
+    assert out.rstrip("\n").endswith("run: a,a")
 
 
 def test_repeated_falsify_compares_no_more_formulas(capsys, monkeypatch):

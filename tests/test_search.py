@@ -249,9 +249,9 @@ def test_every_skipped_candidate_has_an_earlier_checked_equivalent(bounds):
 
 def _count_decisions(monkeypatch):
     """Record, for each falsify call after this, the calls to
-    counterexample and _build_protocol and the candidates the block pass
-    decides."""
-    calls = {"counterexample": 0, "_build_protocol": 0, "decided": 0}
+    counterexample and _build_protocol, the block passes, and the
+    candidates they decide."""
+    calls = {"counterexample": 0, "_build_protocol": 0, "passes": 0, "decided": 0}
 
     def counting(name):
         real = getattr(search, name)
@@ -264,26 +264,40 @@ def _count_decisions(monkeypatch):
 
     counting("counterexample")
     counting("_build_protocol")
-    real_refuted = search._refuted
+    real_holds = search._holds
 
-    def refuted(entries, block_runs, columns, lo, width):
+    def holds(entries, block_runs, columns, lo, width):
+        calls["passes"] += 1
         calls["decided"] += width
-        return real_refuted(entries, block_runs, columns, lo, width)
+        return real_holds(entries, block_runs, columns, lo, width)
 
-    monkeypatch.setattr(search, "_refuted", refuted)
+    monkeypatch.setattr(search, "_holds", holds)
     return calls
 
 
 def test_display_laws_check_few_candidates(monkeypatch):
-    # Each law holds, so every candidate that is not skipped is decided by
-    # the block pass, and no protocol is built or walked.
+    # Each law holds, so every candidate of a block that is not skipped is
+    # decided by the block pass, one pass per block, and no protocol is
+    # built or walked.
     calls = _count_decisions(monkeypatch)
     counts = []
     for f in display_gateway_family():
         calls.update(dict.fromkeys(calls, 0))
         assert falsify(f, SearchBounds(3, 2, 1), budget=10**6) is None
         counts.append((calls["counterexample"], calls["_build_protocol"], calls["decided"]))
-    assert counts == [(0, 0, 70), (0, 0, 70), (0, 0, 226)]
+        assert calls["passes"] == 22
+    assert counts == [(0, 0, 76), (0, 0, 76), (0, 0, 264)]
+
+
+def test_falsify_decides_only_the_tables_it_reads(monkeypatch):
+    # Unread atoms keep the all-zero table: [0]p@0 -> p@0 reads p alone, so
+    # of the 266,304 candidates on one channel with six atoms, falsify
+    # decides the 2 + 4 + 8 tables of p, one block pass per value count.
+    bounds = SearchBounds(1, 3, 6)
+    assert candidate_count(bounds) == 266_304
+    calls = _count_decisions(monkeypatch)
+    assert falsify(parse("[0]p@0 -> p@0"), bounds, budget=10**6) is None
+    assert (calls["decided"], calls["passes"]) == (14, 3)
 
 
 def _modal_depth(f):
@@ -297,9 +311,11 @@ def _modal_depth(f):
 @pytest.mark.parametrize("bounds", [SearchBounds(3, 2, 1), SearchBounds(2, 3, 1)])
 def test_block_pass_matches_the_walk(bounds):
     # On every kept block, the candidates the block pass refutes are the
-    # ones on which counterexample finds a falsifying run, also when the
-    # block is decided in two slices. The formulas are refuted by none,
-    # some and all of a block's candidates.
+    # ones on which counterexample finds a falsifying run, and the run the
+    # pass names for each, the first whose mask lacks it, is the one
+    # counterexample finds; also when the block is decided in two slices.
+    # The formulas are refuted by none, some and all of a block's
+    # candidates.
     rng = random.Random(41 + bounds.max_values_per_channel)
     c = bounds.num_channels
     window = range(c)
@@ -313,49 +329,50 @@ def test_block_pass_matches_the_walk(bounds):
         if 1 <= _modal_depth(f) <= 3:
             formulas.append(f)
     outcomes = collections.Counter()
-    for _, block, kept in search._exhaustive_blocks(bounds, every_atom, reduced=True):
+    for _, sizes, block in search._exhaustive_blocks(bounds, reduced=True):
+        bits, columns = search._read_columns(sizes, names, every_atom)
         candidates = [
-            search._build_protocol(block, tuple(t for _, t in picked), names)
-            for picked in itertools.product(*kept)
+            search._build_protocol(
+                block, search._truth_masks(sizes, names, search._offset(bits, i)), names
+            )
+            for i in range(1 << len(bits))
         ]
         block_runs = search._block_runs(block)
-        columns = search._columns(block, kept, every_atom, names)
         half = len(candidates) // 2
         for g in formulas:
-            expected = sum(
-                1 << i for i, p in enumerate(candidates)
-                if counterexample(EvalContext(p), g) is not None
-            )
+            expected = [counterexample(EvalContext(p), g) for p in candidates]
             entries = _flatten(g)
-            got = search._refuted(entries, block_runs, columns, 0, len(candidates))
-            assert got == expected, render(g)
-            assert search._refuted(entries, block_runs, columns, 0, half) == expected & ((1 << half) - 1)
-            assert search._refuted(
-                entries, block_runs, columns, half, len(candidates) - half
-            ) == expected >> half
-            everyone = (1 << len(candidates)) - 1
-            outcomes["none" if expected == 0 else "all" if expected == everyone else "some"] += 1
+            for lo, width in ((0, len(candidates)), (0, half), (half, len(candidates) - half)):
+                holds = search._holds(entries, block_runs, columns, lo, width)
+                named = [
+                    next((r for r, a in zip(block_runs, holds) if not a >> i & 1), None)
+                    for i in range(width)
+                ]
+                assert named == expected[lo:lo + width], render(g)
+            refuted = len(expected) - expected.count(None)
+            outcomes["none" if refuted == 0 else "all" if refuted == len(expected) else "some"] += 1
     assert min(outcomes["none"], outcomes["some"], outcomes["all"]) >= 20, outcomes
 
 
 def test_budget_cuts_a_wide_block(monkeypatch):
     # The first refuting candidate is the last of the first block, which
-    # has 256 candidates; the block pass decides none at or past the budget.
+    # has 256 candidates; the block pass decides none at or past the budget,
+    # and the witness comes from the pass, so only the hit is built.
     bounds = SearchBounds(1, 2, 8)
     f = parse("!(p@0 & q@0 & r@0 & s@0 & t@0 & u@0 & v@0 & w@0)")
     assert _reference_falsify(f, bounds, 256)[0] == 255
     calls = _count_decisions(monkeypatch)
     for budget in (10, 255, 256):
+        _, expected = _reference_falsify(f, bounds, budget)
         calls.update(dict.fromkeys(calls, 0))
         got = falsify(f, bounds, budget)
-        _, expected = _reference_falsify(f, bounds, budget)
         if expected is None:
             assert got is None, budget
         else:
             assert protocol_to_dict(got[0]) == protocol_to_dict(expected[0])
             assert got[1] == expected[1]
         assert calls["decided"] <= budget
-    assert calls["decided"] == 256 and calls["counterexample"] == 1
+    assert (calls["decided"], calls["counterexample"], calls["_build_protocol"]) == (256, 0, 1)
 
 
 def test_second_scan_builds_no_block(monkeypatch):
@@ -501,6 +518,34 @@ def test_sweep_report_digest_is_unchanged():
                 [schema, enforce, report.trials, report.violations, witness], sort_keys=True
             ).encode())
     assert h.hexdigest() == "7146d1985d465e9c12eb5d14bfe576a5815fa2fb43b168c2434a17ce6a38b0dc"
+
+
+_FALSIFY_BOUNDS = ((2, 2, 1), (3, 2, 1), (2, 3, 1), (2, 2, 2), (1, 2, 4), (3, 1, 2), (2, 2, 3))
+
+
+def test_falsify_answer_digest_is_unchanged():
+    """Bounds, formula, budget, the hit's document and its run over 840
+    seeded exhaustive falsify calls: 120 formulas of modal depth 1-4 over a
+    random prefix of the atom names on each of seven bounds, budgets from 1
+    to 10^6. The digest is the one that deciding a block's candidates as
+    per-channel choice lists and walking the first refuting one gave."""
+    h = hashlib.sha256()
+    rng = random.Random(2024)
+    for bounds in _FALSIFY_BOUNDS:
+        b = SearchBounds(*bounds)
+        window = range(b.num_channels)
+        for _ in range(120):
+            names = b.atom_names[: rng.randint(1, b.atoms_per_channel)]
+            f = random_formula(rng, window, names, rng.randint(1, 4))
+            while _modal_depth(f) == 0:
+                f = random_formula(rng, window, names, rng.randint(1, 4))
+            budget = rng.choice((1, 5, 50, 500, 5000, 10**6))
+            hit = falsify(f, b, budget)
+            answer = None if hit is None else (protocol_to_dict(hit[0]), list(hit[1]))
+            h.update(json.dumps(
+                [bounds, render(f), budget, answer], sort_keys=True
+            ).encode())
+    assert h.hexdigest() == "7ce651b8c38061947ad39d2f580dc3690b47fef5148c0f5537cd99d82f4ced25"
 
 
 def test_sampling_builds_only_accepted_draws(monkeypatch):
