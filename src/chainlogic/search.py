@@ -55,16 +55,20 @@ atomless protocol, built by the public constructor; a candidate is the
 block with its own atom tables, sharing the block's value tuples and sets
 and local conditions. A bounded cache, keyed by (sizes, relation masks),
 holds the blocks; a block without a run, found by the reachability
-bitmasks, is cached as None, and a draw in it is rejected, so only the
-draw kept is built, and building it makes only its atom tables. The
-exhaustive scan reads each block it does not skip from the same cache, so
-a second scan of the same bounds builds no block, as long as the bounds
-keep at most the cache's 1,024 blocks. A second bounded cache,
-keyed by the block, holds its runs in ``protocol.runs`` order, listed the
-first time a sweep picks a run there or a ``falsify`` decides the block.
-Local conditions and atom truth sets come from two more bounded caches,
-one object per relation mask and per truth mask, shared because nothing
-mutates them.
+bitmasks, is cached as None, and a draw in it is rejected. A sweep trial
+is decided by the same pass at width 1, its columns read off the draw's
+truth masks (one bit per value), and reads the bit of its drawn run; only
+the sweep's first violation is built, to be returned. Random ``falsify``
+builds each sample (``sample_protocol``) and walks it with
+``counterexample``, which can stop at the sample's first falsifying run
+without listing the others. The exhaustive scan reads each block it does
+not skip from the same cache, so a second scan of the same bounds builds
+no block, as long as the bounds keep at most the cache's 1,024 blocks. A
+second bounded cache, keyed by the block, holds its runs in ``protocol.runs`` order, listed the
+first time a sweep draws there or an exhaustive ``falsify`` decides the
+block. Local conditions and atom truth sets come from two more bounded
+caches, one object per relation mask and per truth mask, shared because
+nothing mutates them.
 """
 
 from __future__ import annotations
@@ -92,7 +96,7 @@ from .formula import (
 )
 from .proofcheck import SCHEMAS, gateway_side, instantiate_axiom
 from .protocol import ExplicitChainProtocol, ExplicitLocal, runs
-from .semantics import EvalContext, counterexample, evaluate
+from .semantics import EvalContext, counterexample
 
 _VALUE_LABELS = "abcdefghijklmnopqrstuvwxyz"
 _ATOM_NAMES = ("p", "q", "r", "s", "t", "u", "v", "w")
@@ -210,10 +214,10 @@ def _block(sizes: tuple[int, ...], relation_masks: tuple[int, ...]) -> ExplicitC
 @lru_cache(maxsize=1024)
 def _block_runs(block: ExplicitChainProtocol) -> tuple:
     """The runs of a block, and so of each of its candidates, in
-    ``protocol.runs`` order. Listed when a sweep first picks a run in the
-    block or an exhaustive ``falsify`` first decides it, not when the block
-    is made: sampling on wide bounds would list up to max_values^channels
-    runs per draw. A sweep or scan on wide bounds keeps the run lists of up
+    ``protocol.runs`` order. Listed when a sweep first draws in the block
+    or an exhaustive ``falsify`` first decides it, not when the block is
+    made: ``sample_protocol`` and random ``falsify`` on wide bounds would
+    list up to max_values^channels runs per draw. A sweep or scan on wide bounds keeps the run lists of up
     to 1,024 blocks."""
     return tuple(runs(block))
 
@@ -430,19 +434,31 @@ def _random_candidate(rng: random.Random, bounds: SearchBounds):
 
 def _draw(rng: random.Random, bounds: SearchBounds):
     """One random candidate that admits at least one run, as (its block,
-    its protocol). A draw whose block has no run is rejected through the
-    block cache, so only the accepted draw is built."""
+    its sizes, its truth masks). A draw whose block has no run is rejected
+    through the block cache. Nothing is built: the caller builds the draw
+    it keeps, if any."""
     for _ in range(10_000):
         sizes, relation_masks, truth_masks = _random_candidate(rng, bounds)
         block = _block(sizes, relation_masks)
         if block is not None:
-            return block, _build_protocol(block, truth_masks, bounds.atom_names)
+            return block, sizes, truth_masks
     raise SearchSpaceError("could not sample a protocol with runs")
+
+
+def _draw_columns(sizes: tuple[int, ...], truth_masks: tuple, names: tuple[str, ...]) -> dict:
+    """The columns of one drawn candidate for ``_holds`` at width 1: per
+    (channel, atom), per value label, 1 where the atom's table holds."""
+    return {
+        (k, name): {_VALUE_LABELS[v]: mask >> v & 1 for v in range(sizes[k])}
+        for k, channel_masks in enumerate(truth_masks)
+        for name, mask in zip(names, channel_masks)
+    }
 
 
 def sample_protocol(rng: random.Random, bounds: SearchBounds) -> ExplicitChainProtocol:
     """One random candidate that admits at least one run."""
-    return _draw(rng, bounds)[1]
+    block, _, truth_masks = _draw(rng, bounds)
+    return _build_protocol(block, truth_masks, bounds.atom_names)
 
 
 def _check_ceiling(bounds: SearchBounds) -> None:
@@ -521,6 +537,8 @@ def falsify(f: Formula, bounds: SearchBounds, budget: int):
     builds only the first refuting candidate; it makes no walk, so it has
     no limit on modal depth. ``budget`` still counts positions in the full
     canonical order: the candidates with runs, skipped ones included.
+    Random mode walks each of the first ``budget`` samples with
+    ``counterexample``, so it has the walk's limit on modal depth.
     """
     g, read = _embedding(f, bounds)
     if budget < 0:
@@ -649,6 +667,10 @@ def soundness_sweep(
     (protocol, run) pairs and count violations; zero is the expectation
     whenever side conditions are enforced.
 
+    Each trial is decided by the block pass of ``falsify`` at width 1, on
+    the drawn integers, and reads the bit of its drawn run; only the first
+    violation's protocol is built, for ``first_witness``.
+
     Disabling side conditions samples unconstrained parameters, which is
     how the sweeps demonstrate that the conditions carry weight.
     """
@@ -663,17 +685,20 @@ def soundness_sweep(
         )
     seed = bounds.mode.seed if isinstance(bounds.mode, RandomMode) else 0
     rng = random.Random(seed)
+    names = bounds.atom_names
     violations = 0
     first_witness = None
     for _ in range(trials):
         instance = _sample_instance(schema, rng, bounds, enforce_side_conditions)
-        block, p = _draw(rng, bounds)
+        block, sizes, truth_masks = _draw(rng, bounds)
         block_runs = _block_runs(block)
-        r = block_runs[rng.randrange(len(block_runs))]
-        if not evaluate(EvalContext(p), r, instance):
+        i = rng.randrange(len(block_runs))
+        columns = _draw_columns(sizes, truth_masks, names)
+        if not _holds(_flatten(instance), block_runs, columns, 0, 1)[i]:
             violations += 1
             if first_witness is None:
-                first_witness = (instance, p, r)
+                p = _build_protocol(block, truth_masks, names)
+                first_witness = (instance, p, block_runs[i])
     return SweepReport(schema, trials, violations, first_witness)
 
 

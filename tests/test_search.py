@@ -34,6 +34,7 @@ from chainlogic import (
     runs,
     sample_protocol,
     search,
+    semantics,
     soundness_sweep,
     valid_in,
 )
@@ -520,6 +521,48 @@ def test_sweep_report_digest_is_unchanged():
     assert h.hexdigest() == "7146d1985d465e9c12eb5d14bfe576a5815fa2fb43b168c2434a17ce6a38b0dc"
 
 
+def _witness_doc(witness):
+    if witness is None:
+        return None
+    f, p, r = witness
+    return render(f), protocol_to_dict(p), tuple(r)
+
+
+@pytest.mark.parametrize("seed", [3, 17, 58])
+def test_sampled_pass_matches_the_walk(seed):
+    # Each sweep trial, replayed as soundness_sweep draws it, gets from the
+    # block pass at width 1 the verdict the walk gives on the built
+    # candidate at the drawn run, and the replay gives the sweep's report.
+    # Instances rarely fail, so their consequents, which often do, are
+    # checked too.
+    bounds = SearchBounds(3, 2, 2, mode=RandomMode(seed=seed, samples=1))
+    names = bounds.atom_names
+    verdicts = collections.Counter()
+    for schema, enforce in itertools.product(_SWEEP_SCHEMAS, (True, False)):
+        rng = random.Random(seed)
+        violations, first = 0, None
+        for _ in range(150):
+            instance = search._sample_instance(schema, rng, bounds, enforce)
+            block, sizes, truth_masks = search._draw(rng, bounds)
+            block_runs = search._block_runs(block)
+            i = rng.randrange(len(block_runs))
+            columns = search._draw_columns(sizes, truth_masks, names)
+            p = search._build_protocol(block, truth_masks, names)
+            for g in (instance.rhs, instance):
+                decided = search._holds(_flatten(g), block_runs, columns, 0, 1)[i]
+                walked = evaluate(EvalContext(p), block_runs[i], g)
+                assert decided == walked, (schema, render(g))
+                verdicts[g is instance, walked] += 1
+            if not walked:
+                violations += 1
+                first = first or (instance, p, block_runs[i])
+        report = soundness_sweep(schema, bounds, 150, enforce_side_conditions=enforce)
+        assert report.violations == violations
+        assert _witness_doc(report.first_witness) == _witness_doc(first)
+    assert verdicts[True, False] >= 1, verdicts
+    assert min(verdicts[False, True], verdicts[False, False]) >= 50, verdicts
+
+
 _FALSIFY_BOUNDS = ((2, 2, 1), (3, 2, 1), (2, 3, 1), (2, 2, 2), (1, 2, 4), (3, 1, 2), (2, 2, 3))
 
 
@@ -551,7 +594,9 @@ def test_falsify_answer_digest_is_unchanged():
 def test_sampling_builds_only_accepted_draws(monkeypatch):
     # Draws without a run are rejected on their integer encoding: N samples
     # build N protocols and count no runs, and the gateway sampler
-    # instantiates the schema once per returned instance.
+    # instantiates the schema once per returned instance. A sweep decides
+    # its trials on the draws' integers, so it builds only its first
+    # witness, and the sweeps compile no formula for the walk.
     calls = []
 
     def counting(name):
@@ -599,8 +644,24 @@ def test_sampling_builds_only_accepted_draws(monkeypatch):
     del calls[:]
     report = soundness_sweep("reflexivity", SearchBounds(3, 2, 2), 300)
     assert report.trials == 300
-    assert calls.count("_build_protocol") == 300
+    assert calls.count("_build_protocol") == 0
     assert 0 < len(listed) == len(set(listed)) < 300
+    del calls[:]
+    report = soundness_sweep("gateway", SearchBounds(3, 2, 2), 300, enforce_side_conditions=False)
+    assert report.violations > 1
+    assert calls.count("_build_protocol") == 1
+
+    compiled = []
+    real_compile = semantics._compile_object
+
+    def compiling(key, f):
+        compiled.append(key)
+        return real_compile(key, f)
+
+    monkeypatch.setattr(semantics, "_compile_object", compiling)
+    for schema in _SWEEP_SCHEMAS:
+        assert soundness_sweep(schema, SearchBounds(3, 2, 2), 100).violations == 0
+    assert compiled == []
 
 
 def _constructed(sizes, masks, truth=None, names=()):
