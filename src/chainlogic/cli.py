@@ -57,10 +57,13 @@ def _parse_run(text: str, protocol) -> tuple:
 def _protocol(args):
     """The protocol a verb runs on: the --protocol file, or the telephone
     the telephone command's options describe."""
+    # Runs are written and read with "," between their values.
     if args.command != "telephone":
-        return load_protocol(args.protocol)
+        protocol = load_protocol(args.protocol)
+        if any("," in v for k in protocol.channels() for v in protocol.values(k)):
+            raise _UsageError("protocol values cannot contain ','")
+        return protocol
     if "," in args.alphabet:
-        # Runs are written and read with "," between their words.
         raise _UsageError("--alphabet cannot contain ','")
     return telephone(args.len, args.alphabet, args.chain)
 

@@ -50,25 +50,28 @@ any modal depth. At most ``_SLICE`` candidates are decided at a time, and
 none at or past the budget.
 
 Random mode and the soundness sweeps sample on the same encoding: a draw
-is its (sizes, relation masks, truth masks) integers. A block is an
-atomless protocol, built by the public constructor; a candidate is the
-block with its own atom tables, sharing the block's value tuples and sets
-and local conditions. A bounded cache, keyed by (sizes, relation masks),
-holds the blocks; a block without a run, found by the reachability
-bitmasks, is cached as None, and a draw in it is rejected. A sweep trial
-is decided by the same pass at width 1, its columns read off the draw's
-truth masks (one bit per value), and reads the bit of its drawn run; only
-the sweep's first violation is built, to be returned. Random ``falsify``
-builds each sample (``sample_protocol``) and walks it with
+is its (sizes, relation masks, truth masks) integers. Below the public API
+a block is just its (sizes, relation masks) integers. Its runs, in
+``protocol.runs`` order, are listed straight from the reachability
+bitmasks into a bounded cache keyed by them (``_block_runs``), which the
+exhaustive scan and the sweeps share. A sweep trial is decided by the same
+pass at width 1, its columns read off the draw's truth masks (one bit per
+value), and reads the bit of its drawn run. So nothing that only decides a
+verdict builds a protocol: a scan builds only its witness, and a sweep
+only its first violation. A protocol is built only to be returned
+(``_build_protocol``): the atomless protocol of its block, made by the
+public constructor and kept in a second bounded cache (``_block``), with
+its own atom tables, sharing the block's value tuples and sets and local
+conditions. That cache serves these answers and the sampler, which
+rejects a draw whose block it holds as None, having no run. Random
+``falsify`` builds each sample (``sample_protocol``) and walks it with
 ``counterexample``, which can stop at the sample's first falsifying run
-without listing the others. The exhaustive scan reads each block it does
-not skip from the same cache, so a second scan of the same bounds builds
-no block, as long as the bounds keep at most the cache's 1,024 blocks. A
-second bounded cache, keyed by the block, holds its runs in ``protocol.runs`` order, listed the
-first time a sweep draws there or an exhaustive ``falsify`` decides the
-block. Local conditions and atom truth sets come from two more bounded
-caches, one object per relation mask and per truth mask, shared because
-nothing mutates them.
+without listing the others. The exhaustive stream of
+``enumerate_protocols`` is the plain canonical product, every truth offset
+of every block with a run, and shares no position or skip loop with
+``falsify``. Local conditions and atom truth sets come from two more
+bounded caches, one object per relation mask and per truth mask, shared
+because nothing mutates them.
 """
 
 from __future__ import annotations
@@ -95,7 +98,7 @@ from .formula import (
     shift_channels,
 )
 from .proofcheck import SCHEMAS, gateway_side, instantiate_axiom
-from .protocol import ExplicitChainProtocol, ExplicitLocal, runs
+from .protocol import ExplicitChainProtocol, ExplicitLocal
 from .semantics import EvalContext, counterexample
 
 _VALUE_LABELS = "abcdefghijklmnopqrstuvwxyz"
@@ -192,13 +195,11 @@ def _labels(mask: int) -> frozenset[str]:
 def _block(sizes: tuple[int, ...], relation_masks: tuple[int, ...]) -> ExplicitChainProtocol | None:
     """The atomless protocol of a (sizes, relation masks) block, or None
     when the block has no run: channel k has the first sizes[k] labels, and
-    relation k the local condition of its mask. Every candidate of the
-    block is it with atom tables. Sampling and the exhaustive scan both
-    read their blocks here. 1,024 entries hold all 340 blocks of three
-    channels with at most two values each, the bounds the sweeps are run
-    on, and all 673 of two channels with at most three. Bounds with more
-    kept blocks evict each before a second scan reads it: a scan of
-    (3, 3, 1), which keeps 1,924, builds them all again."""
+    relation k the local condition of its mask. The sampler rejects its
+    draws here, and every protocol this module returns is one of these
+    with atom tables (``_build_protocol``); nothing that only decides a
+    verdict reads it. 1,024 entries hold all 340 blocks of three channels
+    with at most two values each, the bounds the sweeps are run on."""
     if not _live(sizes, relation_masks)[0]:
         return None
     return ExplicitChainProtocol(
@@ -212,24 +213,34 @@ def _block(sizes: tuple[int, ...], relation_masks: tuple[int, ...]) -> ExplicitC
 
 
 @lru_cache(maxsize=1024)
-def _block_runs(block: ExplicitChainProtocol) -> tuple:
-    """The runs of a block, and so of each of its candidates, in
-    ``protocol.runs`` order. Listed when a sweep first draws in the block
-    or an exhaustive ``falsify`` first decides it, not when the block is
-    made: ``sample_protocol`` and random ``falsify`` on wide bounds would
-    list up to max_values^channels runs per draw. A sweep or scan on wide bounds keeps the run lists of up
-    to 1,024 blocks."""
-    return tuple(runs(block))
+def _block_runs(sizes: tuple[int, ...], relation_masks: tuple[int, ...]) -> tuple:
+    """The runs of a block, and so of each of its candidates, as label
+    tuples in ``protocol.runs`` order, listed straight from the ``_live``
+    bitmasks: each run is extended, in label order, by the live successors
+    of its last value, and every live value reaches the last channel, so
+    no partial run is a dead end. Listed when a sweep first draws in the
+    block or an exhaustive ``falsify`` first decides it; a sweep or scan on
+    wide bounds keeps the run lists of up to 1,024 blocks."""
+    live = _live(sizes, relation_masks)
+    found = [(i,) for i in range(sizes[0]) if live[0] >> i & 1]
+    for k, mask in enumerate(relation_masks, start=1):
+        found = [
+            run + (j,) for run in found for j in range(sizes[k])
+            if mask >> (run[-1] * sizes[k] + j) & live[k] >> j & 1
+        ]
+    return tuple(tuple(_VALUE_LABELS[i] for i in run) for run in found)
 
 
 def _build_protocol(
-    block: ExplicitChainProtocol,
+    sizes: tuple[int, ...],
+    relation_masks: tuple[int, ...],
     truth_masks: tuple[tuple[int, ...], ...],
     atom_names: tuple[str, ...],
 ) -> ExplicitChainProtocol:
-    """The candidate of a block with these truth masks: the block with its
-    own atom tables, sharing every other part."""
-    return block._with_atoms({
+    """The candidate with these integers: its block's atomless protocol
+    with its own atom tables, sharing every other part. The one place a
+    candidate is built."""
+    return _block(sizes, relation_masks)._with_atoms({
         k: dict(zip(atom_names, map(_labels, channel_masks)))
         for k, channel_masks in enumerate(truth_masks)
     })
@@ -296,16 +307,16 @@ def _smaller_by_swap(relation_masks: tuple[int, ...], swaps: list) -> bool:
     return False
 
 
-def _exhaustive_blocks(bounds: SearchBounds, reduced: bool = False):
-    """Yield (position, sizes, block) for the (sizes, relation masks)
-    blocks with runs, in canonical order: position is the rank, among all
-    candidates with runs, of the block's first candidate, and block is its
-    atomless protocol; candidate position + t has the masks t spells.
+def _exhaustive_blocks(bounds: SearchBounds):
+    """Yield (position, sizes, relation masks) for the blocks an exhaustive
+    ``falsify`` decides, in canonical order: position is the rank, among
+    all candidates with runs, of the block's first candidate, and
+    candidate position + t has the masks t spells.
 
-    ``reduced`` also skips, still counting their positions, every block
-    with a value on no run and every block that a swap of two values on
-    one channel turns into an earlier one. Both tests read the relation
-    masks, so no protocol is built for a skipped block.
+    A block without runs is passed over, and so, still counting their
+    positions, is every block with a value on no run and every block that
+    a swap of two values on one channel turns into an earlier one. Each
+    test reads the relation masks alone.
     """
     position = 0
     for sizes in itertools.product(
@@ -313,7 +324,7 @@ def _exhaustive_blocks(bounds: SearchBounds, reduced: bool = False):
     ):
         span = 1 << (bounds.atoms_per_channel * sum(sizes))
         full = [(1 << s) - 1 for s in sizes]
-        swaps = _swaps(sizes) if reduced else []
+        swaps = _swaps(sizes)
         relation_ranges = [
             range(1, 1 << (left * right)) for left, right in zip(sizes, sizes[1:])
         ]
@@ -321,10 +332,8 @@ def _exhaustive_blocks(bounds: SearchBounds, reduced: bool = False):
             live = _live(sizes, relation_masks)
             if not live[0]:
                 continue
-            if reduced and (live != full or _smaller_by_swap(relation_masks, swaps)):
-                position += span
-                continue
-            yield position, sizes, _block(sizes, relation_masks)
+            if live == full and not _smaller_by_swap(relation_masks, swaps):
+                yield position, sizes, relation_masks
             position += span
 
 
@@ -368,21 +377,6 @@ def _offset(bits: list[int], i: int) -> int:
     """The offset whose bits at ``bits`` spell i, bit j of i at bits[j],
     and whose other bits are 0. Offsets grow with i."""
     return sum(1 << b for j, b in enumerate(bits) if i >> j & 1)
-
-
-def _exhaustive_candidates(bounds: SearchBounds, read, reduced: bool = False):
-    """Yield (position, protocol) for each candidate of the blocks that
-    ``_exhaustive_blocks`` keeps whose tables outside ``read`` are all
-    zero, in canonical order."""
-    names = bounds.atom_names
-    decoded = {}
-    for position, sizes, block in _exhaustive_blocks(bounds, reduced):
-        if sizes not in decoded:
-            bits = _read_columns(sizes, names, read)[0]
-            offsets = [_offset(bits, i) for i in range(1 << len(bits))]
-            decoded[sizes] = [(t, _truth_masks(sizes, names, t)) for t in offsets]
-        for t, masks in decoded[sizes]:
-            yield position + t, _build_protocol(block, masks, names)
 
 
 def _holds(entries: tuple, block_runs: tuple, columns: dict, lo: int, width: int) -> list[int]:
@@ -433,15 +427,14 @@ def _random_candidate(rng: random.Random, bounds: SearchBounds):
 
 
 def _draw(rng: random.Random, bounds: SearchBounds):
-    """One random candidate that admits at least one run, as (its block,
-    its sizes, its truth masks). A draw whose block has no run is rejected
+    """One random candidate that admits at least one run, as its (sizes,
+    relation masks, truth masks). A draw whose block has no run is rejected
     through the block cache. Nothing is built: the caller builds the draw
     it keeps, if any."""
     for _ in range(10_000):
         sizes, relation_masks, truth_masks = _random_candidate(rng, bounds)
-        block = _block(sizes, relation_masks)
-        if block is not None:
-            return block, sizes, truth_masks
+        if _block(sizes, relation_masks) is not None:
+            return sizes, relation_masks, truth_masks
     raise SearchSpaceError("could not sample a protocol with runs")
 
 
@@ -457,8 +450,7 @@ def _draw_columns(sizes: tuple[int, ...], truth_masks: tuple, names: tuple[str, 
 
 def sample_protocol(rng: random.Random, bounds: SearchBounds) -> ExplicitChainProtocol:
     """One random candidate that admits at least one run."""
-    block, _, truth_masks = _draw(rng, bounds)
-    return _build_protocol(block, truth_masks, bounds.atom_names)
+    return _build_protocol(*_draw(rng, bounds), bounds.atom_names)
 
 
 def _check_ceiling(bounds: SearchBounds) -> None:
@@ -477,22 +469,27 @@ def _check_ceiling(bounds: SearchBounds) -> None:
 def enumerate_protocols(bounds: SearchBounds):
     """Stream candidate protocols, skipping those without runs.
 
-    Exhaustive mode covers the whole bounded space in canonical order and
-    refuses spaces beyond the ceiling; random mode yields ``samples``
+    Exhaustive mode covers the whole bounded space in canonical order, as
+    the plain product of size vectors, relation masks and truth offsets,
+    and refuses spaces beyond the ceiling; random mode yields ``samples``
     protocols reproducibly from the seed.
     """
     if isinstance(bounds.mode, RandomMode):
-        def sampled():
-            rng = random.Random(bounds.mode.seed)
-            for _ in range(bounds.mode.samples):
-                yield sample_protocol(rng, bounds)
-
-        return sampled()
+        rng = random.Random(bounds.mode.seed)
+        return (sample_protocol(rng, bounds) for _ in range(bounds.mode.samples))
     _check_ceiling(bounds)
-    every_atom = {
-        (k, name) for k in range(bounds.num_channels) for name in bounds.atom_names
-    }
-    return (p for _, p in _exhaustive_candidates(bounds, every_atom))
+    names = bounds.atom_names
+    return (
+        _build_protocol(sizes, relation_masks, _truth_masks(sizes, names, t), names)
+        for sizes in itertools.product(
+            range(1, bounds.max_values_per_channel + 1), repeat=bounds.num_channels
+        )
+        for relation_masks in itertools.product(
+            *[range(1, 1 << (left * right)) for left, right in zip(sizes, sizes[1:])]
+        )
+        if _block(sizes, relation_masks) is not None
+        for t in range(1 << (len(names) * sum(sizes)))
+    )
 
 
 # --- falsification -----------------------------------------------------------
@@ -553,7 +550,7 @@ def falsify(f: Formula, bounds: SearchBounds, budget: int):
     _check_ceiling(bounds)
     names = bounds.atom_names
     entries = _flatten(g)
-    for position, sizes, block in _exhaustive_blocks(bounds, reduced=True):
+    for position, sizes, relation_masks in _exhaustive_blocks(bounds):
         if position >= budget:
             break
         bits, columns = _read_columns(sizes, names, read)
@@ -562,7 +559,7 @@ def falsify(f: Formula, bounds: SearchBounds, budget: int):
         below = bisect.bisect_left(
             range(1 << len(bits)), budget - position, key=lambda i: _offset(bits, i)
         )
-        block_runs = _block_runs(block)
+        block_runs = _block_runs(sizes, relation_masks)
         for lo in range(0, below, _SLICE):
             width = min(_SLICE, below - lo)
             holds = _holds(entries, block_runs, columns, lo, width)
@@ -571,7 +568,7 @@ def falsify(f: Formula, bounds: SearchBounds, budget: int):
                 i = (~meet & (meet + 1)).bit_length() - 1  # lowest bit not in meet
                 run = next(r for r, a in zip(block_runs, holds) if not a >> i & 1)
                 masks = _truth_masks(sizes, names, _offset(bits, lo + i))
-                return _build_protocol(block, masks, names), run
+                return _build_protocol(sizes, relation_masks, masks, names), run
     return None
 
 
@@ -690,14 +687,14 @@ def soundness_sweep(
     first_witness = None
     for _ in range(trials):
         instance = _sample_instance(schema, rng, bounds, enforce_side_conditions)
-        block, sizes, truth_masks = _draw(rng, bounds)
-        block_runs = _block_runs(block)
+        sizes, relation_masks, truth_masks = _draw(rng, bounds)
+        block_runs = _block_runs(sizes, relation_masks)
         i = rng.randrange(len(block_runs))
         columns = _draw_columns(sizes, truth_masks, names)
         if not _holds(_flatten(instance), block_runs, columns, 0, 1)[i]:
             violations += 1
             if first_witness is None:
-                p = _build_protocol(block, truth_masks, names)
+                p = _build_protocol(sizes, relation_masks, truth_masks, names)
                 first_witness = (instance, p, block_runs[i])
     return SweepReport(schema, trials, violations, first_witness)
 

@@ -10,7 +10,14 @@ import sys
 import pytest
 
 import chainlogic
-from chainlogic import cli, corpus, protocol_to_dict, script_to_dict, search
+from chainlogic import (
+    ExplicitChainProtocol,
+    cli,
+    corpus,
+    protocol_to_dict,
+    script_to_dict,
+    search,
+)
 from chainlogic.cli import run_cli
 
 from conftest import gateway_countermodel
@@ -448,6 +455,17 @@ def test_alphabet_with_a_comma_exits_2(capsys, verb, extra):
     code, out, err = run(capsys, argv + extra + ["--formula", "eq_a@0"])
     assert (code, out) == (2, "")
     assert err == "error: --alphabet cannot contain ','\n"
+
+
+@pytest.mark.parametrize("verb, extra", [("eval", ["--run", "a,b,d"]), ("valid", [])])
+def test_protocol_value_with_a_comma_exits_2(capsys, tmp_path, verb, extra):
+    # The run ("a,b", "d") would be printed as a,b,d, which --run reads as
+    # three values.
+    p = ExplicitChainProtocol((0, 1), {0: ["a,b"], 1: ["d"]}, {1: [("a,b", "d")]}, {0: {"p": []}})
+    path = tmp_path / "comma.json"
+    path.write_text(json.dumps(protocol_to_dict(p)), encoding="utf-8")
+    argv = [verb, "--protocol", str(path), *extra, "--formula", "p@0"]
+    assert run(capsys, argv) == (2, "", "error: protocol values cannot contain ','\n")
 
 
 def test_named_alphabet_matches_the_library(capsys):

@@ -121,3 +121,21 @@ def test_package_has_no_unused_imports():
                     if name not in used:
                         unused.append((path.name, node.lineno, name))
     assert unused == []
+
+
+def test_bench_reads_only_library_names():
+    # The benchmark scripts call the library through the package, which
+    # they name pkg, after importing chainlogic.cli as this module does;
+    # every pkg.<name> they read must exist, or a traced pass fails.
+    read = {
+        (path.name, node.attr)
+        for path in sorted((_ROOT / "bench").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "pkg"
+    }
+    assert {"enumerate_protocols", "runs_fixing", "sample_protocol", "candidate_count"} <= {
+        name for _, name in read
+    }
+    assert [(f, name) for f, name in sorted(read) if not hasattr(chainlogic, name)] == []

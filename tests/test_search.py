@@ -7,6 +7,8 @@ import random
 import pytest
 
 from chainlogic import (
+    Atom,
+    Bottom,
     Box,
     EvalContext,
     ExhaustiveMode,
@@ -24,6 +26,7 @@ from chainlogic import (
     enumerate_protocols,
     evaluate,
     falsify,
+    instantiate_axiom,
     is_run,
     parse,
     protocol,
@@ -132,7 +135,7 @@ def test_oversized_bounds_are_refused_at_once():
     )
 
 
-@pytest.mark.parametrize("bounds", [(2, 2, 1), (3, 1, 2), (3, 2, 0), (2, 2, 2)])
+@pytest.mark.parametrize("bounds", [(2, 2, 1), (3, 1, 2), (3, 2, 0), (2, 2, 2), (3, 2, 1)])
 def test_enumerate_matches_reference_stream(bounds):
     got = [protocol_to_dict(p) for p in enumerate_protocols(SearchBounds(*bounds))]
     assert got == [protocol_to_dict(p) for p in reference_candidates(*bounds)]
@@ -227,10 +230,13 @@ def test_every_skipped_candidate_has_an_earlier_checked_equivalent(bounds):
     # skipped candidate, trimmed, is a relabelling of a checked one exactly
     # when that one is a relabelling of it.
     b = SearchBounds(*bounds)
-    every_atom = {(k, name) for k in range(b.num_channels) for name in b.atom_names}
+    names = b.atom_names
     checked = {
-        position: candidate_key(p)
-        for position, p in search._exhaustive_candidates(b, every_atom, reduced=True)
+        position + t: candidate_key(
+            search._build_protocol(sizes, masks, search._truth_masks(sizes, names, t), names)
+        )
+        for position, sizes, masks in search._exhaustive_blocks(b)
+        for t in range(1 << (len(names) * sum(sizes)))
     }
     earliest = {}
     skipped = []
@@ -330,15 +336,15 @@ def test_block_pass_matches_the_walk(bounds):
         if 1 <= _modal_depth(f) <= 3:
             formulas.append(f)
     outcomes = collections.Counter()
-    for _, sizes, block in search._exhaustive_blocks(bounds, reduced=True):
+    for _, sizes, masks in search._exhaustive_blocks(bounds):
         bits, columns = search._read_columns(sizes, names, every_atom)
         candidates = [
             search._build_protocol(
-                block, search._truth_masks(sizes, names, search._offset(bits, i)), names
+                sizes, masks, search._truth_masks(sizes, names, search._offset(bits, i)), names
             )
             for i in range(1 << len(bits))
         ]
-        block_runs = search._block_runs(block)
+        block_runs = search._block_runs(sizes, masks)
         half = len(candidates) // 2
         for g in formulas:
             expected = [counterexample(EvalContext(p), g) for p in candidates]
@@ -376,10 +382,11 @@ def test_budget_cuts_a_wide_block(monkeypatch):
     assert (calls["decided"], calls["counterexample"], calls["_build_protocol"]) == (256, 0, 1)
 
 
-def test_second_scan_builds_no_block(monkeypatch):
-    # The exhaustive scan reads its blocks from the block cache, so a scan
-    # of bounds already scanned builds no protocol through the constructor:
-    # each candidate is a cached block with its own atom tables.
+def test_cold_scan_builds_only_its_witness(monkeypatch):
+    # The exhaustive scan lists each block's runs from its relation masks,
+    # so with both caches cold a scan that refutes nothing calls the
+    # constructor for no protocol, and one that refutes calls it once, for
+    # the atomless block of its witness.
     built = []
     real_init = ExplicitChainProtocol.__init__
 
@@ -388,14 +395,13 @@ def test_second_scan_builds_no_block(monkeypatch):
         real_init(self, *args, **kwargs)
 
     monkeypatch.setattr(ExplicitChainProtocol, "__init__", counted)
-    law = display_gateway_family()[2]
     bounds = SearchBounds(3, 2, 1)
-    search._block.cache_clear()
-    assert falsify(law, bounds, budget=10**6) is None
-    assert built
-    built.clear()
-    assert falsify(law, bounds, budget=10**6) is None
-    assert built == []
+    for f, hits in ((display_gateway_family()[2], False), (parse("[1]p@0 -> [2]p@0"), True)):
+        search._block.cache_clear()
+        search._block_runs.cache_clear()
+        built.clear()
+        assert (falsify(f, bounds, budget=10**6) is not None) == hits
+        assert len(built) == hits, render(f)
 
 
 def test_display_laws_exhaustive_on_four_channels():
@@ -465,6 +471,42 @@ def test_soundness_sweeps_clean():
         assert report.violations == 0, report.first_witness
         assert report.first_witness is None
         assert "200" in report.summary()
+
+
+def test_schemas_have_no_small_countermodel():
+    # Exhaustive evidence for the five schemas on (3, 2, 1): phi and psi
+    # range over false, p@k, [j]false and [j]p@k on channels 0..2, with
+    # every k, and every n other than k for the gateway. No instance whose
+    # side condition holds has a countermodel in the bounds; without the
+    # side condition, each guarded schema has an instance that does.
+    # Instances are kept in the embedded form falsify decides, once each.
+    bounds = SearchBounds(3, 2, 1)
+    window = range(bounds.num_channels)
+    family = [Bottom(), *(Atom(k, "p") for k in window), *(Box(j, Bottom()) for j in window)]
+    family += [Box(j, Atom(k, "p")) for j in window for k in window]
+    instances = {}
+    for k, phi in itertools.product(window, family):
+        for schema, extras in (
+            ("distributivity", [{"psi": psi} for psi in family]),
+            ("reflexivity", [{}]),
+            ("self_awareness", [{}]),
+            ("gateway", [{"n": n} for n in window if n != k]),
+            ("disjunction", [{"psi": psi} for psi in family]),
+        ):
+            for extra in extras:
+                f, side_ok = instantiate_axiom(schema, {"k": k, "phi": phi, **extra})
+                instances.setdefault((schema, side_ok), {})[embed_formula(f, bounds)] = None
+    assert {schema for schema, side_ok in instances if side_ok} == set(_SWEEP_SCHEMAS)
+    assert {schema for schema, side_ok in instances if not side_ok} == {
+        "self_awareness", "gateway", "disjunction"
+    }
+    for (schema, side_ok), formulas in instances.items():
+        found = (falsify(g, bounds, budget=10**6) for g in formulas)
+        if side_ok:
+            refuted = [(render(g), hit) for g, hit in zip(formulas, found) if hit is not None]
+            assert refuted == [], schema
+        else:
+            assert any(hit is not None for hit in found), schema
 
 
 def test_soundness_sweep_deterministic():
@@ -543,11 +585,11 @@ def test_sampled_pass_matches_the_walk(seed):
         violations, first = 0, None
         for _ in range(150):
             instance = search._sample_instance(schema, rng, bounds, enforce)
-            block, sizes, truth_masks = search._draw(rng, bounds)
-            block_runs = search._block_runs(block)
+            sizes, masks, truth_masks = search._draw(rng, bounds)
+            block_runs = search._block_runs(sizes, masks)
             i = rng.randrange(len(block_runs))
             columns = search._draw_columns(sizes, truth_masks, names)
-            p = search._build_protocol(block, truth_masks, names)
+            p = search._build_protocol(sizes, masks, truth_masks, names)
             for g in (instance.rhs, instance):
                 decided = search._holds(_flatten(g), block_runs, columns, 0, 1)[i]
                 walked = evaluate(EvalContext(p), block_runs[i], g)
@@ -629,23 +671,15 @@ def test_sampling_builds_only_accepted_draws(monkeypatch):
         assert calls.count("instantiate_axiom") == 200
 
     # A sweep lists the runs of each block it draws once, however often it
-    # draws the block: the block is its value sets and local conditions.
-    listed = []
-    real_runs = search.runs
-
-    def listing(p):
-        listed.append(tuple(
-            (p.values(k), p.local(k).pairs if k else None) for k in p.channels()
-        ))
-        return real_runs(p)
-
-    monkeypatch.setattr(search, "runs", listing)
-    search._block.cache_clear()
+    # draws the block: every miss of the run cache is a new entry, and the
+    # cache holds every block of the bounds.
+    search._block_runs.cache_clear()
     del calls[:]
     report = soundness_sweep("reflexivity", SearchBounds(3, 2, 2), 300)
     assert report.trials == 300
     assert calls.count("_build_protocol") == 0
-    assert 0 < len(listed) == len(set(listed)) < 300
+    listed = search._block_runs.cache_info()
+    assert 0 < listed.misses == listed.currsize < 300
     del calls[:]
     report = soundness_sweep("gateway", SearchBounds(3, 2, 2), 300, enforce_side_conditions=False)
     assert report.violations > 1
@@ -698,6 +732,7 @@ def test_block_cache_matches_runs(bounds):
     bounds = SearchBounds(*bounds)
     names = bounds.atom_names
     search._block.cache_clear()
+    search._block_runs.cache_clear()
     blocks = 0
     for sizes in itertools.product(
         range(1, bounds.max_values_per_channel + 1), repeat=bounds.num_channels
@@ -711,9 +746,9 @@ def test_block_cache_matches_runs(bounds):
                 continue
             expected = tuple(runs(_constructed(sizes, masks)))
             assert expected
+            assert search._block_runs(sizes, masks) == expected
             for truth in ((0,) * len(names), (1,) * len(names)):
-                p = search._build_protocol(block, (truth,) * len(sizes), names)
-                assert search._block_runs(block) == expected
+                p = search._build_protocol(sizes, masks, (truth,) * len(sizes), names)
                 assert tuple(runs(p)) == expected
     assert blocks == (340 if bounds.num_channels == 3 else 673)
 
@@ -803,7 +838,7 @@ def test_sampled_protocols_share_safely():
     before = protocol_to_dict(block)
     tables = itertools.product(range(4), range(4), range(4), range(4), range(2), range(2))
     built = [
-        search._build_protocol(block, (t[0:2], t[2:4], t[4:6]), ("p", "q"))
+        search._build_protocol(sizes, masks, (t[0:2], t[2:4], t[4:6]), ("p", "q"))
         for t in itertools.islice(tables, 200)
     ]
     assert block._atoms == {}
