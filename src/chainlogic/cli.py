@@ -5,6 +5,14 @@ proof accepted, no countermodel within budget), 1 when it is refuted
 (with a witness or diagnostic printed), and 2 for usage, parse, or file
 format errors. ``--json`` switches each report to a single JSON object on
 stdout with the same verdict as the text output.
+
+Each process runs one verb, so a module that only one verb uses is
+imported inside that verb's handler: ``proofcheck`` in ``_cmd_prove`` and
+``search`` in ``_cmd_falsify``. They are the larger part of the
+package's import time, and ``scope``, ``eval``, ``valid`` and
+``counterexample`` never use them. ``formula``, ``protocol`` and
+``semantics`` are imported here: four verbs use them, so deferring them
+would only move their cost into the first query.
 """
 
 from __future__ import annotations
@@ -15,9 +23,7 @@ import json
 import sys
 
 from .formula import parse, render, scope
-from .proofcheck import check_script, load_script
 from .protocol import is_run, load_protocol, protocol_to_dict, telephone
-from .search import ExhaustiveMode, RandomMode, SearchBounds, embed_formula, falsify
 from .semantics import EvalContext, counterexample, evaluate
 
 class _UsageError(ValueError):
@@ -101,6 +107,8 @@ def _cmd_witness(args, out) -> int:
 
 
 def _cmd_prove(args, out) -> int:
+    from .proofcheck import check_script, load_script
+
     verdict = check_script(load_script(args.script))
     payload = {
         "command": "prove",
@@ -118,6 +126,8 @@ def _cmd_prove(args, out) -> int:
 
 
 def _cmd_falsify(args, out) -> int:
+    from .search import ExhaustiveMode, RandomMode, SearchBounds, embed_formula, falsify
+
     if (args.seed is None) != (args.samples is None):
         raise _UsageError("--seed and --samples must be given together")
     mode = (

@@ -388,6 +388,9 @@ _APPLIED_BEFORE = {"&": ("&",), "|": ("&", "|"), "->": ("&", "|")}
 
 def parse(text: str) -> Formula:
     """Parse concrete syntax into the four-constructor core AST."""
+    # A channel lexeme that starts with an ASCII digit is all ASCII digits
+    # (``_LEXEMES``), and 18 digits are below 2^63, so such a lexeme is
+    # read inline with ``int``; any other goes through ``_channel``.
     lexemes = _LEXEMES.findall(text)
     lexemes.append("")  # the end marker
     ops = []  # "(", binary operators, and prefixes as (lexeme, channel)
@@ -400,7 +403,8 @@ def parse(text: str) -> Formula:
         c = s[:1]
         i += 1
         if s == "[" or s == "<":
-            channel = _channel(text, lexemes, i)
+            d = lexemes[i]
+            channel = int(d) if "0" <= d[:1] <= "9" and len(d) <= 18 else _channel(text, lexemes, i)
             close = "]" if s == "[" else ">"
             if lexemes[i + 1] != close:
                 raise _syntax_error(text, i + 1, f"expected {close!r}")
@@ -415,7 +419,11 @@ def parse(text: str) -> Formula:
             else:
                 if lexemes[i] != "@":
                     raise _syntax_error(text, i, "expected '@' after an atom name")
-                f = Atom(_channel(text, lexemes, i + 1), s)
+                d = lexemes[i + 1]
+                if "0" <= d[:1] <= "9" and len(d) <= 18:
+                    f = Atom(int(d), s)
+                else:
+                    f = Atom(_channel(text, lexemes, i + 1), s)
                 i += 2
         elif s == "!":
             ops.append(("!", None))

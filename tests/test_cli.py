@@ -601,6 +601,52 @@ def test_python_dash_m_runs_the_cli():
     assert (done.returncode, done.stdout, done.stderr) == (0, "{2}\n", "")
 
 
+# Runs the verb in argv (nothing when argv is empty) in a fresh interpreter
+# and prints its exit code and the chainlogic submodules it loaded.
+_LOADED_PROBE = """
+import io, json, sys
+from chainlogic.cli import run_cli
+code = run_cli(sys.argv[1:], stdout=io.StringIO()) if sys.argv[1:] else None
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("chainlogic."))]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code, loaded, not_loaded",
+    [
+        ([], None, [], ["search", "proofcheck"]),
+        (["scope", "[2]p@3"], 0, [], ["search", "proofcheck"]),
+        (["eval", "--protocol", "{protocol}", "--run", "u,x,z", "--formula", "p@0"],
+         0, [], ["search", "proofcheck"]),
+        (PHONE + ["eval", "--run", "a,b", "--formula", "eq_a@0"],
+         0, [], ["search", "proofcheck"]),
+        (PHONE + ["valid", "--formula", "eq_a@0 | !eq_a@0"],
+         0, [], ["search", "proofcheck"]),
+        (["prove", "--script", "{script}"], 0, ["proofcheck"], ["search"]),
+        (["falsify", "--formula", "[1]p@0 -> [2]p@0", "--channels", "3", "--max-values", "2"],
+         1, ["search"], []),
+    ],
+)
+def test_each_verb_loads_only_the_modules_it_runs(
+    argv, code, loaded, not_loaded, protocol_file, prop4_file
+):
+    argv = [a.format(protocol=protocol_file, script=prop4_file) for a in argv]
+    done = subprocess.run(
+        [sys.executable, "-c", _LOADED_PROBE, *argv], capture_output=True, text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__))),
+    )
+    assert done.returncode == 0, done.stderr
+    got_code, modules = json.loads(done.stdout)
+    assert got_code == code
+    for name in loaded:
+        assert f"chainlogic.{name}" in modules
+    for name in not_loaded:
+        assert f"chainlogic.{name}" not in modules
+    # The modules every verb runs on are loaded with the CLI itself.
+    assert {"chainlogic.formula", "chainlogic.protocol", "chainlogic.semantics"} <= set(modules)
+
+
 def test_falsify_oversized_bounds_exit_2(capsys):
     # 2^40 value-set size vectors: counted, not enumerated, before refusing.
     code, out, err = run(

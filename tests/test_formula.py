@@ -154,6 +154,17 @@ def test_huge_channel_indices_are_out_of_range():
         parse("p@" + "0" * 30 + "9223372036854775808")
 
 
+@pytest.mark.parametrize(
+    "digits", ["0", "0" * 18, "9" * 18, "0" * 17 + "7", "0" * 19, str(2**63 - 1), "1" + "0" * 18]
+)
+def test_channels_either_side_of_the_inline_read_agree(digits):
+    # parse reads a channel of at most 18 ASCII digits with int() and
+    # hands a longer or signed one to _channel; both give the same value.
+    text = f"[{digits}]p@{digits} -> <-{digits}>p@-{digits}"
+    assert parse(text) == reference_parse(text)
+    assert parse(text).lhs == Box(int(digits), Atom(int(digits), "p"))
+
+
 _SUGAR_ATOMS = ("p", "q", "eq_a", "R2", "_x")
 _SPACES = ("", "", "", " ", "  ", "\t", "\n ")
 _JUNK = list("[]<>()!&|@-0123456789 $é\u00a0") + ["->", "p", "true", "false", "@-", "9" * 20]
