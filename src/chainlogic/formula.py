@@ -239,39 +239,46 @@ def _flatten(f: Formula) -> tuple:
     so a shared subformula is encoded once and stays shared: ``(Atom,
     channel, name)``, ``(Bottom,)``, and ``(Implies, i, j)`` and ``(Box,
     channel, i)``, where i and j are the positions of the children's
-    entries. Built from an explicit stack; a node stays on it until its
-    children have entries."""
+    entries. Built from an explicit stack that visits each node once: a
+    node with children goes back on the stack with a None marker above it
+    and its children above that. Each finished subformula leaves its
+    position on a second stack, so when the marker comes off, the node's
+    children's positions are on top there and no child is looked up."""
     index: dict[int, int] = {}  # id of a node -> position of its entry
     entries = []
+    done = []  # positions of the finished children of the marked nodes
     stack = [f]
+    pop, push, finish = stack.pop, stack.append, done.append
     while stack:
-        g = stack[-1]
-        if id(g) in index:
-            stack.pop()
-            continue
-        t = type(g)
-        if t is Implies:
-            a, b = index.get(id(g.lhs)), index.get(id(g.rhs))
-            if a is None or b is None:
-                if b is None:
-                    stack.append(g.rhs)
-                if a is None:
-                    stack.append(g.lhs)
-                continue
-            entry = (Implies, a, b)
-        elif t is Box:
-            a = index.get(id(g.body))
-            if a is None:
-                stack.append(g.body)
-                continue
-            entry = (Box, g.channel, a)
-        elif t is Atom:
-            entry = (Atom, g.channel, g.name)
+        g = pop()
+        if g is None:  # every child of the node under the marker is done
+            g = pop()
+            if type(g) is Implies:
+                b = done.pop()
+                entry = (Implies, done.pop(), b)
+            else:
+                entry = (Box, g.channel, done.pop())
         else:
-            entry = (Bottom,)
-        stack.pop()
-        index[id(g)] = len(entries)
+            i = index.get(id(g))
+            if i is not None:
+                finish(i)
+                continue
+            t = type(g)
+            if t is Implies:
+                push(g)
+                push(None)
+                push(g.rhs)
+                push(g.lhs)
+                continue
+            if t is Box:
+                push(g)
+                push(None)
+                push(g.body)
+                continue
+            entry = (Atom, g.channel, g.name) if t is Atom else (Bottom,)
+        i = index[id(g)] = len(entries)
         entries.append(entry)
+        finish(i)
     return tuple(entries)
 
 

@@ -37,13 +37,16 @@ built:
 The first refuting candidate is therefore among the ones kept, as itself.
 
 The kept candidates of one block share its runs, so ``falsify`` decides
-them together, as in bit-parallel logic simulation: candidate i of the
-block, the offset whose read bits spell i, is bit i of an integer, and the
-formula is evaluated once per run of the block, over all of them at once
-(``_holds``). Per run, the pass keeps the mask of the candidates at which
-the formula holds; the lowest one missing from their meet is the first
-refuting candidate, and the first run, in ``protocol.runs`` order, whose
-mask lacks it is its first falsifying run, the one ``counterexample``
+them together, as in bit-parallel logic simulation (``_holds``). Each
+node of the formula is one integer with a lane of ``width`` bits per run:
+bit r * width + i is candidate i of the slice, the offset whose read bits
+spell i, at run r. An implication is one operation
+on two such integers, an atom multiplies each value's candidates into the
+lanes of the runs that have the value (its spread), and a box takes, per
+value group of its channel, the candidates that hold on every run of the
+group. The lowest candidate missing from some lane of the result is the
+first refuting candidate, and the lowest lane that lacks it is its first
+falsifying run, in ``protocol.runs`` order, the one ``counterexample``
 gives. Only that candidate is built and no walk is made, so the witness,
 its run and the budget cut are those of a candidate-by-candidate scan, at
 any modal depth. At most ``_SLICE`` candidates are decided at a time, and
@@ -54,11 +57,14 @@ is its (sizes, relation masks, truth masks) integers. Below the public API
 a block is just its (sizes, relation masks) integers. Its runs, in
 ``protocol.runs`` order, are listed straight from the reachability
 bitmasks into a bounded cache keyed by them (``_block_runs``), which the
-exhaustive scan and the sweeps share. A sweep trial is decided by the same
-pass at width 1, its columns read off the draw's truth masks (one bit per
-value), and reads the bit of its drawn run. So nothing that only decides a
-verdict builds a protocol: a scan builds only its witness, and a sweep
-only its first violation. A protocol is built only to be returned
+exhaustive scan and the sweeps share, with the block's value groups beside
+them: per channel and value, the bit of each run that has it. A sweep
+trial is the same pass at width 1, where the value groups are the spreads
+and the formula is one bit per run. Its atoms' columns come from a cache
+keyed by channel size and truth mask (``_value_bits``), and it reads the
+bit of its drawn run. So nothing that only decides a verdict builds a
+protocol: a scan builds only its witness, and a sweep only its first
+violation. A protocol is built only to be returned
 (``_build_protocol``): the atomless protocol of its block, made by the
 public constructor and kept in a second bounded cache (``_block``), with
 its own atom tables, sharing the block's value tuples and sets and local
@@ -80,7 +86,7 @@ import bisect
 import itertools
 import random
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from .formula import (
     Atom,
@@ -212,23 +218,73 @@ def _block(sizes: tuple[int, ...], relation_masks: tuple[int, ...]) -> ExplicitC
     )
 
 
+class _Runs(tuple):
+    """A block's runs, as label tuples in ``protocol.runs`` order, with its
+    value groups beside them: ``groups[k][v]`` has bit r set for each run r
+    whose value at channel k is value v (0 for a value on no run)."""
+
+    groups: tuple[tuple[int, ...], ...]
+
+    def spreads(self, width: int) -> tuple:
+        """The value groups at ``width``: bit r of a group moves to bit
+        r * width, the lowest bit of run r's lane, one step per run and
+        channel."""
+        if width == 1:
+            return self.groups
+        spreads = []
+        for channel in self.groups:
+            row = []
+            for g in channel:
+                spread = 0
+                while g:
+                    low = g & -g
+                    spread |= 1 << (low.bit_length() - 1) * width
+                    g ^= low
+                row.append(spread)
+            spreads.append(tuple(row))
+        return tuple(spreads)
+
+
+# Per value v, the table that spells label v as "1" and any other as "0".
+_SPELL = [
+    bytes.maketrans(_VALUE_LABELS.encode(), b"0" * v + b"1" + b"0" * (25 - v)) for v in range(26)
+]
+
+
 @lru_cache(maxsize=1024)
-def _block_runs(sizes: tuple[int, ...], relation_masks: tuple[int, ...]) -> tuple:
-    """The runs of a block, and so of each of its candidates, as label
-    tuples in ``protocol.runs`` order, listed straight from the ``_live``
-    bitmasks: each run is extended, in label order, by the live successors
-    of its last value, and every live value reaches the last channel, so
-    no partial run is a dead end. Listed when a sweep first draws in the
-    block or an exhaustive ``falsify`` first decides it; a sweep or scan on
-    wide bounds keeps the run lists of up to 1,024 blocks."""
+def _block_runs(sizes: tuple[int, ...], relation_masks: tuple[int, ...]) -> _Runs:
+    """The runs of a block, and so of each of its candidates, listed
+    straight from the ``_live`` bitmasks, one channel at a time, as a
+    string of labels per channel: each run is extended, in label order, by
+    the live successors of its last value, so the new channel's string
+    joins the successor strings of the last one's labels, and each earlier
+    label is repeated once per successor. Every live value reaches the last
+    channel, so no partial run is a dead end. The value groups are read off
+    the strings as binary digits, in time linear in the runs. Listed when a
+    sweep first draws in the block or an exhaustive ``falsify`` first
+    decides it; a sweep or scan on wide bounds keeps the run lists of up to
+    1,024 blocks."""
     live = _live(sizes, relation_masks)
-    found = [(i,) for i in range(sizes[0]) if live[0] >> i & 1]
+    columns = ["".join([_VALUE_LABELS[i] for i in range(sizes[0]) if live[0] >> i & 1])]
     for k, mask in enumerate(relation_masks, start=1):
-        found = [
-            run + (j,) for run in found for j in range(sizes[k])
-            if mask >> (run[-1] * sizes[k] + j) & live[k] >> j & 1
-        ]
-    return tuple(tuple(_VALUE_LABELS[i] for i in run) for run in found)
+        s = sizes[k]
+        steps = {
+            _VALUE_LABELS[i]: "".join([
+                _VALUE_LABELS[j] for j in range(s) if mask >> (i * s + j) & live[k] >> j & 1
+            ])
+            for i in range(sizes[k - 1])
+        }
+        ends = list(map(steps.__getitem__, columns[-1]))
+        counts = list(map(len, ends))
+        columns = ["".join(map(str.__mul__, column, counts)) for column in columns]
+        columns.append("".join(ends))
+    runs = _Runs(zip(*columns))
+    # Last run first, so that run r is bit r of the number the digits spell.
+    runs.groups = tuple(
+        tuple(int(spelt.translate(_SPELL[v]) or b"0", 2) for v in range(s))
+        for spelt, s in zip((column[::-1].encode() for column in columns), sizes)
+    )
+    return runs
 
 
 def _build_protocol(
@@ -358,16 +414,15 @@ def _truth_masks(sizes: tuple[int, ...], names: tuple[str, ...], t: int) -> tupl
 
 def _read_columns(sizes: tuple[int, ...], names: tuple[str, ...], read):
     """The offset bits of the tables of the (channel, atom) pairs in
-    ``read``, lowest first, and per such pair, per value label, the mask of
+    ``read``, lowest first, and per such pair, per value, the mask of
     the candidates whose table holds there: candidate i is offset
     ``_offset(bits, i)``, so read bit j has ``_variable_mask(j, len(bits))``."""
     tables = [(k, name, low) for k, name, low in _tables(sizes, names) if (k, name) in read]
     bits = sorted(low + v for k, _, low in tables for v in range(sizes[k]))
     columns = {
-        (k, name): {
-            _VALUE_LABELS[v]: _variable_mask(bits.index(low + v), len(bits))
-            for v in range(sizes[k])
-        }
+        (k, name): tuple(
+            _variable_mask(bits.index(low + v), len(bits)) for v in range(sizes[k])
+        )
         for k, name, low in tables
     }
     return bits, columns
@@ -379,36 +434,73 @@ def _offset(bits: list[int], i: int) -> int:
     return sum(1 << b for j, b in enumerate(bits) if i >> j & 1)
 
 
-def _holds(entries: tuple, block_runs: tuple, columns: dict, lo: int, width: int) -> list[int]:
-    """Per run of a block, the mask of the candidates lo .. lo + width - 1,
-    as bits 0 .. width - 1, at which the formula ``entries`` (``_flatten``
-    order) holds. Each entry is decided for every candidate at once, one
-    mask per run, from the atoms' columns: false is no candidate, a -> b
-    is ~a | b, and [k]a is the meet of a over the runs that share the
-    run's value at k, or over every run when k is outside the window."""
+def _any_lane(x: int, width: int, size: int) -> int:
+    """The OR of the ``width``-bit lanes of x, a number below 2**size, in
+    lane 0: x is folded onto itself at doubling distances."""
+    shift = width
+    while shift < size:
+        x |= x >> shift
+        shift <<= 1
+    return x & ((1 << width) - 1)
+
+
+def _holds(entries: tuple, spreads: tuple, column, lo: int, width: int) -> int:
+    """The formula ``entries`` (``_flatten`` order) on the candidates lo ..
+    lo + width - 1 of a block, at all of its runs at once: bit r * width + i
+    of the result is set when candidate lo + i holds at run r.
+
+    ``spreads`` are the block's value groups at ``width`` (``_Runs.spreads``),
+    and ``column(k, name)`` gives, per value of channel k, the mask of the
+    candidates whose table of the atom holds there. Each entry is one
+    integer: false is 0, and a -> b is ``all_set ^ a | b``. An atom is the
+    sum, over the values v of its channel, of the candidates it holds at
+    times the spread of v, which copies them into the lanes of v's runs.
+    [k]a is decided per value group at k: the candidates at which a holds
+    on every run of the group, copied back to those runs. At width 1 a
+    group holds or not as a whole. A box outside the window has one group,
+    every run."""
     full = (1 << width) - 1
-    window = range(len(block_runs[0]))
+    every = sum(spreads[0])
+    all_set = every * full
+    size = all_set.bit_length()
+    window = range(len(spreads))
     rows = []
     for entry in entries:
         kind = entry[0]
         if kind is Implies:
-            row = [full ^ a | b for a, b in zip(rows[entry[1]], rows[entry[2]])]
+            row = all_set ^ rows[entry[1]] | rows[entry[2]]
         elif kind is Box:
             k, body = entry[1], rows[entry[2]]
-            if k in window:
-                meet = {}
-                for r, a in zip(block_runs, body):
-                    meet[r[k]] = meet.get(r[k], full) & a
-                row = [meet[r[k]] for r in block_runs]
-            else:
-                row = [reduce(int.__and__, body, full)] * len(block_runs)
+            row = 0
+            for g in spreads[k] if k in window else (every,):
+                lanes = g * full
+                miss = lanes & ~body
+                if not miss:
+                    row |= lanes
+                elif width > 1:
+                    row |= (full ^ _any_lane(miss, width, size)) * g
         elif kind is Atom:
-            column = columns[entry[1], entry[2]]
-            row = [column[r[entry[1]]] >> lo & full for r in block_runs]
+            k = entry[1]
+            row = sum([(c >> lo & full) * g for c, g in zip(column(k, entry[2]), spreads[k])])
         else:
-            row = [0] * len(block_runs)
+            row = 0
         rows.append(row)
     return rows[-1]
+
+
+def _first_refuted(row: int, spreads: tuple, width: int) -> tuple[int, int] | None:
+    """For a ``_holds`` result, the lowest candidate i missing from some
+    lane of ``row`` and the lowest run r whose lane misses it, as (i, r);
+    None when every lane is full."""
+    every = sum(spreads[0])
+    all_set = every * ((1 << width) - 1)
+    miss = all_set ^ row
+    if not miss:
+        return None
+    refuted = _any_lane(miss, width, all_set.bit_length())  # the complement of the meet
+    i = (refuted & -refuted).bit_length() - 1
+    at = miss >> i & every  # the runs that miss candidate i
+    return i, ((at & -at).bit_length() - 1) // width
 
 
 def _random_candidate(rng: random.Random, bounds: SearchBounds):
@@ -438,14 +530,12 @@ def _draw(rng: random.Random, bounds: SearchBounds):
     raise SearchSpaceError("could not sample a protocol with runs")
 
 
-def _draw_columns(sizes: tuple[int, ...], truth_masks: tuple, names: tuple[str, ...]) -> dict:
-    """The columns of one drawn candidate for ``_holds`` at width 1: per
-    (channel, atom), per value label, 1 where the atom's table holds."""
-    return {
-        (k, name): {_VALUE_LABELS[v]: mask >> v & 1 for v in range(sizes[k])}
-        for k, channel_masks in enumerate(truth_masks)
-        for name, mask in zip(names, channel_masks)
-    }
+@lru_cache(maxsize=1024)
+def _value_bits(size: int, mask: int) -> tuple[int, ...]:
+    """The column of a drawn candidate's atom for ``_holds`` at width 1:
+    per value of a channel of ``size`` values, 1 where the truth mask
+    holds."""
+    return tuple([mask >> v & 1 for v in range(size)])
 
 
 def sample_protocol(rng: random.Random, bounds: SearchBounds) -> ExplicitChainProtocol:
@@ -530,8 +620,8 @@ def falsify(f: Formula, bounds: SearchBounds, budget: int):
     embed_formula to see the shifted form; that form is not shifted
     again). An exhaustive scan decides only the candidates that can be
     first (see the module docstring), ``_SLICE`` of a block at a time in
-    one pass over the block's runs, which also names the witness run, and
-    builds only the first refuting candidate; it makes no walk, so it has
+    one pass that decides them at every run of the block at once and also
+    names the witness run, and builds only the first refuting candidate; it makes no walk, so it has
     no limit on modal depth. ``budget`` still counts positions in the full
     canonical order: the candidates with runs, skipped ones included.
     Random mode walks each of the first ``budget`` samples with
@@ -554,6 +644,7 @@ def falsify(f: Formula, bounds: SearchBounds, budget: int):
         if position >= budget:
             break
         bits, columns = _read_columns(sizes, names, read)
+        column = lambda k, name: columns[k, name]
         # Offsets grow with the index, so the candidates below the budget
         # are a prefix of the block.
         below = bisect.bisect_left(
@@ -562,13 +653,12 @@ def falsify(f: Formula, bounds: SearchBounds, budget: int):
         block_runs = _block_runs(sizes, relation_masks)
         for lo in range(0, below, _SLICE):
             width = min(_SLICE, below - lo)
-            holds = _holds(entries, block_runs, columns, lo, width)
-            meet = reduce(int.__and__, holds, (1 << width) - 1)
-            if meet != (1 << width) - 1:
-                i = (~meet & (meet + 1)).bit_length() - 1  # lowest bit not in meet
-                run = next(r for r, a in zip(block_runs, holds) if not a >> i & 1)
+            spreads = block_runs.spreads(width)
+            first = _first_refuted(_holds(entries, spreads, column, lo, width), spreads, width)
+            if first is not None:
+                i, r = first
                 masks = _truth_masks(sizes, names, _offset(bits, lo + i))
-                return _build_protocol(sizes, relation_masks, masks, names), run
+                return _build_protocol(sizes, relation_masks, masks, names), block_runs[r]
     return None
 
 
@@ -593,65 +683,74 @@ class SweepReport:
 
 def random_formula(rng: random.Random, channels, atom_names, max_depth: int) -> Formula:
     """Seeded random formula over the given channels and atom names."""
-    channels = tuple(channels)
+    return _random_formula(rng, tuple(channels), tuple(atom_names), max_depth)
+
+
+def _random_formula(rng: random.Random, channels: tuple, atom_names: tuple, max_depth: int) -> Formula:
+    """``random_formula`` on channels and atom names already in tuples."""
     roll = rng.random()
     if max_depth <= 0 or roll < 0.30:
         if not atom_names or rng.random() < 0.2:
             return Bottom()
-        return Atom(rng.choice(channels), rng.choice(tuple(atom_names)))
+        return Atom(rng.choice(channels), rng.choice(atom_names))
     if roll < 0.70:
         return Implies(
-            random_formula(rng, channels, atom_names, max_depth - 1),
-            random_formula(rng, channels, atom_names, max_depth - 1),
+            _random_formula(rng, channels, atom_names, max_depth - 1),
+            _random_formula(rng, channels, atom_names, max_depth - 1),
         )
     return Box(
         rng.choice(channels),
-        random_formula(rng, channels, atom_names, max_depth - 1),
+        _random_formula(rng, channels, atom_names, max_depth - 1),
     )
 
 
-def _sample_instance(
+def _sample_instances(
     schema: str,
     rng: random.Random,
     bounds: SearchBounds,
     enforce_side_conditions: bool,
-) -> Formula:
-    window = range(bounds.num_channels)
+):
+    """Yield grounded instances of the schema, one per ``next``, drawn from
+    rng in the order a sweep's trials interleave them with their draws.
+    What depends on the bounds alone, such as gateway's (k, n) pairs, is
+    built once."""
+    window = tuple(range(bounds.num_channels))
     names = bounds.atom_names
+    pairs = tuple((k, n) for k in window for n in window if k != n)
     while True:
         if schema == "self_awareness":
             k = rng.choice(window)
             pool = (k,) if enforce_side_conditions else window
-            phi = random_formula(rng, pool, names, 2)
+            phi = _random_formula(rng, pool, names, 2)
             params = {"k": k, "phi": phi}
         elif schema == "gateway":
-            phi = random_formula(rng, window, names, 2)
-            pairs = [(k, n) for k in window for n in window if k != n]
+            phi = _random_formula(rng, window, names, 2)
+            allowed = pairs
             if enforce_side_conditions:
                 s = scope(phi)
-                pairs = [(k, n) for k, n in pairs if gateway_side(k, n, s)]
-                if not pairs:
+                allowed = [(k, n) for k, n in pairs if gateway_side(k, n, s)]
+                if not allowed:
                     continue
-            k, n = rng.choice(pairs)
+            k, n = rng.choice(allowed)
             params = {"k": k, "n": n, "phi": phi}
         elif schema == "disjunction":
             k = rng.choice(window)
             if enforce_side_conditions:
-                phi = random_formula(rng, range(0, k + 1), names, 2)
-                psi = random_formula(rng, range(k, bounds.num_channels), names, 2)
+                phi = _random_formula(rng, window[: k + 1], names, 2)
+                psi = _random_formula(rng, window[k:], names, 2)
             else:
-                phi = random_formula(rng, window, names, 2)
-                psi = random_formula(rng, window, names, 2)
+                phi = _random_formula(rng, window, names, 2)
+                psi = _random_formula(rng, window, names, 2)
             params = {"k": k, "phi": phi, "psi": psi}
         else:  # distributivity, reflexivity: no side condition
             params = {
                 "k": rng.choice(window),
-                "phi": random_formula(rng, window, names, 2),
-                "psi": random_formula(rng, window, names, 2),
+                "phi": _random_formula(rng, window, names, 2),
+                "psi": _random_formula(rng, window, names, 2),
             }
         instance, side_ok = instantiate_axiom(schema, params)
         if side_ok or not enforce_side_conditions:
-            return instance
+            yield instance
 
 
 def soundness_sweep(
@@ -665,8 +764,9 @@ def soundness_sweep(
     whenever side conditions are enforced.
 
     Each trial is decided by the block pass of ``falsify`` at width 1, on
-    the drawn integers, and reads the bit of its drawn run; only the first
-    violation's protocol is built, for ``first_witness``.
+    the drawn integers, one bit per run of the drawn block, and reads the
+    bit of its drawn run; only the first violation's protocol is built, for
+    ``first_witness``.
 
     Disabling side conditions samples unconstrained parameters, which is
     how the sweeps demonstrate that the conditions carry weight.
@@ -683,15 +783,17 @@ def soundness_sweep(
     seed = bounds.mode.seed if isinstance(bounds.mode, RandomMode) else 0
     rng = random.Random(seed)
     names = bounds.atom_names
+    atom_index = {name: a for a, name in enumerate(names)}
     violations = 0
     first_witness = None
+    instances = _sample_instances(schema, rng, bounds, enforce_side_conditions)
     for _ in range(trials):
-        instance = _sample_instance(schema, rng, bounds, enforce_side_conditions)
+        instance = next(instances)
         sizes, relation_masks, truth_masks = _draw(rng, bounds)
         block_runs = _block_runs(sizes, relation_masks)
         i = rng.randrange(len(block_runs))
-        columns = _draw_columns(sizes, truth_masks, names)
-        if not _holds(_flatten(instance), block_runs, columns, 0, 1)[i]:
+        column = lambda k, name: _value_bits(sizes[k], truth_masks[k][atom_index[name]])
+        if not _holds(_flatten(instance), block_runs.groups, column, 0, 1) >> i & 1:
             violations += 1
             if first_witness is None:
                 p = _build_protocol(sizes, relation_masks, truth_masks, names)

@@ -273,10 +273,10 @@ def _count_decisions(monkeypatch):
     counting("_build_protocol")
     real_holds = search._holds
 
-    def holds(entries, block_runs, columns, lo, width):
+    def holds(entries, spreads, column, lo, width):
         calls["passes"] += 1
         calls["decided"] += width
-        return real_holds(entries, block_runs, columns, lo, width)
+        return real_holds(entries, spreads, column, lo, width)
 
     monkeypatch.setattr(search, "_holds", holds)
     return calls
@@ -319,8 +319,9 @@ def _modal_depth(f):
 def test_block_pass_matches_the_walk(bounds):
     # On every kept block, the candidates the block pass refutes are the
     # ones on which counterexample finds a falsifying run, and the run the
-    # pass names for each, the first whose mask lacks it, is the one
-    # counterexample finds; also when the block is decided in two slices.
+    # pass names for each, the first whose lane lacks it, is the one
+    # counterexample finds, and falsify reads the first of them off the
+    # pass; also when the block is decided in two slices.
     # The formulas are refuted by none, some and all of a block's
     # candidates.
     rng = random.Random(41 + bounds.max_values_per_channel)
@@ -350,12 +351,19 @@ def test_block_pass_matches_the_walk(bounds):
             expected = [counterexample(EvalContext(p), g) for p in candidates]
             entries = _flatten(g)
             for lo, width in ((0, len(candidates)), (0, half), (half, len(candidates) - half)):
-                holds = search._holds(entries, block_runs, columns, lo, width)
+                spreads = block_runs.spreads(width)
+                holds = search._holds(entries, spreads, lambda k, name: columns[k, name], lo, width)
                 named = [
-                    next((r for r, a in zip(block_runs, holds) if not a >> i & 1), None)
+                    next(
+                        (r for n, r in enumerate(block_runs) if not holds >> (n * width + i) & 1),
+                        None,
+                    )
                     for i in range(width)
                 ]
                 assert named == expected[lo:lo + width], render(g)
+                hits = [(i, block_runs.index(r)) for i, r in enumerate(named) if r is not None]
+                first = search._first_refuted(holds, spreads, width)
+                assert first == (hits[0] if hits else None), render(g)
             refuted = len(expected) - expected.count(None)
             outcomes["none" if refuted == 0 else "all" if refuted == len(expected) else "some"] += 1
     assert min(outcomes["none"], outcomes["some"], outcomes["all"]) >= 20, outcomes
@@ -570,28 +578,27 @@ def _witness_doc(witness):
     return render(f), protocol_to_dict(p), tuple(r)
 
 
-@pytest.mark.parametrize("seed", [3, 17, 58])
-def test_sampled_pass_matches_the_walk(seed):
-    # Each sweep trial, replayed as soundness_sweep draws it, gets from the
-    # block pass at width 1 the verdict the walk gives on the built
-    # candidate at the drawn run, and the replay gives the sweep's report.
-    # Instances rarely fail, so their consequents, which often do, are
-    # checked too.
-    bounds = SearchBounds(3, 2, 2, mode=RandomMode(seed=seed, samples=1))
+def _check_sampled_pass(bounds, seed):
+    """Replay 150 trials of each sweep, side conditions on and off, as
+    soundness_sweep draws them, and check each trial's width-1 verdict
+    against the walk."""
     names = bounds.atom_names
     verdicts = collections.Counter()
     for schema, enforce in itertools.product(_SWEEP_SCHEMAS, (True, False)):
         rng = random.Random(seed)
+        instances = search._sample_instances(schema, rng, bounds, enforce)
         violations, first = 0, None
         for _ in range(150):
-            instance = search._sample_instance(schema, rng, bounds, enforce)
+            instance = next(instances)
             sizes, masks, truth_masks = search._draw(rng, bounds)
             block_runs = search._block_runs(sizes, masks)
             i = rng.randrange(len(block_runs))
-            columns = search._draw_columns(sizes, truth_masks, names)
+            column = lambda k, name: search._value_bits(
+                sizes[k], truth_masks[k][names.index(name)]
+            )
             p = search._build_protocol(sizes, masks, truth_masks, names)
             for g in (instance.rhs, instance):
-                decided = search._holds(_flatten(g), block_runs, columns, 0, 1)[i]
+                decided = search._holds(_flatten(g), block_runs.groups, column, 0, 1) >> i & 1
                 walked = evaluate(EvalContext(p), block_runs[i], g)
                 assert decided == walked, (schema, render(g))
                 verdicts[g is instance, walked] += 1
@@ -603,6 +610,41 @@ def test_sampled_pass_matches_the_walk(seed):
         assert _witness_doc(report.first_witness) == _witness_doc(first)
     assert verdicts[True, False] >= 1, verdicts
     assert min(verdicts[False, True], verdicts[False, False]) >= 50, verdicts
+
+
+@pytest.mark.parametrize("seed", [3, 17, 58])
+def test_sampled_pass_matches_the_walk(seed):
+    # Each sweep trial, replayed as soundness_sweep draws it, gets from the
+    # block pass at width 1 the verdict the walk gives on the built
+    # candidate at the drawn run, and the replay gives the sweep's report.
+    # Instances rarely fail, so their consequents, which often do, are
+    # checked too.
+    _check_sampled_pass(SearchBounds(3, 2, 2, mode=RandomMode(seed=seed, samples=1)), seed)
+
+
+def test_sampled_pass_matches_the_walk_past_a_machine_word():
+    # The same replay on four channels of up to three values, where a block
+    # has up to 81 runs. Random relations seldom give a block more than a
+    # few dozen, so the width-1 pass is also checked at every run of blocks
+    # of 72 and 81 runs, whose rows span two 64-bit words.
+    bounds = SearchBounds(4, 3, 2, mode=RandomMode(seed=5, samples=1))
+    _check_sampled_pass(bounds, 5)
+    names = bounds.atom_names
+    rng = random.Random(5)
+    sizes = (3, 3, 3, 3)
+    for masks in ((511, 511, 511), (511, 510, 511), (511, 511, 255)):
+        block_runs = search._block_runs(sizes, masks)
+        assert len(block_runs) > 64
+        for _ in range(20):
+            truth_masks = tuple(tuple(rng.randrange(8) for _ in names) for _ in sizes)
+            p = search._build_protocol(sizes, masks, truth_masks, names)
+            g = random_formula(rng, range(4), names, 3)
+            column = lambda k, name: search._value_bits(
+                sizes[k], truth_masks[k][names.index(name)]
+            )
+            row = search._holds(_flatten(g), block_runs.groups, column, 0, 1)
+            walked = [evaluate(EvalContext(p), r, g) for r in block_runs]
+            assert [bool(row >> r & 1) for r in range(len(block_runs))] == walked, render(g)
 
 
 _FALSIFY_BOUNDS = ((2, 2, 1), (3, 2, 1), (2, 3, 1), (2, 2, 2), (1, 2, 4), (3, 1, 2), (2, 2, 3))
@@ -666,8 +708,9 @@ def test_sampling_builds_only_accepted_draws(monkeypatch):
     assert calls.count("_random_candidate") > 300  # some draws were rejected
     for enforce in (True, False):
         del calls[:]
+        instances = search._sample_instances("gateway", rng, bounds, enforce)
         for _ in range(200):
-            search._sample_instance("gateway", rng, bounds, enforce)
+            next(instances)
         assert calls.count("instantiate_axiom") == 200
 
     # A sweep lists the runs of each block it draws once, however often it
