@@ -8,6 +8,17 @@ tainted sources: premises only ever combine through modus ponens.
 Justifications carry explicit instantiation parameters, so the checker
 verifies a claimed instance instead of searching for one; verdicts are
 reproducible and checking is linear in the script.
+
+Loading a script parses each formula text once. ``script_from_dict``
+keeps, for the length of one call, a dict from text to formula: a text
+met again, or equal to the rendering of an immediate subformula of a
+formula already loaded, takes that formula, and only the other texts go
+to ``parse``. This is exact because ``parse(render(g)) == g``. In a
+script written in canonical syntax a modus-ponens line is the consequent
+of its implication line and an axiom's parameters are parts of its
+line, so most lines are found, and lines share their subformulas. A text
+spelled another way (other spacing, extra parentheses) is parsed as
+before. Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -267,20 +278,34 @@ def _integer(obj: dict, key: str, where: str) -> int:
     return value
 
 
-def _formula(obj: dict, key: str, where: str) -> Formula:
+def _formula(obj: dict, key: str, where: str, known: dict) -> Formula:
+    """The formula of text obj[key]: ``known[text]`` when the script has
+    met that text, else ``parse(text)``. Either way the text and the
+    rendered texts of the formula's immediate subformulas go into
+    ``known``, so a later text that repeats one of them is not parsed."""
     # parse() needs a string; anything else is a format error, not a crash.
     text = obj[key]
     if not isinstance(text, str):
         raise ProofFormatError(f'{where}: "{key}" must be a formula string, got {text!r}')
-    try:
-        return parse(text)
-    except FormulaSyntaxError as exc:
-        # Name the place; the type and the offset into text stay.
-        exc.args = (f'{where}: "{key}": {exc}',)
-        raise
+    f = known.get(text)
+    if f is None:
+        try:
+            f = parse(text)
+        except FormulaSyntaxError as exc:
+            # Name the place; the type and the offset into text stay.
+            exc.args = (f'{where}: "{key}": {exc}',)
+            raise
+        known[text] = f
+    t = type(f)
+    if t is Implies:
+        known.setdefault(render(f.lhs), f.lhs)
+        known.setdefault(render(f.rhs), f.rhs)
+    elif t is Box:
+        known.setdefault(render(f.body), f.body)
+    return f
 
 
-def _rule_from_dict(obj: dict, line_id: int) -> Rule:
+def _rule_from_dict(obj: dict, line_id: int, known: dict) -> Rule:
     if not isinstance(obj, dict) or "type" not in obj:
         raise ProofFormatError(f'line {line_id}: rule must be an object with "type"')
     kind = obj["type"]
@@ -308,9 +333,9 @@ def _rule_from_dict(obj: dict, line_id: int) -> Rule:
     return AxiomRule(
         schema=schema,
         k=_integer(obj, "k", where),
-        phi=_formula(obj, "phi", where),
+        phi=_formula(obj, "phi", where, known),
         n=_integer(obj, "n", where) if "n" in obj else None,
-        psi=_formula(obj, "psi", where) if "psi" in obj else None,
+        psi=_formula(obj, "psi", where, known) if "psi" in obj else None,
     )
 
 
@@ -324,6 +349,7 @@ def script_from_dict(doc: dict) -> ProofScript:
         raise ProofFormatError('proof scripts need "goal" and "lines"')
     if not isinstance(doc["lines"], list):
         raise ProofFormatError('"lines" must be a list')
+    known: dict[str, Formula] = {}  # text -> formula, for this call only
     lines = []
     for entry in doc["lines"]:
         if not isinstance(entry, dict):
@@ -337,8 +363,8 @@ def script_from_dict(doc: dict) -> ProofScript:
         lines.append(
             ProofLine(
                 line_id,
-                _formula(entry, "formula", f"line {line_id}"),
-                _rule_from_dict(entry["rule"], line_id),
+                _formula(entry, "formula", f"line {line_id}", known),
+                _rule_from_dict(entry["rule"], line_id, known),
             )
         )
     premises_allowed = doc.get("premises_allowed", False)
@@ -348,7 +374,7 @@ def script_from_dict(doc: dict) -> ProofScript:
         )
     return ProofScript(
         lines=tuple(lines),
-        goal=_formula(doc, "goal", "proof script"),
+        goal=_formula(doc, "goal", "proof script", known),
         premises_allowed=premises_allowed,
     )
 

@@ -640,11 +640,16 @@ def falsify(f: Formula, bounds: SearchBounds, budget: int):
     _check_ceiling(bounds)
     names = bounds.atom_names
     entries = _flatten(g)
+    read_sizes = None
     for position, sizes, relation_masks in _exhaustive_blocks(bounds):
         if position >= budget:
             break
-        bits, columns = _read_columns(sizes, names, read)
-        column = lambda k, name: columns[k, name]
+        # The blocks come grouped by sizes, and the read columns depend on
+        # nothing else of a block.
+        if sizes != read_sizes:
+            bits, columns = _read_columns(sizes, names, read)
+            column = lambda k, name: columns[k, name]
+            read_sizes = sizes
         # Offsets grow with the index, so the candidates below the budget
         # are a prefix of the block.
         below = bisect.bisect_left(

@@ -27,6 +27,18 @@ from chainlogic import (
 from chainlogic.formula import CHANNEL_MAX, CHANNEL_MIN, Formula, VariableLimitError
 
 
+def syllogism_chain(rng, m):
+    """The parts of a derivation of [c]A1 -> [c]Am from the chained
+    syllogism (A1->A2) -> ((A2->A3) -> ... -> (A1->Am)): Am is an atom and
+    each Ai = [ci]A(i+1). Returns the list A1..Am, the links Ai -> A(i+1),
+    the chain A1 -> Am and the channel c."""
+    a = [Atom(rng.randrange(4), rng.choice("pqrs"))]
+    for _ in range(m - 1):
+        a.insert(0, Box(rng.randrange(4), a[0]))
+    links = [Implies(a[i], a[i + 1]) for i in range(m - 1)]
+    return a, links, Implies(a[0], a[-1]), rng.randrange(4)
+
+
 def make_protocol(window, values, local, atoms=None):
     return ExplicitChainProtocol(window, values, local, atoms)
 

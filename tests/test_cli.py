@@ -6,6 +6,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -206,6 +207,25 @@ def test_long_conjunctions_falsify_and_prove(capsys, tmp_path):
     path = tmp_path / "taut.json"
     path.write_text(json.dumps({"goal": goal, "lines": [line]}), encoding="utf-8")
     assert run(capsys, ["prove", "--script", str(path)]) == (0, "accepted\n", "")
+
+
+def test_deep_premise_script_gets_an_answer(capsys, tmp_path):
+    # X nests 100,000 boxes. Line 3 and the goal repeat line 1's text, and
+    # line 2 states X on both sides; loading, rendering, hashing and
+    # comparing them all run from explicit stacks.
+    x = "[1]" * 100_000 + "p@0"
+    lines = [
+        {"id": 1, "formula": x, "rule": {"type": "premise"}},
+        {"id": 2, "formula": f"({x} -> {x})", "rule": {"type": "taut"}},
+        {"id": 3, "formula": x, "rule": {"type": "mp", "from": 1, "impl": 2}},
+    ]
+    path = tmp_path / "deep.json"
+    path.write_text(
+        json.dumps({"goal": x, "premises_allowed": True, "lines": lines}), encoding="utf-8"
+    )
+    start = time.perf_counter()
+    assert run(capsys, ["prove", "--script", str(path)]) == (0, "accepted\n", "")
+    assert time.perf_counter() - start < 10
 
 
 def test_eval_true_and_false(capsys, protocol_file):

@@ -32,7 +32,7 @@ from chainlogic import (
     truth,
 )
 
-from conftest import reference_parse
+from conftest import reference_parse, syllogism_chain
 
 
 def test_parse_core_forms():
@@ -274,12 +274,7 @@ def _syllogism_texts(rng, m):
     syllogism (A1->A2) -> ((A2->A3) -> ... -> (A1->Am)): Am is an atom and
     each Ai = [ci]A(i+1), so the text nests boxes m-1 deep inside m
     implications. Every tail of the syllogism is a line of the derivation."""
-    a = [Atom(rng.randrange(4), rng.choice("pqrs"))]
-    for _ in range(m - 1):
-        a.insert(0, Box(rng.randrange(4), a[0]))
-    links = [Implies(a[i], a[i + 1]) for i in range(m - 1)]
-    chain = Implies(a[0], a[-1])
-    c = rng.randrange(4)
+    a, links, chain, c = syllogism_chain(rng, m)
     formulas = [*a, *links, chain, Box(c, chain), Implies(Box(c, a[0]), Box(c, a[-1]))]
     tail = chain
     for link in reversed(links):

@@ -9,6 +9,7 @@ from chainlogic import (
     AxiomRule,
     Bottom,
     Box,
+    FormulaSyntaxError,
     Implies,
     ModusPonensRule,
     NecessitationRule,
@@ -32,7 +33,12 @@ from chainlogic import (
     script_to_dict,
     truth,
 )
+from chainlogic import proofcheck
+from chainlogic.formula import _LEXEMES
 from chainlogic.proofcheck import gateway_side
+
+from conftest import syllogism_chain
+from test_acceptance import _mutated_scripts
 
 SCHEMAS = ("distributivity", "reflexivity", "self_awareness", "gateway", "disjunction")
 
@@ -480,3 +486,148 @@ def test_verdict_reports_all_lines():
     assert len(verdict.checks) == len(script.lines)
     assert all(c.ok for c in verdict.checks)
     assert not any(c.tainted for c in verdict.checks)
+
+
+# --- loading: each text is parsed once -------------------------------------
+
+def _syllogism_script(rng, m):
+    """The derivation of [c]A1 -> [c]Am from the chained syllogism whose
+    parts ``syllogism_chain`` draws: the syllogism as a tautology, one
+    reflexivity axiom and one modus ponens per link, then necessitation,
+    distributivity and modus ponens."""
+    a, links, chain, c = syllogism_chain(rng, m)
+    tail = chain
+    for link in reversed(links):
+        tail = Implies(link, tail)
+    d = proofcheck._Derivation()
+    line = d.taut(tail)
+    for i in range(m - 1):
+        line = d.mp(d.axiom("reflexivity", k=a[i].channel, phi=a[i + 1]), line)
+    d.boxed(c, line)
+    return script_to_dict(d.script(render(Implies(Box(c, a[0]), Box(c, a[-1])))))
+
+
+def _spaced(rng, text):
+    """text with random whitespace between its lexemes, never canonical."""
+    gaps = ("", "", " ", "  ", "\t", "\n ")
+    out = " " + "".join(s + rng.choice(gaps) for s in _LEXEMES.findall(text))
+    assert parse(out) == parse(text)
+    return out
+
+
+def _perturbed(rng, doc, share):
+    """A copy of doc in which each formula text, with probability share,
+    gets random whitespace between its lexemes."""
+    doc = json.loads(json.dumps(doc))
+    fields = [(doc, "goal")]
+    for entry in doc["lines"]:
+        fields += [(entry, "formula")]
+        fields += [(entry["rule"], key) for key in ("phi", "psi") if key in entry["rule"]]
+    for obj, key in fields:
+        if rng.random() < share:
+            obj[key] = _spaced(rng, obj[key])
+    return doc
+
+
+def _parsed_apart(doc):
+    """The script doc describes, each of its texts parsed on its own."""
+
+    def rule(r):
+        kind = r["type"]
+        if kind == "taut":
+            return TautologyRule()
+        if kind == "premise":
+            return PremiseRule()
+        if kind == "mp":
+            return ModusPonensRule(r["from"], r["impl"])
+        if kind == "nec":
+            return NecessitationRule(r["k"], r["from"])
+        psi = parse(r["psi"]) if "psi" in r else None
+        return AxiomRule(r["schema"], r["k"], parse(r["phi"]), r.get("n"), psi)
+
+    lines = tuple(
+        ProofLine(e["id"], parse(e["formula"]), rule(e["rule"])) for e in doc["lines"]
+    )
+    return ProofScript(lines, parse(doc["goal"]), doc.get("premises_allowed", False))
+
+
+def test_loader_matches_parse_of_each_text():
+    # The lines, rules and goal the loader returns equal what parse gives
+    # for each text on its own, and so does the verdict: on canonical
+    # scripts, on copies with every text respaced, and on copies with some.
+    rng = random.Random(30)
+    docs = [script_to_dict(s) for s in corpus().values()]
+    docs += [script_to_dict(s) for _, s, _ in _mutated_scripts()]
+    docs += [_syllogism_script(rng, m) for m in range(12, 21)]
+    docs += [_perturbed(rng, doc, share) for share in (1.0, 0.5) for doc in docs]
+    verdicts = set()
+    for doc in docs:
+        loaded, expected = script_from_dict(doc), _parsed_apart(doc)
+        assert loaded == expected, doc["goal"]
+        verdict = check_script(loaded)
+        assert verdict == check_script(expected), doc["goal"]
+        verdicts.add(verdict.accepted)
+    assert verdicts == {True, False}
+
+
+def test_loader_reuses_the_subformulas_of_earlier_texts(monkeypatch):
+    # A canonical syllogism script of 12 variables has 40 texts; each mp
+    # line is the consequent of its implication line, and every axiom's
+    # parameter and the goal are parts of earlier lines, so only the
+    # tautology, the necessitation and the distributivity line are parsed.
+    doc = _syllogism_script(random.Random(12), 12)
+    real_parse = proofcheck.parse
+    parsed = []
+
+    def counted(text):
+        parsed.append(text)
+        return real_parse(text)
+
+    monkeypatch.setattr(proofcheck, "parse", counted)
+    script = script_from_dict(doc)
+    assert len(doc["lines"]) == 26
+    parse_calls = len(parsed)
+    assert parse_calls <= 4, parsed
+    by_id = {line.id: line.formula for line in script.lines}
+    mp_lines = [line for line in script.lines if isinstance(line.rule, ModusPonensRule)]
+    assert len(mp_lines) == 12
+    for line in mp_lines:
+        assert line.formula is by_id[line.rule.implication].rhs, line.id
+    assert check_script(script).accepted
+
+    # Nothing is kept between calls: a second load shares no node.
+    def nodes(s):
+        stack = [s.goal]
+        for line in s.lines:
+            stack.append(line.formula)
+            if isinstance(line.rule, AxiomRule):
+                stack += [g for g in (line.rule.phi, line.rule.psi) if g is not None]
+        seen = set()
+        while stack:
+            g = stack.pop()
+            if id(g) not in seen:
+                seen.add(id(g))
+                if isinstance(g, Implies):
+                    stack += (g.lhs, g.rhs)
+                elif isinstance(g, Box):
+                    stack.append(g.body)
+        return seen
+
+    parsed.clear()
+    again = script_from_dict(doc)
+    assert again == script and len(parsed) == parse_calls
+    assert nodes(script).isdisjoint(nodes(again))
+
+
+def test_syntax_error_after_known_texts_names_its_place():
+    # A text that extends a known text is parsed, and its error carries the
+    # line, the field and the offset parse reports.
+    doc = _syllogism_script(random.Random(3), 12)
+    bad = doc["lines"][2]["formula"] + " )"
+    doc["lines"][4]["formula"] = bad
+    with pytest.raises(FormulaSyntaxError) as parse_error:
+        parse(bad)
+    with pytest.raises(FormulaSyntaxError) as load_error:
+        script_from_dict(doc)
+    assert str(load_error.value) == f'line 5: "formula": {parse_error.value}'
+    assert load_error.value.position == parse_error.value.position == len(bad) - 1

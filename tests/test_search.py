@@ -296,6 +296,28 @@ def test_display_laws_check_few_candidates(monkeypatch):
     assert counts == [(0, 0, 76), (0, 0, 76), (0, 0, 264)]
 
 
+def test_read_columns_once_per_size_vector(monkeypatch):
+    # The kept blocks come grouped by their sizes, and a block's read
+    # columns depend on its sizes alone, so a scan reads them once for each
+    # size vector it reaches, not once per block.
+    bounds = SearchBounds(3, 2, 1)
+    kept = [sizes for _, sizes, _ in search._exhaustive_blocks(bounds)]
+    distinct = list(dict.fromkeys(kept))
+    assert (len(kept), len(distinct)) == (22, 8)
+    real = search._read_columns
+    calls = []
+
+    def counted(sizes, names, read):
+        calls.append(sizes)
+        return real(sizes, names, read)
+
+    monkeypatch.setattr(search, "_read_columns", counted)
+    for f in display_gateway_family():
+        calls.clear()
+        assert falsify(f, bounds, budget=10**6) is None
+        assert calls == distinct, render(f)
+
+
 def test_falsify_decides_only_the_tables_it_reads(monkeypatch):
     # Unread atoms keep the all-zero table: [0]p@0 -> p@0 reads p alone, so
     # of the 266,304 candidates on one channel with six atoms, falsify
