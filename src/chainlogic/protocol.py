@@ -169,15 +169,6 @@ class ExplicitChainProtocol(ChainProtocol):
             for k, table in (atoms or {}).items()
         }
 
-    def _with_atoms(self, atoms) -> ExplicitChainProtocol:
-        """This protocol with the atom tables ``atoms``, given in the form
-        the constructor makes (frozenset truth sets). Every other part is
-        this protocol's, shared, not copied, so no part may be mutated."""
-        p = object.__new__(type(self))
-        p.__dict__.update(self.__dict__)
-        p._atoms = atoms
-        return p
-
     def values(self, k: int) -> tuple[str, ...]:
         self._check_channel(k)
         return self._values[k]

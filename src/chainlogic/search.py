@@ -56,28 +56,26 @@ Random mode and the soundness sweeps sample on the same encoding: a draw
 is its (sizes, relation masks, truth masks) integers. Below the public API
 a block is just its (sizes, relation masks) integers. Its runs, in
 ``protocol.runs`` order, are listed straight from the reachability
-bitmasks into a bounded cache keyed by them (``_block_runs``), which the
-exhaustive scan and the sweeps share, with the block's value groups beside
-them: per channel and value, the bit of each run that has it. A sweep
-trial is the same pass at width 1, where the value groups are the spreads
-and the formula is one bit per run. Its atoms' columns come from a cache
-keyed by channel size and truth mask (``_value_bits``), and it reads the
-bit of its drawn run. So nothing that only decides a verdict builds a
-protocol: a scan builds only its witness, and a sweep only its first
-violation. A protocol is built only to be returned
-(``_build_protocol``): the atomless protocol of its block, made by the
-public constructor and kept in a second bounded cache (``_block``), with
-its own atom tables, sharing the block's value tuples and sets and local
-conditions. That cache serves these answers and the sampler, which
-rejects a draw whose block it holds as None, having no run. Random
-``falsify`` builds each sample (``sample_protocol``) and walks it with
-``counterexample``, which can stop at the sample's first falsifying run
-without listing the others. The exhaustive stream of
-``enumerate_protocols`` is the plain canonical product, every truth offset
-of every block with a run, and shares no position or skip loop with
-``falsify``. Local conditions and atom truth sets come from two more
-bounded caches, one object per relation mask and per truth mask, shared
-because nothing mutates them.
+bitmasks into the one run cache, keyed by them (``_block_runs``), which
+the exhaustive scan and the sweeps share, with the block's value groups
+beside them: per channel and value, the bit of each run that has it. A
+sweep rejects a draw whose block's list is empty, and a sweep trial is
+the same pass at width 1, where the value groups are the spreads and the
+formula is one bit per run. Its atoms' columns come from a cache keyed by
+channel size and truth mask (``_value_bits``), and it reads the bit of
+its drawn run. So nothing that only decides a verdict builds a protocol:
+a scan builds only its witness, and a sweep only its first violation. A
+protocol is built only to be returned, by the public constructor
+(``_build_protocol``), and no protocol is cached. Random ``falsify``
+builds each sample (``sample_protocol``), whose draws are rejected on
+``_live`` without listing a run, and walks it with ``counterexample``,
+which can stop at the sample's first falsifying run without listing the
+others. The exhaustive stream of ``enumerate_protocols`` is the plain
+canonical product, every truth offset of every block with a run, and
+shares no position or skip loop with ``falsify``. Local conditions and
+atom truth sets come from two part caches, one object per relation mask
+and per truth mask, shared by every protocol built because nothing
+mutates them.
 """
 
 from __future__ import annotations
@@ -197,27 +195,6 @@ def _labels(mask: int) -> frozenset[str]:
     return frozenset(_VALUE_LABELS[j] for j in range(mask.bit_length()) if mask >> j & 1)
 
 
-@lru_cache(maxsize=1024)
-def _block(sizes: tuple[int, ...], relation_masks: tuple[int, ...]) -> ExplicitChainProtocol | None:
-    """The atomless protocol of a (sizes, relation masks) block, or None
-    when the block has no run: channel k has the first sizes[k] labels, and
-    relation k the local condition of its mask. The sampler rejects its
-    draws here, and every protocol this module returns is one of these
-    with atom tables (``_build_protocol``); nothing that only decides a
-    verdict reads it. 1,024 entries hold all 340 blocks of three channels
-    with at most two values each, the bounds the sweeps are run on."""
-    if not _live(sizes, relation_masks)[0]:
-        return None
-    return ExplicitChainProtocol(
-        (0, len(sizes) - 1),
-        {k: _VALUE_LABELS[:s] for k, s in enumerate(sizes)},
-        {
-            k: _relation(sizes[k - 1], sizes[k], mask)
-            for k, mask in enumerate(relation_masks, start=1)
-        },
-    )
-
-
 class _Runs(tuple):
     """A block's runs, as label tuples in ``protocol.runs`` order, with its
     value groups beside them: ``groups[k][v]`` has bit r set for each run r
@@ -262,8 +239,11 @@ def _block_runs(sizes: tuple[int, ...], relation_masks: tuple[int, ...]) -> _Run
     channel, so no partial run is a dead end. The value groups are read off
     the strings as binary digits, in time linear in the runs. Listed when a
     sweep first draws in the block or an exhaustive ``falsify`` first
-    decides it; a sweep or scan on wide bounds keeps the run lists of up to
-    1,024 blocks."""
+    decides it. A sweep lists a runless block too: its list is empty, so
+    falsy, and the sweep rejects the draw on it. A sweep or scan on wide
+    bounds keeps the run lists of up to 1,024 blocks, which hold all 340
+    blocks of three channels with at most two values each, the bounds the
+    sweeps are run on."""
     live = _live(sizes, relation_masks)
     columns = ["".join([_VALUE_LABELS[i] for i in range(sizes[0]) if live[0] >> i & 1])]
     for k, mask in enumerate(relation_masks, start=1):
@@ -293,13 +273,22 @@ def _build_protocol(
     truth_masks: tuple[tuple[int, ...], ...],
     atom_names: tuple[str, ...],
 ) -> ExplicitChainProtocol:
-    """The candidate with these integers: its block's atomless protocol
-    with its own atom tables, sharing every other part. The one place a
-    candidate is built."""
-    return _block(sizes, relation_masks)._with_atoms({
-        k: dict(zip(atom_names, map(_labels, channel_masks)))
-        for k, channel_masks in enumerate(truth_masks)
-    })
+    """The candidate with these integers, made by the public constructor:
+    channel k has the first sizes[k] labels, relation k the local condition
+    of its mask, and each atom the truth set of its mask, the last two
+    shared from their caches. The one place a candidate is built."""
+    return ExplicitChainProtocol(
+        (0, len(sizes) - 1),
+        {k: _VALUE_LABELS[:s] for k, s in enumerate(sizes)},
+        {
+            k: _relation(sizes[k - 1], sizes[k], mask)
+            for k, mask in enumerate(relation_masks, start=1)
+        },
+        {
+            k: dict(zip(atom_names, map(_labels, channel_masks)))
+            for k, channel_masks in enumerate(truth_masks)
+        },
+    )
 
 
 def _live(sizes: tuple[int, ...], relation_masks: tuple[int, ...]) -> list[int]:
@@ -518,14 +507,15 @@ def _random_candidate(rng: random.Random, bounds: SearchBounds):
     return sizes, relation_masks, truth_masks
 
 
-def _draw(rng: random.Random, bounds: SearchBounds):
+def _draw(rng: random.Random, bounds: SearchBounds, has_run):
     """One random candidate that admits at least one run, as its (sizes,
-    relation masks, truth masks). A draw whose block has no run is rejected
-    through the block cache. Nothing is built: the caller builds the draw
-    it keeps, if any."""
+    relation masks, truth masks). A draw is rejected when ``has_run(sizes,
+    relation masks)`` is falsy: a sweep passes ``_block_runs``, whose entry
+    it reads next, and the sampler a test on ``_live``, which lists no run.
+    Nothing is built: the caller builds the draw it keeps, if any."""
     for _ in range(10_000):
         sizes, relation_masks, truth_masks = _random_candidate(rng, bounds)
-        if _block(sizes, relation_masks) is not None:
+        if has_run(sizes, relation_masks):
             return sizes, relation_masks, truth_masks
     raise SearchSpaceError("could not sample a protocol with runs")
 
@@ -540,7 +530,8 @@ def _value_bits(size: int, mask: int) -> tuple[int, ...]:
 
 def sample_protocol(rng: random.Random, bounds: SearchBounds) -> ExplicitChainProtocol:
     """One random candidate that admits at least one run."""
-    return _build_protocol(*_draw(rng, bounds), bounds.atom_names)
+    draw = _draw(rng, bounds, lambda sizes, relation_masks: _live(sizes, relation_masks)[0])
+    return _build_protocol(*draw, bounds.atom_names)
 
 
 def _check_ceiling(bounds: SearchBounds) -> None:
@@ -577,7 +568,7 @@ def enumerate_protocols(bounds: SearchBounds):
         for relation_masks in itertools.product(
             *[range(1, 1 << (left * right)) for left, right in zip(sizes, sizes[1:])]
         )
-        if _block(sizes, relation_masks) is not None
+        if _live(sizes, relation_masks)[0]
         for t in range(1 << (len(names) * sum(sizes)))
     )
 
@@ -621,9 +612,10 @@ def falsify(f: Formula, bounds: SearchBounds, budget: int):
     again). An exhaustive scan decides only the candidates that can be
     first (see the module docstring), ``_SLICE`` of a block at a time in
     one pass that decides them at every run of the block at once and also
-    names the witness run, and builds only the first refuting candidate; it makes no walk, so it has
-    no limit on modal depth. ``budget`` still counts positions in the full
-    canonical order: the candidates with runs, skipped ones included.
+    names the witness run, and builds only the first refuting candidate;
+    it makes no walk, so it has no limit on modal depth. ``budget`` still
+    counts positions in the full canonical order: the candidates with
+    runs, skipped ones included.
     Random mode walks each of the first ``budget`` samples with
     ``counterexample``, so it has the walk's limit on modal depth.
     """
@@ -794,7 +786,7 @@ def soundness_sweep(
     instances = _sample_instances(schema, rng, bounds, enforce_side_conditions)
     for _ in range(trials):
         instance = next(instances)
-        sizes, relation_masks, truth_masks = _draw(rng, bounds)
+        sizes, relation_masks, truth_masks = _draw(rng, bounds, _block_runs)
         block_runs = _block_runs(sizes, relation_masks)
         i = rng.randrange(len(block_runs))
         column = lambda k, name: _value_bits(sizes[k], truth_masks[k][atom_index[name]])

@@ -61,7 +61,7 @@ def test_cited_private_names_exist():
     known = _known_names()
     # Module functions, class attributes and instance attributes resolve;
     # a name defined nowhere does not.
-    assert {"_step", "_block", "_Plan", "_with_atoms", "_memo"} <= known
+    assert {"_step", "_Plan", "_check_channel", "_memo"} <= known
     assert "_no_such_helper" not in known
 
     cited = list(_source_citations())

@@ -414,9 +414,9 @@ def test_budget_cuts_a_wide_block(monkeypatch):
 
 def test_cold_scan_builds_only_its_witness(monkeypatch):
     # The exhaustive scan lists each block's runs from its relation masks,
-    # so with both caches cold a scan that refutes nothing calls the
+    # so with the run cache cold a scan that refutes nothing calls the
     # constructor for no protocol, and one that refutes calls it once, for
-    # the atomless block of its witness.
+    # its witness.
     built = []
     real_init = ExplicitChainProtocol.__init__
 
@@ -427,7 +427,6 @@ def test_cold_scan_builds_only_its_witness(monkeypatch):
     monkeypatch.setattr(ExplicitChainProtocol, "__init__", counted)
     bounds = SearchBounds(3, 2, 1)
     for f, hits in ((display_gateway_family()[2], False), (parse("[1]p@0 -> [2]p@0"), True)):
-        search._block.cache_clear()
         search._block_runs.cache_clear()
         built.clear()
         assert (falsify(f, bounds, budget=10**6) is not None) == hits
@@ -612,7 +611,7 @@ def _check_sampled_pass(bounds, seed):
         violations, first = 0, None
         for _ in range(150):
             instance = next(instances)
-            sizes, masks, truth_masks = search._draw(rng, bounds)
+            sizes, masks, truth_masks = search._draw(rng, bounds, search._block_runs)
             block_runs = search._block_runs(sizes, masks)
             i = rng.randrange(len(block_runs))
             column = lambda k, name: search._value_bits(
@@ -699,11 +698,19 @@ def test_falsify_answer_digest_is_unchanged():
 
 def test_sampling_builds_only_accepted_draws(monkeypatch):
     # Draws without a run are rejected on their integer encoding: N samples
-    # build N protocols and count no runs, and the gateway sampler
-    # instantiates the schema once per returned instance. A sweep decides
-    # its trials on the draws' integers, so it builds only its first
-    # witness, and the sweeps compile no formula for the walk.
+    # construct N protocols and count or list no runs, and the gateway
+    # sampler instantiates the schema once per returned instance. A sweep
+    # decides its trials on the draws' integers, so it constructs only its
+    # first witness, and the sweeps compile no formula for the walk.
     calls = []
+    constructed = []
+    real_init = ExplicitChainProtocol.__init__
+
+    def counted_init(self, *args, **kwargs):
+        constructed.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExplicitChainProtocol, "__init__", counted_init)
 
     def counting(name):
         real = getattr(search, name)
@@ -717,6 +724,9 @@ def test_sampling_builds_only_accepted_draws(monkeypatch):
     def no_run_count(p):
         raise AssertionError("sampling counted runs")
 
+    def no_run_list(*block):
+        raise AssertionError("sampling listed runs")
+
     monkeypatch.setattr(protocol, "run_count", no_run_count)
     monkeypatch.setattr(search, "run_count", no_run_count, raising=False)
     counting("_build_protocol")
@@ -724,9 +734,11 @@ def test_sampling_builds_only_accepted_draws(monkeypatch):
     counting("instantiate_axiom")
     bounds = SearchBounds(3, 2, 2)
     rng = random.Random(6)
-    for _ in range(300):
-        sample_protocol(rng, bounds)
-    assert calls.count("_build_protocol") == 300
+    with monkeypatch.context() as m:
+        m.setattr(search, "_block_runs", no_run_list)
+        for _ in range(300):
+            sample_protocol(rng, bounds)
+    assert calls.count("_build_protocol") == len(constructed) == 300
     assert calls.count("_random_candidate") > 300  # some draws were rejected
     for enforce in (True, False):
         del calls[:]
@@ -739,16 +751,22 @@ def test_sampling_builds_only_accepted_draws(monkeypatch):
     # draws the block: every miss of the run cache is a new entry, and the
     # cache holds every block of the bounds.
     search._block_runs.cache_clear()
-    del calls[:]
+    del calls[:], constructed[:]
     report = soundness_sweep("reflexivity", SearchBounds(3, 2, 2), 300)
     assert report.trials == 300
-    assert calls.count("_build_protocol") == 0
+    assert calls.count("_build_protocol") == len(constructed) == 0
     listed = search._block_runs.cache_info()
     assert 0 < listed.misses == listed.currsize < 300
     del calls[:]
     report = soundness_sweep("gateway", SearchBounds(3, 2, 2), 300, enforce_side_conditions=False)
     assert report.violations > 1
     assert calls.count("_build_protocol") == 1
+    # Nor does a clean sweep on wide bounds, where most blocks it draws in
+    # are fresh.
+    del constructed[:]
+    for schema in _SWEEP_SCHEMAS:
+        assert soundness_sweep(schema, SearchBounds(6, 14, 2), 20).violations == 0
+    assert constructed == []
 
     compiled = []
     real_compile = semantics._compile_object
@@ -791,12 +809,12 @@ def _constructed(sizes, masks, truth=None, names=()):
 
 @pytest.mark.parametrize("bounds", [(3, 2, 2), (2, 3, 1)], ids=str)
 def test_block_cache_matches_runs(bounds):
-    # Every block of the bounds: cached as runless exactly when the
-    # reachability bitmasks find no run, and otherwise listing the runs of
-    # the constructor's protocol, in order, for every candidate of it.
+    # Every block of the bounds: the reachability bitmasks find a run
+    # exactly when it has one, and its cached list holds the runs of the
+    # constructor's protocol, in order, for every candidate of it; a
+    # runless block's list is empty.
     bounds = SearchBounds(*bounds)
     names = bounds.atom_names
-    search._block.cache_clear()
     search._block_runs.cache_clear()
     blocks = 0
     for sizes in itertools.product(
@@ -805,13 +823,11 @@ def test_block_cache_matches_runs(bounds):
         ranges = [range(1, 1 << (a * b)) for a, b in zip(sizes, sizes[1:])]
         for masks in itertools.product(*ranges):
             blocks += 1
-            block = search._block(sizes, masks)
-            assert (block is None) == (search._live(sizes, masks)[0] == 0)
-            if block is None:
-                continue
             expected = tuple(runs(_constructed(sizes, masks)))
-            assert expected
+            assert bool(expected) == (search._live(sizes, masks)[0] != 0)
             assert search._block_runs(sizes, masks) == expected
+            if not expected:
+                continue
             for truth in ((0,) * len(names), (1,) * len(names)):
                 p = search._build_protocol(sizes, masks, (truth,) * len(sizes), names)
                 assert tuple(runs(p)) == expected
@@ -894,28 +910,6 @@ def test_sampled_protocols_share_safely():
                 q.local(k)._pred.clear()
     assert later_samples() == expected
     assert [protocol_to_dict(p) for p in samples] == docs
-
-    # A cached block is an atomless protocol. Its candidates share its
-    # value tuples, value sets and local conditions, and building them
-    # leaves the block as it was.
-    sizes, masks = (2, 2, 1), (0b1011, 0b11)
-    block = search._block(sizes, masks)
-    before = protocol_to_dict(block)
-    tables = itertools.product(range(4), range(4), range(4), range(4), range(2), range(2))
-    built = [
-        search._build_protocol(sizes, masks, (t[0:2], t[2:4], t[4:6]), ("p", "q"))
-        for t in itertools.islice(tables, 200)
-    ]
-    assert block._atoms == {}
-    assert protocol_to_dict(block) == before == protocol_to_dict(_constructed(sizes, masks))
-    for p in built:
-        assert p.window == block.window
-        for k in block.channels():
-            assert p._values[k] is block._values[k]
-            assert p._value_sets[k] is block._value_sets[k]
-            if k:
-                assert p.local(k) is block.local(k)
-    assert len({json.dumps(protocol_to_dict(p)) for p in built}) == 200
 
 def test_sweep_unknown_schema():
     with pytest.raises(SearchSpaceError):
