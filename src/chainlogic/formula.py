@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 # Channel indices are kept inside the signed 64-bit range; anything wider
 # is rejected while parsing instead of silently wrapping elsewhere.
@@ -33,10 +32,43 @@ class VariableLimitError(ValueError):
     """A truth-table check would need more variables than allowed."""
 
 
-@dataclass(frozen=True, slots=True)
-class Bottom:
+_set_field = object.__setattr__
+
+
+class _Frozen:
+    """Base of the immutable value classes. Their fields, named in
+    ``__match_args__``, are set once, by the constructor; equality, hash
+    and repr go by them, as a frozen dataclass's would."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Bottom(_Frozen):
     """The false constant."""
 
+    __slots__ = ()
     _hash = hash("false")  # the finished hash _structural_hash reads; not a field
 
 
@@ -131,13 +163,13 @@ def _structural_eq(self, other) -> bool:
     return True
 
 
-class _Node:
+class _Node(_Frozen):
     """Holds the cached structural hash of a non-constant formula node.
 
-    The nodes declare their slots by hand, so ``_hash`` is a slot but not a
-    dataclass field, and their constructors fill the slots through the slot
-    descriptors, which costs no more than a frozen dataclass __init__ that
-    sets only the fields.
+    A node's fields are its slots after ``_hash``, which is state but not a
+    field: equality and repr ignore it. The constructors fill the slots
+    through the slot descriptors, since the frozen ``__setattr__`` refuses
+    assignment.
     """
 
     __slots__ = ("_hash",)
@@ -149,9 +181,9 @@ class _Node:
         return _unflatten, (_flatten(self),)
 
     def __repr__(self) -> str:
-        """The dataclass text, e.g. ``Box(channel=0, body=Bottom())``, built
-        from an explicit stack of pending text and nodes, so nesting depth
-        costs no recursion."""
+        """The constructor call with keyword fields, e.g. ``Box(channel=0,
+        body=Bottom())``, built from an explicit stack of pending text and
+        nodes, so nesting depth costs no recursion."""
         parts = []
         stack: list = [self]
         while stack:
@@ -169,7 +201,6 @@ class _Node:
         return "".join(parts)
 
 
-@dataclass(frozen=True, init=False, repr=False)
 class Atom(_Node):
     """A proposition about the value of one channel.
 
@@ -177,7 +208,7 @@ class Atom(_Node):
     distinct atoms even though they share a name.
     """
 
-    __slots__ = ("channel", "name")
+    __slots__ = __match_args__ = ("channel", "name")
     channel: int
     name: str
 
@@ -189,9 +220,10 @@ class Atom(_Node):
     __hash__ = _structural_hash
 
 
-@dataclass(frozen=True, init=False, eq=False, repr=False)
 class Implies(_Node):
-    __slots__ = ("lhs", "rhs")
+    """Material implication."""
+
+    __slots__ = __match_args__ = ("lhs", "rhs")
     lhs: "Formula"
     rhs: "Formula"
 
@@ -204,12 +236,11 @@ class Implies(_Node):
     __hash__ = _structural_hash
 
 
-@dataclass(frozen=True, init=False, eq=False, repr=False)
 class Box(_Node):
     """Channel-indexed knowledge: the body holds on every run that agrees
     with the current one at this channel."""
 
-    __slots__ = ("channel", "body")
+    __slots__ = __match_args__ = ("channel", "body")
     channel: int
     body: "Formula"
 
@@ -535,12 +566,14 @@ def _leaves(f: Formula) -> dict:
 
 # --- scope analysis -------------------------------------------------------
 
-@dataclass(frozen=True)
-class Scope:
+class Scope(_Frozen):
     """Finite channel set with the conventions min of empty = +inf and
     max of empty = -inf, so side-condition inequalities stay total."""
 
-    indices: frozenset[int]
+    __match_args__ = ("indices",)
+
+    def __init__(self, indices: frozenset[int]):
+        _set_field(self, "indices", indices)
 
     @property
     def min_val(self) -> int | float:
@@ -589,8 +622,7 @@ def shift_channels(f: Formula, delta: int) -> Formula:
 
 # --- propositional skeleton and truth tables ------------------------------
 
-@dataclass(frozen=True)
-class Skeleton:
+class Skeleton(_Frozen):
     """Propositional shape of a formula.
 
     The bindings are its maximal box/atom subformulas, numbered by first
@@ -598,7 +630,10 @@ class Skeleton:
     subformulas share one variable.
     """
 
-    bindings: tuple[Formula, ...]
+    __match_args__ = ("bindings",)
+
+    def __init__(self, bindings: tuple[Formula, ...]):
+        _set_field(self, "bindings", bindings)
 
     @property
     def num_vars(self) -> int:

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+
+from .formula import _Frozen, _set_field
 
 
 class ProtocolFormatError(ValueError):
@@ -27,11 +28,16 @@ class ValueDomainError(ValueError):
         self.value = value
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str
-    channel: int | None
-    detail: str
+class Violation(_Frozen):
+    """One problem ``validate`` found: its kind, the channel it is at (None
+    when it is at no one channel) and a message."""
+
+    __match_args__ = ("kind", "channel", "detail")
+
+    def __init__(self, kind: str, channel: int | None, detail: str):
+        _set_field(self, "kind", kind)
+        _set_field(self, "channel", channel)
+        _set_field(self, "detail", detail)
 
 
 class ExplicitLocal:

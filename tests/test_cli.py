@@ -622,12 +622,17 @@ def test_python_dash_m_runs_the_cli():
 
 
 # Runs the verb in argv (nothing when argv is empty) in a fresh interpreter
-# and prints its exit code and the chainlogic submodules it loaded.
+# and prints its exit code, the chainlogic submodules it loaded, and
+# whether it loaded dataclasses or inspect (which dataclasses imports).
 _LOADED_PROBE = """
 import io, json, sys
 from chainlogic.cli import run_cli
 code = run_cli(sys.argv[1:], stdout=io.StringIO()) if sys.argv[1:] else None
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("chainlogic."))]))
+print(json.dumps([
+    code,
+    sorted(m for m in sys.modules if m.startswith("chainlogic.")),
+    [m for m in ("dataclasses", "inspect") if m in sys.modules],
+]))
 """
 
 
@@ -645,6 +650,8 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("chainlogi
         (["prove", "--script", "{script}"], 0, ["proofcheck"], ["search"]),
         (["falsify", "--formula", "[1]p@0 -> [2]p@0", "--channels", "3", "--max-values", "2"],
          1, ["search"], []),
+        (PHONE + ["counterexample", "--formula", "eq_a@0"],
+         1, [], ["search", "proofcheck"]),
     ],
 )
 def test_each_verb_loads_only_the_modules_it_runs(
@@ -657,7 +664,7 @@ def test_each_verb_loads_only_the_modules_it_runs(
         env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__))),
     )
     assert done.returncode == 0, done.stderr
-    got_code, modules = json.loads(done.stdout)
+    got_code, modules, heavy = json.loads(done.stdout)
     assert got_code == code
     for name in loaded:
         assert f"chainlogic.{name}" in modules
@@ -665,6 +672,10 @@ def test_each_verb_loads_only_the_modules_it_runs(
         assert f"chainlogic.{name}" not in modules
     # The modules every verb runs on are loaded with the CLI itself.
     assert {"chainlogic.formula", "chainlogic.protocol", "chainlogic.semantics"} <= set(modules)
+    # prove and falsify load dataclasses through proofcheck; a verb that
+    # runs on formula, protocol and semantics alone does not.
+    if not loaded:
+        assert heavy == []
 
 
 def test_falsify_oversized_bounds_exit_2(capsys):

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import sys
 
 import pytest
 
@@ -10,7 +11,10 @@ from chainlogic import (
     Box,
     FormulaSyntaxError,
     Implies,
+    Scope,
+    Skeleton,
     VariableLimitError,
+    Violation,
     channel_support,
     cnf_to_formula,
     conj,
@@ -561,3 +565,82 @@ def test_copy_and_pickle_keep_shared_subformulas_shared():
     assert copy.deepcopy(Bottom()) == Bottom()
     for f in (parse("p@0"), parse("false"), iff(parse("[2]!(p@0 & q@-1)"), parse("[0]false"))):
         assert all(copied == f and render(copied) == render(f) for copied in _copies(f))
+
+
+# One value of each of the seven value classes, built by keyword, with
+# its repr, its __match_args__ and the tuple its hash is the hash of: the
+# ones the frozen dataclass versions of these classes gave. Implies and
+# Box hash the cached hashes of their children (Bottom's is hash("false")).
+_P = Atom(channel=0, name="p")
+_VALUES = [
+    (Bottom(), "Bottom()", (), ()),
+    (_P, "Atom(channel=0, name='p')", ("channel", "name"), (0, "p")),
+    (Implies(lhs=_P, rhs=Bottom()), "Implies(lhs=Atom(channel=0, name='p'), rhs=Bottom())",
+     ("lhs", "rhs"), (hash((0, "p")), hash("false"))),
+    (Box(channel=1, body=_P), "Box(channel=1, body=Atom(channel=0, name='p'))",
+     ("channel", "body"), (1, hash((0, "p")), None)),
+    (Scope(indices=frozenset({2, -1})), "Scope(indices=frozenset({2, -1}))", ("indices",),
+     (frozenset({2, -1}),)),
+    (Skeleton(bindings=(_P, Box(1, Bottom()))),
+     "Skeleton(bindings=(Atom(channel=0, name='p'), Box(channel=1, body=Bottom())))",
+     ("bindings",), ((_P, Box(1, Bottom())),)),
+    (Violation(kind="atom-channel", channel=3, detail="atoms declared outside"),
+     "Violation(kind='atom-channel', channel=3, detail='atoms declared outside')",
+     ("kind", "channel", "detail"), ("atom-channel", 3, "atoms declared outside")),
+]
+
+
+@pytest.mark.parametrize(
+    "value, text, match_args, hashed", _VALUES, ids=[type(v).__name__ for v, *_ in _VALUES]
+)
+def test_value_classes_are_frozen_values(value, text, match_args, hashed):
+    cls = type(value)
+    assert repr(value) == text
+    assert cls.__match_args__ == match_args
+    assert hash(value) == hash(hashed)
+    fields = tuple(getattr(value, name) for name in match_args)
+    twin = cls(*fields)
+    assert twin is not value and twin == value and hash(twin) == hash(value)
+    assert not value != twin
+    assert value.__eq__(object()) is NotImplemented and value != fields
+    for name in ("x", *match_args):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(value, name, 1)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+            delattr(value, name)
+    assert repr(value) == text and hash(value) == hash(hashed)
+
+
+def test_value_classes_compare_by_class_and_fields():
+    assert Bottom() == Bottom() and Bottom().__eq__(_P) is NotImplemented
+    assert _P.__eq__(Bottom()) is NotImplemented and _P != Atom(0, "q")
+    assert Scope(frozenset()) != Scope(frozenset({0}))
+    assert Scope(frozenset({1})).__eq__(frozenset({1})) is NotImplemented
+    assert Violation("a", None, "d") != Violation("a", 0, "d")
+    assert Skeleton(()) != Scope(frozenset()) and repr(Skeleton(())) == "Skeleton(bindings=())"
+    assert repr(Scope(frozenset())) == "Scope(indices=frozenset())"
+    if sys.hash_info.width == 64:
+        # The values the dataclass hashes gave on a 64-bit CPython.
+        assert hash(Bottom()) == 5740354900026072187
+        assert hash(Scope(frozenset({2, -1}))) == 5363735825650271313
+        assert hash(Scope(frozenset())) == -8365660994716452983
+    match Violation(kind="empty-values", channel=2, detail="channel 2 has no values"):
+        case Violation(kind, channel, detail):
+            assert (kind, channel, detail) == ("empty-values", 2, "channel 2 has no values")
+    match Box(0, Implies(_P, Bottom())):
+        case Box(channel, Implies(Atom(_, name), Bottom())):
+            assert (channel, name) == (0, "p")
+        case _:
+            pytest.fail("the positional pattern did not match")
+    match Scope(frozenset({4})):
+        case Scope(indices):
+            assert indices == {4}
+
+
+@pytest.mark.parametrize("value", [v for v, *_ in _VALUES[4:]], ids=lambda v: type(v).__name__)
+def test_scope_skeleton_and_violation_copy_and_pickle(value):
+    for copied in _copies(value):
+        assert type(copied) is type(value) and copied == value and copied is not value
+        assert repr(copied) == repr(value) and hash(copied) == hash(value)
+        with pytest.raises(AttributeError):
+            setattr(copied, value.__match_args__[0], None)

@@ -39,6 +39,7 @@ from chainlogic import (
     search,
     semantics,
     soundness_sweep,
+    telephone,
     valid_in,
 )
 
@@ -46,6 +47,7 @@ from chainlogic.formula import _flatten
 
 from conftest import (
     candidate_key,
+    enum_counterexample,
     exhaustive_suite,
     reference_candidate_count,
     reference_candidates,
@@ -553,6 +555,86 @@ def test_unguarded_schemas_do_fail():
         assert report.violations >= 1, schema
         instance, p, r = report.first_witness
         assert not evaluate(EvalContext(p), r, instance), render(instance)
+
+
+
+def _telephone_instances(rng, schema, window, words, guarded):
+    """Instances of the schema on the window's channels, from the public
+    random_formula and instantiate_axiom, with each p@k and q@k renamed to
+    eq_w@k for a word w drawn per instance. The guarded arm draws phi and
+    psi where the side condition can hold and keeps an instance only if it
+    does; the unguarded arm draws from the whole window and keeps an
+    instance only if its side condition fails."""
+
+    def rename(f, names):
+        t = type(f)
+        if t is Atom:
+            key = (f.name, f.channel)
+            if key not in names:
+                names[key] = "eq_" + rng.choice(words)
+            return Atom(f.channel, names[key])
+        if t is Implies:
+            return Implies(rename(f.lhs, names), rename(f.rhs, names))
+        if t is Box:
+            return Box(f.channel, rename(f.body, names))
+        return f
+
+    while True:
+        k = rng.choice(window)
+        phi_pool = psi_pool = window
+        if guarded and schema == "self_awareness":
+            phi_pool = (k,)
+        elif guarded and schema == "disjunction":
+            phi_pool, psi_pool = window[: k + 1], window[k:]
+        names = {}
+        params = {
+            "k": k,
+            "n": rng.choice([n for n in window if n != k]),
+            "phi": rename(random_formula(rng, phi_pool, ("p", "q"), 2), names),
+            "psi": rename(random_formula(rng, psi_pool, ("p", "q"), 2), names),
+        }
+        f, side_ok = instantiate_axiom(schema, params)
+        if side_ok == guarded:
+            yield f
+
+
+@pytest.mark.parametrize("length, alphabet, chain, count", [(2, "ab", 3, 100), (3, "abc", 3, 60)])
+def test_schemas_are_sound_on_the_telephone(length, alphabet, chain, count):
+    # The paper's soundness theorem on its flagship protocol: every guarded
+    # instance of the five schemas is valid, and each schema with a side
+    # condition has an invalid instance among those that break it, whose
+    # counterexample is re-checked as a certificate. The walk's telephone
+    # paths (selective start, filtered entry at truth-set words, Hamming
+    # neighbour tables) decide every instance.
+    t = telephone(length, alphabet, chain)
+    ctx = EvalContext(t)
+    window = tuple(range(chain))
+    words = ["".join(w) for w in itertools.product(alphabet, repeat=length)]
+    rng = random.Random(1)
+    oracle = length == 2
+    memo = {}  # the oracle's box verdicts, which depend on the protocol alone
+    for schema in _SWEEP_SCHEMAS:
+        guarded = _telephone_instances(rng, schema, window, words, True)
+        for f in itertools.islice(guarded, count):
+            assert valid_in(ctx, f), (schema, render(f))
+            if oracle:
+                assert enum_counterexample(t, f, memo) is None, (schema, render(f))
+        if schema in ("distributivity", "reflexivity"):
+            continue  # no side condition to break
+        # Broken disjunction instances are refuted a few times in a hundred,
+        # so the draws go on past count, up to ten times it, until one is.
+        refuted = 0
+        unguarded = _telephone_instances(rng, schema, window, words, False)
+        for i, f in enumerate(unguarded):
+            if i >= count and refuted or i == 10 * count:
+                break
+            r = counterexample(ctx, f)
+            if oracle:
+                assert r == enum_counterexample(t, f, memo), (schema, render(f))
+            if r is not None:
+                refuted += 1
+                assert is_run(t, r) and evaluate(ctx, r, f) is False, (schema, render(f))
+        assert refuted, schema
 
 
 _SAMPLED_BOUNDS = ((3, 2, 2), (3, 3, 0), (4, 3, 2), (2, 2, 1))
