@@ -38,7 +38,8 @@ _set_field = object.__setattr__
 class _Frozen:
     """Base of the immutable value classes. Their fields, named in
     ``__match_args__``, are set once, by the constructor; equality, hash
-    and repr go by them, as a frozen dataclass's would."""
+    and repr go by them, as a frozen dataclass's would, and the repr of
+    every value class is the one stack-built repr below."""
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
@@ -61,8 +62,24 @@ class _Frozen:
         return hash(self._fields())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
-        return f"{type(self).__qualname__}({fields})"
+        """The constructor call with keyword fields, e.g. ``Box(channel=0,
+        body=Bottom())``, built from an explicit stack of pending text and
+        nodes, so nesting depth costs no recursion."""
+        parts = []
+        stack: list = [self]
+        while stack:
+            x = stack.pop()
+            if type(x) is str:
+                parts.append(x)
+                continue
+            stack.append(")")
+            names = type(x).__match_args__
+            for i in range(len(names) - 1, -1, -1):
+                value = getattr(x, names[i])
+                stack.append(value if isinstance(value, _Frozen) else repr(value))
+                stack.append(f"{', ' if i else ''}{names[i]}=")
+            stack.append(type(x).__qualname__ + "(")
+        return "".join(parts)
 
 
 class Bottom(_Frozen):
@@ -166,10 +183,10 @@ def _structural_eq(self, other) -> bool:
 class _Node(_Frozen):
     """Holds the cached structural hash of a non-constant formula node.
 
-    A node's fields are its slots after ``_hash``, which is state but not a
-    field: equality and repr ignore it. The constructors fill the slots
-    through the slot descriptors, since the frozen ``__setattr__`` refuses
-    assignment.
+    A node's fields are the slots it names in ``__match_args__``; ``_hash``
+    is state but not a field: equality and repr ignore it. The constructors
+    fill the slots through the slot descriptors, since the frozen
+    ``__setattr__`` refuses assignment.
     """
 
     __slots__ = ("_hash",)
@@ -179,26 +196,6 @@ class _Node(_Frozen):
         # refuse assignment, and the cached hash is not state) from one flat
         # encoding, so nesting depth costs no recursion.
         return _unflatten, (_flatten(self),)
-
-    def __repr__(self) -> str:
-        """The constructor call with keyword fields, e.g. ``Box(channel=0,
-        body=Bottom())``, built from an explicit stack of pending text and
-        nodes, so nesting depth costs no recursion."""
-        parts = []
-        stack: list = [self]
-        while stack:
-            x = stack.pop()
-            if type(x) is str:
-                parts.append(x)
-                continue
-            stack.append(")")
-            names = type(x).__slots__
-            for i in range(len(names) - 1, -1, -1):
-                value = getattr(x, names[i])
-                stack.append(value if isinstance(value, _Node) else repr(value))
-                stack.append(f"{', ' if i else ''}{names[i]}=")
-            stack.append(type(x).__qualname__ + "(")
-        return "".join(parts)
 
 
 class Atom(_Node):

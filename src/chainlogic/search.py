@@ -154,26 +154,28 @@ class SearchBounds:
         return _ATOM_NAMES[: self.atoms_per_channel]
 
 
-def candidate_count(bounds: SearchBounds) -> int:
-    """Exact size of the exhaustive candidate space (zero-run protocols
-    included, since they are skipped only after counting).
-
-    The sum over value-set size vectors of the product of relation and
-    truth-table counts is a transfer-matrix product: ``counts[s]`` holds
-    the candidates on the channels so far whose last channel has s values,
-    so a channel more costs max_values^2 big-integer steps, not a factor
-    of max_values.
-    """
+def _running_counts(bounds: SearchBounds):
+    """C_i, the candidates on the first i channels (zero-run protocols
+    included), for i = 1..num_channels; it never falls as i grows. A
+    transfer-matrix product: ``counts[s]`` holds the candidates on the
+    channels so far whose last channel has s values, so a channel more
+    costs max_values^2 big-integer steps, not a factor of max_values."""
     sizes = range(1, bounds.max_values_per_channel + 1)
     atoms = bounds.atoms_per_channel
     counts = [1 << (s * atoms) for s in sizes]
+    yield sum(counts)
     for _ in range(bounds.num_channels - 1):
         # n * (2^(left * right) - 1) relations, times 2^(right * atoms) tables
         counts = [
             sum((n << (left * right)) - n for left, n in zip(sizes, counts)) << (right * atoms)
             for right in sizes
         ]
-    return sum(counts)
+        yield sum(counts)
+
+
+def candidate_count(bounds: SearchBounds) -> int:
+    """Exact size of the exhaustive candidate space: the last, so largest, C_i."""
+    return max(_running_counts(bounds))
 
 
 @lru_cache(maxsize=1024)
@@ -535,16 +537,16 @@ def sample_protocol(rng: random.Random, bounds: SearchBounds) -> ExplicitChainPr
 
 
 def _check_ceiling(bounds: SearchBounds) -> None:
-    total = candidate_count(bounds)
-    if total > bounds.candidate_ceiling:
-        try:
-            count = str(total)
-        except ValueError:  # more digits than int-to-str conversion allows
-            count = f"more than 2^{total.bit_length() - 1}"
-        raise SearchSpaceError(
-            f"exhaustive space has {count} candidates, over the ceiling of "
-            f"{bounds.candidate_ceiling}"
-        )
+    """Refuse at the first C_i over the ceiling: exact at the last channel,
+    else as the power of two below C_i, so no large count is converted."""
+    for i, count in enumerate(_running_counts(bounds), 1):
+        if count > bounds.candidate_ceiling:
+            if i < bounds.num_channels:
+                count = f"more than 2^{(count - 1).bit_length() - 1}"
+            raise SearchSpaceError(
+                f"exhaustive space has {count} candidates, over the ceiling of "
+                f"{bounds.candidate_ceiling}"
+            )
 
 
 def enumerate_protocols(bounds: SearchBounds):

@@ -55,8 +55,9 @@ T costs one cached column and one table lookup.
 ``evaluate`` and the walk share one evaluator, the residual simplifier
 ``_partial``: the walk hands it a column of decided literals, and
 ``evaluate`` a lookup that decides each literal at the run when it is
-reached (an atom from its truth set, a box through ``_column``), so the
-rhs of an implication with a false lhs is never decided.
+reached, so the rhs of an implication with a false lhs is never decided.
+Both decide atoms and boxes alike through ``_column``, the one place a
+literal is decided.
 ``_partial`` and every formula walker keep an explicit stack, so nesting
 depth costs no recursion; only modal depth does: a nested box costs one
 walk and two frames (``_first_falsifying`` → ``_column``), so about 490
@@ -433,8 +434,6 @@ def evaluate(ctx: EvalContext, run, f: Formula) -> bool:
 
     def at_run(lit, _):
         k = lit.channel
-        if type(lit) is Atom:  # declared, so in the window
-            return p.atom_holds(k, lit.name, run[k - lo])
         return _column(ctx, (lit,), k, run[k - lo] if lo <= k <= hi else None) == 1
 
     return _partial(f, at_run)

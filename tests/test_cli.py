@@ -688,6 +688,29 @@ def test_falsify_oversized_bounds_exit_2(capsys):
     assert err.endswith(" candidates, over the ceiling of 1000000\n")
 
 
+@pytest.mark.parametrize(
+    "bounds, count",
+    [(["--channels", "40", "--max-values", "26"], "more than 2^26"),
+     (["--channels", "3", "--max-values", "2", "--atoms", "3"], "62288384")],
+)
+def test_refusals_do_not_depend_on_the_digit_limit(bounds, count):
+    # PYTHONINTMAXSTRDIGITS=0 lifts the int-to-str digit limit; no refusal
+    # converts a count that could pass it, so both print the same line.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    errs = []
+    for extra in ({}, {"PYTHONINTMAXSTRDIGITS": "0"}):
+        done = subprocess.run(
+            [sys.executable, "-m", "chainlogic", "falsify", "--formula", "p@0", *bounds],
+            capture_output=True, text=True, timeout=60, env=dict(env, **extra),
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        errs.append(done.stderr)
+    assert errs[0] == errs[1] == (
+        f"error: exhaustive space has {count} candidates, over the ceiling of 1000000\n"
+    )
+
+
 def test_json_outputs_match_text_verdicts(capsys, protocol_file, prop4_file, broken_script_file):
     code, doc = run_json(capsys, ["scope", "[2]([3]p@3 -> [4]q@4)"])
     assert (code, doc["scope"]) == (0, [2])

@@ -1,6 +1,7 @@
-"""The package namespace: the public names, where each comes from, and that
-they load on first use."""
+"""The package namespace: the public names, where each comes from, that
+they load on first use, and that the sources parse at the Python floor."""
 
+import ast
 import importlib
 import json
 import os
@@ -112,3 +113,21 @@ def test_an_import_error_in_a_submodule_propagates():
     )
     done = _fresh(probe)
     assert (done.returncode, done.stdout) == (0, "ModuleNotFoundError\n"), done.stderr
+
+
+def test_sources_parse_at_the_python_floor():
+    # pyproject.toml declares requires-python >= 3.10; a test run on a newer
+    # interpreter would accept syntax 3.10 rejects (except*, type parameters).
+    paths = [
+        os.path.join(folder, name)
+        for top in (os.path.dirname(chainlogic.__file__), os.path.dirname(__file__))
+        for folder, _, names in os.walk(top)
+        for name in names
+        if name.endswith(".py")
+    ]
+    assert len(paths) > 15
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            ast.parse(fh.read(), filename=path, feature_version=(3, 10))
+    with pytest.raises(SyntaxError):
+        ast.parse("def f[T](x: T) -> T:\n    return x\n", feature_version=(3, 10))

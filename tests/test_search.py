@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -18,6 +19,7 @@ from chainlogic import (
     SearchBounds,
     SearchSpaceError,
     candidate_count,
+    channel_support,
     check_script,
     counterexample,
     corpus,
@@ -124,17 +126,44 @@ def test_candidate_count_matches_size_vector_sum():
 
 
 def test_oversized_bounds_are_refused_at_once():
-    # 2^40 size vectors, and a count too long to print in decimal.
+    # 2^40 size vectors, and a count too long to print in decimal; the
+    # first channel alone has 2^27 - 2 candidates.
     with pytest.raises(SearchSpaceError, match="over the ceiling of 1000000"):
         falsify(parse("p@0"), SearchBounds(40, 2, 1), budget=1)
     bounds = SearchBounds(40, 26, 1)
     with pytest.raises(SearchSpaceError) as refused:
         falsify(parse("p@0"), bounds, budget=1)
-    bits = candidate_count(bounds).bit_length()
     assert str(refused.value) == (
-        f"exhaustive space has more than 2^{bits - 1} candidates, "
+        "exhaustive space has more than 2^26 candidates, "
         "over the ceiling of 1000000"
     )
+
+
+def test_refusal_stops_at_the_first_count_over_the_ceiling():
+    # The first channel alone passes the ceiling, so no later channel is
+    # counted: 400 channels are refused as fast as one.
+    with pytest.raises(SearchSpaceError) as refused:
+        falsify(parse("p@0"), SearchBounds(400, 26, 1), budget=1)
+    assert str(refused.value) == (
+        "exhaustive space has more than 2^26 candidates, over the ceiling of 1000000"
+    )
+
+
+@pytest.mark.parametrize("bounds", [(20000, 1, 1), (64, 1, 1), (40, 2, 1)])
+def test_refusal_bound_is_below_the_total(bounds):
+    # (20000, 1, 1) has exactly 2^20000 candidates, and each running count
+    # on one value a channel is a power of two. N is the largest power of
+    # two below the first running count over the ceiling.
+    bounds = SearchBounds(*bounds)
+    with pytest.raises(SearchSpaceError) as refused:
+        falsify(parse("p@0"), bounds, budget=1)
+    n = int(re.fullmatch(
+        r"exhaustive space has more than 2\^(\d+) candidates, over the ceiling of 1000000",
+        str(refused.value),
+    ).group(1))
+    assert 2**n < candidate_count(bounds)
+    first = next(c for c in search._running_counts(bounds) if c > bounds.candidate_ceiling)
+    assert 2**n < first <= 2 ** (n + 1)
 
 
 @pytest.mark.parametrize("bounds", [(2, 2, 1), (3, 1, 2), (3, 2, 0), (2, 2, 2), (3, 2, 1)])
@@ -1006,6 +1035,47 @@ def test_corpus_theorems_never_falsified():
         span = 4 if name == "lemma9_3way" else 3
         bounds = SearchBounds(span, 2, 3, mode=RandomMode(seed=21, samples=120))
         assert falsify(goal, bounds, budget=120) is None, name
+
+
+def _span(f):
+    support = channel_support(f)
+    return max(support) - min(support) + 1
+
+
+def test_corpus_theorems_settled_exhaustively():
+    # Every candidate with 2 values and 3 atoms a channel over the goal's
+    # span, with the ceiling lifted: the read set and the skipped blocks
+    # keep the scan small. The teeth: a non-theorem is refuted there.
+    for name, script in corpus().items():
+        bounds = SearchBounds(_span(script.goal), 2, 3, candidate_ceiling=10**12)
+        assert falsify(script.goal, bounds, budget=10**12) is None, name
+    assert _span(corpus()["lemma9_3way"].goal) == 4
+    bounds = SearchBounds(3, 2, 3, candidate_ceiling=10**12)
+    assert falsify(parse("[1]p@0 -> [2]p@0"), bounds, budget=10**12) is not None
+
+
+def test_corpus_theorems_valid_on_the_telephone():
+    # Each goal with every atom name@k renamed to eq_w@k, w a seeded random
+    # word per (name, k), is a channel-respecting instance of a theorem, so
+    # valid on telephones long enough for its channels.
+    for length, alphabet in ((2, "ab"), (3, "abc")):
+        words = ["".join(w) for w in itertools.product(alphabet, repeat=length)]
+        for name, script in corpus().items():
+            n = max(2, max(channel_support(script.goal)) + 1)
+            for chain in (n, n + 1):
+                t = telephone(length, alphabet, chain)
+                ctx = EvalContext(t)
+                memo = {}  # the oracle's box verdicts, which depend on the protocol alone
+                for seed in range(5):
+                    rng, renamed = random.Random(seed), {}
+                    g = parse(re.sub(
+                        r"[A-Za-z_]\w*@(\d+)",
+                        lambda m: renamed.setdefault(m[0], f"eq_{rng.choice(words)}@{m[1]}"),
+                        render(script.goal),
+                    ))
+                    assert valid_in(ctx, g), (name, render(g))
+                    if length == 2:
+                        assert enum_counterexample(t, g, memo) is None, (name, render(g))
 
 
 def test_display_family_valid_on_sampled_protocols():

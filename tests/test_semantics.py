@@ -352,6 +352,22 @@ def test_walk_simplifies_once_per_column(monkeypatch):
     assert calls.count("_partial") <= 5
 
 
+def test_evaluate_decides_atoms_through_column(monkeypatch):
+    # _column is the one place a literal is decided: evaluate sends a
+    # top-level atom there as it does a box.
+    lits = []
+    real = semantics._column
+
+    def counted(ctx, group, k, v):
+        lits.extend(group)
+        return real(ctx, group, k, v)
+
+    monkeypatch.setattr(semantics, "_column", counted)
+    f = parse("eq_aaa@0 -> [1]eq_aaa@0")
+    assert evaluate(EvalContext(small_telephone()), ("aaa", "aab", "abb"), f) is False
+    assert lits[:2] == [f.lhs, f.rhs]
+
+
 # --- values an atoms-only channel cannot falsify are skipped -----------------
 
 def _sparse_formula(rng, atom_channels, box_channels, names, depth):
