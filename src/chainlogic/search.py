@@ -54,14 +54,14 @@ none at or past the budget.
 
 Random mode and the soundness sweeps sample on the same encoding: a draw
 is its (sizes, relation masks, truth masks) integers. Below the public API
-a block is just its (sizes, relation masks) integers. Its runs, in
-``protocol.runs`` order, are listed straight from the reachability
-bitmasks into the one run cache, keyed by them (``_block_runs``), which
-the exhaustive scan and the sweeps share, with the block's value groups
-beside them: per channel and value, the bit of each run that has it. A
-sweep rejects a draw whose block's list is empty, and a sweep trial is
-the same pass at width 1, where the value groups are the spreads and the
-formula is one bit per run. Its atoms' columns come from a cache keyed by
+a block is just its (sizes, relation masks) integers, and its runs are
+its value groups: per channel and value, the bit of each run, in
+``protocol.runs`` order, that has the value. They are listed straight
+from the relation masks into the one run cache, keyed by them
+(``_block_runs``), which the exhaustive scan and the sweeps share. A sweep
+rejects a draw whose block has no groups, and a sweep trial is the same
+pass at width 1, where the value groups are the spreads and the formula
+is one bit per run. Its atoms' columns come from a cache keyed by
 channel size and truth mask (``_value_bits``), and it reads the bit of
 its drawn run. So nothing that only decides a verdict builds a protocol:
 a scan builds only its witness, and a sweep only its first violation. A
@@ -197,31 +197,30 @@ def _labels(mask: int) -> frozenset[str]:
     return frozenset(_VALUE_LABELS[j] for j in range(mask.bit_length()) if mask >> j & 1)
 
 
-class _Runs(tuple):
-    """A block's runs, as label tuples in ``protocol.runs`` order, with its
-    value groups beside them: ``groups[k][v]`` has bit r set for each run r
-    whose value at channel k is value v (0 for a value on no run)."""
+def _spreads(groups: tuple, width: int) -> tuple:
+    """A block's value groups at ``width``: bit r of a group moves to bit
+    r * width, the lowest bit of run r's lane, one step per run and
+    channel."""
+    if width == 1:
+        return groups
+    spreads = []
+    for channel in groups:
+        row = []
+        for g in channel:
+            spread = 0
+            while g:
+                low = g & -g
+                spread |= 1 << (low.bit_length() - 1) * width
+                g ^= low
+            row.append(spread)
+        spreads.append(tuple(row))
+    return tuple(spreads)
 
-    groups: tuple[tuple[int, ...], ...]
 
-    def spreads(self, width: int) -> tuple:
-        """The value groups at ``width``: bit r of a group moves to bit
-        r * width, the lowest bit of run r's lane, one step per run and
-        channel."""
-        if width == 1:
-            return self.groups
-        spreads = []
-        for channel in self.groups:
-            row = []
-            for g in channel:
-                spread = 0
-                while g:
-                    low = g & -g
-                    spread |= 1 << (low.bit_length() - 1) * width
-                    g ^= low
-                row.append(spread)
-            spreads.append(tuple(row))
-        return tuple(spreads)
+def _run(groups: tuple, r: int) -> tuple:
+    """Run r of a block, read off its value groups: per channel, the label
+    of the value whose group has bit r."""
+    return tuple([_VALUE_LABELS[[g >> r & 1 for g in channel].index(1)] for channel in groups])
 
 
 # Per value v, the table that spells label v as "1" and any other as "0".
@@ -231,42 +230,42 @@ _SPELL = [
 
 
 @lru_cache(maxsize=1024)
-def _block_runs(sizes: tuple[int, ...], relation_masks: tuple[int, ...]) -> _Runs:
-    """The runs of a block, and so of each of its candidates, listed
-    straight from the ``_live`` bitmasks, one channel at a time, as a
-    string of labels per channel: each run is extended, in label order, by
-    the live successors of its last value, so the new channel's string
-    joins the successor strings of the last one's labels, and each earlier
-    label is repeated once per successor. Every live value reaches the last
-    channel, so no partial run is a dead end. The value groups are read off
-    the strings as binary digits, in time linear in the runs. Listed when a
-    sweep first draws in the block or an exhaustive ``falsify`` first
-    decides it. A sweep lists a runless block too: its list is empty, so
-    falsy, and the sweep rejects the draw on it. A sweep or scan on wide
-    bounds keeps the run lists of up to 1,024 blocks, which hold all 340
+def _block_runs(sizes: tuple[int, ...], relation_masks: tuple[int, ...]) -> tuple:
+    """The value groups of a block, and so of each of its candidates: bit r
+    of ``groups[k][v]`` is set when run r, in ``protocol.runs`` order, has
+    value v at channel k; ``()``, which is falsy, when the block has no run.
+    A backward pass counts, per channel and value, the ways to finish a run
+    from it. Then channel k of every run is spelt by the last values of the
+    run prefixes through k, in order, each repeated by its count, and each
+    is replaced by its successors for channel k + 1, so nothing earlier is
+    rebuilt and the listing is linear in the runs times the channels. The
+    groups are read off those strings as binary digits. Listed when a sweep
+    first draws in the block or an exhaustive ``falsify`` first decides it.
+    The cache keeps the groups of up to 1,024 blocks, which hold all 340
     blocks of three channels with at most two values each, the bounds the
     sweeps are run on."""
-    live = _live(sizes, relation_masks)
-    columns = ["".join([_VALUE_LABELS[i] for i in range(sizes[0]) if live[0] >> i & 1])]
-    for k, mask in enumerate(relation_masks, start=1):
-        s = sizes[k]
-        steps = {
-            _VALUE_LABELS[i]: "".join([
-                _VALUE_LABELS[j] for j in range(s) if mask >> (i * s + j) & live[k] >> j & 1
-            ])
-            for i in range(sizes[k - 1])
+    # From the last channel back: the ways to finish a run from each value
+    # that has one, and each earlier value's successors among those values.
+    ways = [dict.fromkeys(_VALUE_LABELS[: sizes[-1]], 1)]
+    steps = [{}]  # no channel follows the last one
+    for k in range(len(sizes) - 1, 0, -1):
+        right, mask, after = sizes[k], relation_masks[k - 1], ways[-1]
+        step = {
+            a: "".join([b for b in after if mask >> (i * right + _VALUE_LABELS.index(b)) & 1])
+            for i, a in enumerate(_VALUE_LABELS[: sizes[k - 1]])
         }
-        ends = list(map(steps.__getitem__, columns[-1]))
-        counts = list(map(len, ends))
-        columns = ["".join(map(str.__mul__, column, counts)) for column in columns]
-        columns.append("".join(ends))
-    runs = _Runs(zip(*columns))
-    # Last run first, so that run r is bit r of the number the digits spell.
-    runs.groups = tuple(
-        tuple(int(spelt.translate(_SPELL[v]) or b"0", 2) for v in range(s))
-        for spelt, s in zip((column[::-1].encode() for column in columns), sizes)
-    )
-    return runs
+        ways.append({a: sum(map(after.__getitem__, succ)) for a, succ in step.items() if succ})
+        steps.append(str.maketrans(step))
+    if not ways[-1]:
+        return ()
+    ends = "".join(ways[-1])  # the last values of the run prefixes, in order
+    groups = []
+    for s, counts, step in zip(sizes, reversed(ways), reversed(steps)):
+        # Last run first, so that run r is bit r of the number the digits spell.
+        spelt = ends[::-1].translate(str.maketrans({a: a * n for a, n in counts.items()})).encode()
+        groups.append(tuple([int(spelt.translate(_SPELL[v]), 2) for v in range(s)]))
+        ends = ends.translate(step)
+    return tuple(groups)
 
 
 def _build_protocol(
@@ -440,7 +439,7 @@ def _holds(entries: tuple, spreads: tuple, column, lo: int, width: int) -> int:
     lo + width - 1 of a block, at all of its runs at once: bit r * width + i
     of the result is set when candidate lo + i holds at run r.
 
-    ``spreads`` are the block's value groups at ``width`` (``_Runs.spreads``),
+    ``spreads`` are the block's value groups at ``width`` (``_spreads``),
     and ``column(k, name)`` gives, per value of channel k, the mask of the
     candidates whose table of the atom holds there. Each entry is one
     integer: false is 0, and a -> b is ``all_set ^ a | b``. An atom is the
@@ -512,8 +511,9 @@ def _random_candidate(rng: random.Random, bounds: SearchBounds):
 def _draw(rng: random.Random, bounds: SearchBounds, has_run):
     """One random candidate that admits at least one run, as its (sizes,
     relation masks, truth masks). A draw is rejected when ``has_run(sizes,
-    relation masks)`` is falsy: a sweep passes ``_block_runs``, whose entry
-    it reads next, and the sampler a test on ``_live``, which lists no run.
+    relation masks)`` is falsy: a sweep passes ``_block_runs``, whose groups
+    it reads next and which are ``()`` for a runless block, and the sampler
+    a test on ``_live``, which lists no run.
     Nothing is built: the caller builds the draw it keeps, if any."""
     for _ in range(10_000):
         sizes, relation_masks, truth_masks = _random_candidate(rng, bounds)
@@ -649,15 +649,15 @@ def falsify(f: Formula, bounds: SearchBounds, budget: int):
         below = bisect.bisect_left(
             range(1 << len(bits)), budget - position, key=lambda i: _offset(bits, i)
         )
-        block_runs = _block_runs(sizes, relation_masks)
+        groups = _block_runs(sizes, relation_masks)
         for lo in range(0, below, _SLICE):
             width = min(_SLICE, below - lo)
-            spreads = block_runs.spreads(width)
+            spreads = _spreads(groups, width)
             first = _first_refuted(_holds(entries, spreads, column, lo, width), spreads, width)
             if first is not None:
                 i, r = first
                 masks = _truth_masks(sizes, names, _offset(bits, lo + i))
-                return _build_protocol(sizes, relation_masks, masks, names), block_runs[r]
+                return _build_protocol(sizes, relation_masks, masks, names), _run(groups, r)
     return None
 
 
@@ -789,14 +789,14 @@ def soundness_sweep(
     for _ in range(trials):
         instance = next(instances)
         sizes, relation_masks, truth_masks = _draw(rng, bounds, _block_runs)
-        block_runs = _block_runs(sizes, relation_masks)
-        i = rng.randrange(len(block_runs))
+        groups = _block_runs(sizes, relation_masks)
+        i = rng.randrange(sum(groups[0]).bit_length())
         column = lambda k, name: _value_bits(sizes[k], truth_masks[k][atom_index[name]])
-        if not _holds(_flatten(instance), block_runs.groups, column, 0, 1) >> i & 1:
+        if not _holds(_flatten(instance), groups, column, 0, 1) >> i & 1:
             violations += 1
             if first_witness is None:
                 p = _build_protocol(sizes, relation_masks, truth_masks, names)
-                first_witness = (instance, p, block_runs[i])
+                first_witness = (instance, p, _run(groups, i))
     return SweepReport(schema, trials, violations, first_witness)
 
 

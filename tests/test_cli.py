@@ -495,6 +495,19 @@ def test_named_alphabet_matches_the_library(capsys):
     assert run(capsys, argv) == (1, "aaa,aaa,aab,aaa\n", "")
 
 
+def test_falsify_on_a_long_chain_finishes():
+    # One candidate on 20,000 channels: its block's runs are listed in time
+    # linear in the channel count, so the scan answers within the timeout.
+    done = subprocess.run(
+        [sys.executable, "-m", "chainlogic", "falsify", "--formula", "false -> false",
+         "--channels", "20000", "--max-values", "1", "--atoms", "0"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__))),
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("no countermodel")
+
+
 def test_falsify_negative_budget_exits_2(capsys):
     code, out, err = run(
         capsys,

@@ -123,6 +123,36 @@ def test_package_has_no_unused_imports():
     assert unused == []
 
 
+def test_package_has_no_unused_private_helpers():
+    # A private module function or class, or a private method that is not
+    # a dunder, must be referenced somewhere in the package apart from its
+    # definition: by name, as an attribute, or in an import. Tests and the
+    # benchmark scripts do not count.
+    defined, referenced = [], set()
+    for path in sorted(_SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        helpers = [n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+        helpers += [
+            n
+            for c in tree.body if isinstance(c, ast.ClassDef)
+            for n in c.body if isinstance(n, ast.FunctionDef)
+        ]
+        defined += [
+            (path.name, n.lineno, n.name)
+            for n in helpers
+            if n.name.startswith("_") and not n.name.endswith("__")
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name.split(".")[-1])
+    assert len(defined) > 50
+    assert [d for d in defined if d[2] not in referenced] == []
+
+
 def test_bench_reads_only_library_names():
     # The benchmark scripts call the library through the package, which
     # they name pkg, after importing chainlogic.cli as this module does;

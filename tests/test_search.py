@@ -360,6 +360,13 @@ def test_falsify_decides_only_the_tables_it_reads(monkeypatch):
     assert (calls["decided"], calls["passes"]) == (14, 3)
 
 
+def _decoded(groups):
+    """A block's runs, read off its cached value groups, in order."""
+    if not groups:
+        return ()
+    return tuple(search._run(groups, r) for r in range(sum(groups[0]).bit_length()))
+
+
 def _modal_depth(f):
     if isinstance(f, Box):
         return 1 + _modal_depth(f.body)
@@ -398,13 +405,14 @@ def test_block_pass_matches_the_walk(bounds):
             )
             for i in range(1 << len(bits))
         ]
-        block_runs = search._block_runs(sizes, masks)
+        groups = search._block_runs(sizes, masks)
+        block_runs = _decoded(groups)
         half = len(candidates) // 2
         for g in formulas:
             expected = [counterexample(EvalContext(p), g) for p in candidates]
             entries = _flatten(g)
             for lo, width in ((0, len(candidates)), (0, half), (half, len(candidates) - half)):
-                spreads = block_runs.spreads(width)
+                spreads = search._spreads(groups, width)
                 holds = search._holds(entries, spreads, lambda k, name: columns[k, name], lo, width)
                 named = [
                     next(
@@ -723,20 +731,21 @@ def _check_sampled_pass(bounds, seed):
         for _ in range(150):
             instance = next(instances)
             sizes, masks, truth_masks = search._draw(rng, bounds, search._block_runs)
-            block_runs = search._block_runs(sizes, masks)
-            i = rng.randrange(len(block_runs))
+            groups = search._block_runs(sizes, masks)
+            i = rng.randrange(sum(groups[0]).bit_length())
+            run = search._run(groups, i)
             column = lambda k, name: search._value_bits(
                 sizes[k], truth_masks[k][names.index(name)]
             )
             p = search._build_protocol(sizes, masks, truth_masks, names)
             for g in (instance.rhs, instance):
-                decided = search._holds(_flatten(g), block_runs.groups, column, 0, 1) >> i & 1
-                walked = evaluate(EvalContext(p), block_runs[i], g)
+                decided = search._holds(_flatten(g), groups, column, 0, 1) >> i & 1
+                walked = evaluate(EvalContext(p), run, g)
                 assert decided == walked, (schema, render(g))
                 verdicts[g is instance, walked] += 1
             if not walked:
                 violations += 1
-                first = first or (instance, p, block_runs[i])
+                first = first or (instance, p, run)
         report = soundness_sweep(schema, bounds, 150, enforce_side_conditions=enforce)
         assert report.violations == violations
         assert _witness_doc(report.first_witness) == _witness_doc(first)
@@ -765,7 +774,8 @@ def test_sampled_pass_matches_the_walk_past_a_machine_word():
     rng = random.Random(5)
     sizes = (3, 3, 3, 3)
     for masks in ((511, 511, 511), (511, 510, 511), (511, 511, 255)):
-        block_runs = search._block_runs(sizes, masks)
+        groups = search._block_runs(sizes, masks)
+        block_runs = _decoded(groups)
         assert len(block_runs) > 64
         for _ in range(20):
             truth_masks = tuple(tuple(rng.randrange(8) for _ in names) for _ in sizes)
@@ -774,7 +784,7 @@ def test_sampled_pass_matches_the_walk_past_a_machine_word():
             column = lambda k, name: search._value_bits(
                 sizes[k], truth_masks[k][names.index(name)]
             )
-            row = search._holds(_flatten(g), block_runs.groups, column, 0, 1)
+            row = search._holds(_flatten(g), groups, column, 0, 1)
             walked = [evaluate(EvalContext(p), r, g) for r in block_runs]
             assert [bool(row >> r & 1) for r in range(len(block_runs))] == walked, render(g)
 
@@ -921,9 +931,9 @@ def _constructed(sizes, masks, truth=None, names=()):
 @pytest.mark.parametrize("bounds", [(3, 2, 2), (2, 3, 1)], ids=str)
 def test_block_cache_matches_runs(bounds):
     # Every block of the bounds: the reachability bitmasks find a run
-    # exactly when it has one, and its cached list holds the runs of the
-    # constructor's protocol, in order, for every candidate of it; a
-    # runless block's list is empty.
+    # exactly when it has one, and the runs read off its cached value
+    # groups are the runs of the constructor's protocol, in order, for
+    # every candidate of it; a runless block's entry is ().
     bounds = SearchBounds(*bounds)
     names = bounds.atom_names
     search._block_runs.cache_clear()
@@ -936,13 +946,38 @@ def test_block_cache_matches_runs(bounds):
             blocks += 1
             expected = tuple(runs(_constructed(sizes, masks)))
             assert bool(expected) == (search._live(sizes, masks)[0] != 0)
-            assert search._block_runs(sizes, masks) == expected
+            groups = search._block_runs(sizes, masks)
+            assert _decoded(groups) == expected
             if not expected:
+                assert groups == ()
                 continue
             for truth in ((0,) * len(names), (1,) * len(names)):
                 p = search._build_protocol(sizes, masks, (truth,) * len(sizes), names)
                 assert tuple(runs(p)) == expected
     assert blocks == (340 if bounds.num_channels == 3 else 673)
+
+
+def test_block_cache_matches_runs_on_long_narrow_blocks():
+    # Blocks of 12 channels of one or two values, where the ways to finish
+    # a run are counted back across many channels: the runs read off the
+    # groups are the constructor's, and the groups of a value on no run
+    # are 0. Each relation is the union of two draws, so that most blocks
+    # have runs, up to a few hundred.
+    rng = random.Random(12)
+    with_runs = 0
+    for _ in range(50):
+        sizes = tuple(rng.randint(1, 2) for _ in range(12))
+        masks = tuple(
+            rng.randrange(1, 1 << (a * b)) | rng.randrange(1 << (a * b))
+            for a, b in zip(sizes, sizes[1:])
+        )
+        expected = tuple(runs(_constructed(sizes, masks)))
+        groups = search._block_runs(sizes, masks)
+        assert _decoded(groups) == expected
+        with_runs += bool(expected)
+        for k, live in enumerate(search._live(sizes, masks) if groups else ()):
+            assert [g != 0 for g in groups[k]] == [bool(live >> v & 1) for v in range(sizes[k])]
+    assert 30 <= with_runs < 50
 
 
 @pytest.mark.parametrize("bounds", _SAMPLED_BOUNDS, ids=str)
