@@ -32,17 +32,32 @@ class VariableLimitError(ValueError):
     """A truth-table check would need more variables than allowed."""
 
 
-_set_field = object.__setattr__
-
-
 class _Frozen:
-    """Base of the immutable value classes. Their fields, named in
-    ``__match_args__``, are set once, by the constructor; equality, hash
-    and repr go by them, as a frozen dataclass's would, and the repr of
-    every value class is the one stack-built repr below."""
+    """The one base of the package's immutable value classes: equality,
+    hash and repr go by the fields named in ``__match_args__``, as a frozen
+    dataclass's would, and the fields are set once, by the constructor."""
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        """Give a subclass without ``__slots__`` or ``__init__`` of its own
+        the constructor a frozen dataclass would get: one argument per
+        annotated field, defaulting to the class attribute of its name, then
+        ``__post_init__`` if the class has one. Compiled from source, as in
+        ``dataclasses``, it is as fast as one written by hand."""
+        own = vars(cls)
+        if "__slots__" in own or "__init__" in own:
+            return
+        names = cls.__match_args__ = tuple(own.get("__annotations__", ()))
+        params = ["self"] + [f"{name}=_own[{name!r}]" if name in own else name for name in names]
+        body = [f"_set(self, {name!r}, {name})" for name in names]
+        if hasattr(cls, "__post_init__"):
+            body.append("self.__post_init__()")
+        namespace = {"__name__": cls.__module__, "_set": object.__setattr__, "_own": own}
+        exec(f"def __init__({', '.join(params)}):\n " + "\n ".join(body or ["pass"]), namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -566,11 +581,7 @@ def _leaves(f: Formula) -> dict:
 class Scope(_Frozen):
     """Finite channel set with the conventions min of empty = +inf and
     max of empty = -inf, so side-condition inequalities stay total."""
-
-    __match_args__ = ("indices",)
-
-    def __init__(self, indices: frozenset[int]):
-        _set_field(self, "indices", indices)
+    indices: frozenset[int]
 
     @property
     def min_val(self) -> int | float:
@@ -626,11 +637,7 @@ class Skeleton(_Frozen):
     occurrence in a left-to-right traversal; syntactically identical
     subformulas share one variable.
     """
-
-    __match_args__ = ("bindings",)
-
-    def __init__(self, bindings: tuple[Formula, ...]):
-        _set_field(self, "bindings", bindings)
+    bindings: tuple[Formula, ...]
 
     @property
     def num_vars(self) -> int:
@@ -739,29 +746,28 @@ def _merge_clause(left, right):
     return out
 
 
-def _cnf_clauses(f: Formula, positive: bool, index: dict[Formula, int]):
-    """Clauses of f, or of its negation when not ``positive``, as lists of
-    (variable, polarity) literals. a -> b is !a | b and !(a -> b) is a & !b,
+def _cnf_clauses(f: Formula, index: dict[Formula, int]):
+    """Clauses of f as lists of (variable, polarity) literals, each listed
+    once, where it first appears. a -> b is !a | b and !(a -> b) is a & !b,
     so an lhs takes the opposite polarity. Work items are (formula,
-    polarity, sides done); a finished item leaves its clauses on ``done``.
-    """
+    polarity, sides done); a finished item leaves its clauses on ``done``
+    and in ``kept``, so a shared implication is converted once a polarity."""
     done = []
-    stack = [(f, positive, False)]
+    kept = {}  # (id of an implication, polarity) -> its clauses
+    stack = [(f, True, False)]
     while stack:
         g, pol, sides_done = stack.pop()
         if sides_done:
             right = done.pop()
             left = done.pop()
-            if not pol:
-                done.append(left + right)
-                continue
-            out = []
-            for cl in left:
-                for cr in right:
-                    merged = _merge_clause(cl, cr)
-                    if merged is not None:
-                        out.append(merged)
-            done.append(out)
+            if pol:
+                clauses = (_merge_clause(cl, cr) for cl in left for cr in right)
+                clauses = list({tuple(c): c for c in clauses if c is not None}.values())
+            else:
+                clauses = left + right
+            done.append(kept.setdefault((id(g), pol), clauses))
+        elif (id(g), pol) in kept:
+            done.append(kept[id(g), pol])
         elif type(g) is Implies:
             stack += ((g, pol, True), (g.rhs, pol, False), (g.lhs, not pol, False))
         elif type(g) is Bottom:
@@ -784,16 +790,10 @@ def scoped_cnf(
     table and a failure would be an internal error.
     """
     index, masks, full = _truth_table(f, max_vars)
-    unique: list[list[tuple[int, bool]]] = []
-    seen_keys = set()
-    for clause in _cnf_clauses(f, True, index):
-        key = tuple(clause)
-        if key not in seen_keys:
-            seen_keys.add(key)
-            unique.append(clause)
+    clauses = _cnf_clauses(f, index)
 
     got = full
-    for clause in unique:
+    for clause in clauses:
         clause_mask = 0
         for var, pol in clause:
             clause_mask |= masks[var] if pol else (full ^ masks[var])
@@ -804,7 +804,7 @@ def scoped_cnf(
     bindings = tuple(index)
     return [
         [bindings[var] if pol else Implies(bindings[var], Bottom()) for var, pol in clause]
-        for clause in unique
+        for clause in clauses
     ]
 
 

@@ -24,7 +24,6 @@ before. Nothing is kept between calls.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .formula import (
     Box,
@@ -33,6 +32,7 @@ from .formula import (
     Implies,
     Scope,
     VariableLimitError,
+    _Frozen,
     conj,
     disj,
     is_tautology,
@@ -54,18 +54,16 @@ class ProofFormatError(ValueError):
     """Structurally invalid proof script (bad references, shapes, names)."""
 
 
-@dataclass(frozen=True)
-class TautologyRule:
-    pass
+class TautologyRule(_Frozen):
+    """Justifies a line that is a propositional tautology."""
 
 
-@dataclass(frozen=True)
-class PremiseRule:
-    pass
+class PremiseRule(_Frozen):
+    """Justifies a line as a premise, where the script allows premises."""
 
 
-@dataclass(frozen=True)
-class AxiomRule:
+class AxiomRule(_Frozen):
+    """Justifies a line as the named schema's instance at these parameters."""
     schema: str
     k: int
     phi: Formula
@@ -73,14 +71,14 @@ class AxiomRule:
     psi: Formula | None = None
 
 
-@dataclass(frozen=True)
-class ModusPonensRule:
+class ModusPonensRule(_Frozen):
+    """Justifies a line by modus ponens from two earlier lines."""
     antecedent: int  # line holding the antecedent
     implication: int  # line holding (antecedent -> this line)
 
 
-@dataclass(frozen=True)
-class NecessitationRule:
+class NecessitationRule(_Frozen):
+    """Justifies [channel]phi by necessitation from the line phi."""
     channel: int
     source: int
 
@@ -88,30 +86,30 @@ class NecessitationRule:
 Rule = TautologyRule | PremiseRule | AxiomRule | ModusPonensRule | NecessitationRule
 
 
-@dataclass(frozen=True)
-class ProofLine:
+class ProofLine(_Frozen):
+    """One numbered line of a script: a formula and its justification."""
     id: int
     formula: Formula
     rule: Rule
 
 
-@dataclass(frozen=True)
-class ProofScript:
+class ProofScript(_Frozen):
+    """The lines of a proof, its goal, and whether premises are allowed."""
     lines: tuple[ProofLine, ...]
     goal: Formula
     premises_allowed: bool = False
 
 
-@dataclass(frozen=True)
-class LineCheck:
+class LineCheck(_Frozen):
+    """The checker's verdict on one line, and whether it rests on a premise."""
     line_id: int
     ok: bool
     reason: str | None
     tainted: bool
 
 
-@dataclass(frozen=True)
-class ScriptVerdict:
+class ScriptVerdict(_Frozen):
+    """The verdict on a script: its line checks and the first failure."""
     accepted: bool
     checks: tuple[LineCheck, ...]
     failure: tuple[int, str] | None  # first failing line and why

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 
-from .formula import _Frozen, _set_field
+from .formula import _Frozen
 
 
 class ProtocolFormatError(ValueError):
@@ -31,13 +31,9 @@ class ValueDomainError(ValueError):
 class Violation(_Frozen):
     """One problem ``validate`` found: its kind, the channel it is at (None
     when it is at no one channel) and a message."""
-
-    __match_args__ = ("kind", "channel", "detail")
-
-    def __init__(self, kind: str, channel: int | None, detail: str):
-        _set_field(self, "kind", kind)
-        _set_field(self, "channel", channel)
-        _set_field(self, "detail", detail)
+    kind: str
+    channel: int | None
+    detail: str
 
 
 class ExplicitLocal:

@@ -83,7 +83,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .formula import (
@@ -92,6 +91,7 @@ from .formula import (
     Box,
     Formula,
     Implies,
+    _Frozen,
     _flatten,
     _leaves,
     _variable_mask,
@@ -114,19 +114,18 @@ class SearchSpaceError(ValueError):
     """Bounds that cannot be searched as requested."""
 
 
-@dataclass(frozen=True)
-class ExhaustiveMode:
-    pass
+class ExhaustiveMode(_Frozen):
+    """Search every candidate within the bounds, in canonical order."""
 
 
-@dataclass(frozen=True)
-class RandomMode:
+class RandomMode(_Frozen):
+    """Search ``samples`` candidates drawn with the given seed."""
     seed: int
     samples: int
 
 
-@dataclass(frozen=True)
-class SearchBounds:
+class SearchBounds(_Frozen):
+    """The candidate space of a search and how it is searched."""
     num_channels: int
     max_values_per_channel: int
     atoms_per_channel: int = 0
@@ -663,8 +662,8 @@ def falsify(f: Formula, bounds: SearchBounds, budget: int):
 
 # --- schema soundness sweeps --------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(_Frozen):
+    """The outcome of one schema's soundness sweep."""
     schema: str
     trials: int
     violations: int

@@ -191,21 +191,27 @@ def _partial(f: Formula, lookup):
     value, or the literal itself to keep it) and simplified: True, False,
     or the residual formula. The rhs of an implication whose lhs is false
     is never looked at. An implication waits on the stack while its lhs is
-    simplified, then as (implication, lhs value) while its rhs is. The walk
-    may pass False (a plan false outright), which ``col.get`` hands back.
-    """
+    simplified, then as (implication, lhs value) while its rhs is, and its
+    value is then kept by id for the call: a shared subformula is
+    simplified once, and its residual stays shared. The walk may pass False
+    (a plan false outright), which ``col.get`` hands back."""
+    done = {}  # id of an implication -> its value
     stack = []
     g = f
     while True:
         while type(g) is Implies:
+            r = done.get(id(g))
+            if r is not None:
+                break
             stack.append(g)
             g = g.lhs
-        r = False if type(g) is Bottom else lookup(g, g)
+        else:
+            r = False if type(g) is Bottom else lookup(g, g)
         while stack:
             top = stack.pop()
             if type(top) is Implies:  # r is top's lhs
                 if r is False:
-                    r = True
+                    r = done[id(top)] = True
                     continue
                 stack.append((top, r))
                 g = top.rhs
@@ -216,6 +222,7 @@ def _partial(f: Formula, lookup):
                     r = node
                 else:
                     r = Implies(a, Bottom() if r is False else r)
+            done[id(node)] = r
         else:
             return r
 

@@ -308,6 +308,32 @@ def test_prove_non_string_formula_exits_2(capsys, tmp_path):
     assert err.startswith("error: ") and '"formula"' in err
 
 
+def test_prove_script_without_lines_is_rejected(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"goal": "p@0", "lines": []}), encoding="utf-8")
+    assert run(capsys, ["prove", "--script", str(path)]) == (
+        1, "rejected at line 0: script has no lines\n", ""
+    )
+    code, doc = run_json(capsys, ["prove", "--script", str(path)])
+    assert (code, doc["accepted"], doc["line"], doc["reason"]) == (
+        1, False, 0, "script has no lines"
+    )
+
+
+@pytest.mark.parametrize(
+    "name, schema, key", [("prop4", "gateway", "n"), ("prop5", "distributivity", "psi")]
+)
+def test_prove_axiom_without_its_parameter_exits_2(capsys, tmp_path, name, schema, key):
+    doc = script_to_dict(corpus()[name])
+    rule = next(line["rule"] for line in doc["lines"] if line["rule"].get("schema") == schema)
+    del rule[key]
+    path = tmp_path / "axiom.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    error = f"error: schema {schema!r} needs parameter {key!r}\n"
+    for extra in ([], ["--json"]):
+        assert run(capsys, ["prove", "--script", str(path), *extra]) == (2, "", error)
+
+
 @pytest.mark.parametrize(
     "edit,where",
     [
@@ -685,10 +711,8 @@ def test_each_verb_loads_only_the_modules_it_runs(
         assert f"chainlogic.{name}" not in modules
     # The modules every verb runs on are loaded with the CLI itself.
     assert {"chainlogic.formula", "chainlogic.protocol", "chainlogic.semantics"} <= set(modules)
-    # prove and falsify load dataclasses through proofcheck; a verb that
-    # runs on formula, protocol and semantics alone does not.
-    if not loaded:
-        assert heavy == []
+    # No verb loads dataclasses: every value class is declared on _Frozen.
+    assert heavy == []
 
 
 def test_falsify_oversized_bounds_exit_2(capsys):

@@ -7,12 +7,24 @@ import pytest
 
 from chainlogic import (
     Atom,
+    AxiomRule,
     Bottom,
     Box,
+    ExhaustiveMode,
     FormulaSyntaxError,
     Implies,
+    ModusPonensRule,
+    NecessitationRule,
+    PremiseRule,
+    ProofLine,
+    ProofScript,
+    RandomMode,
     Scope,
+    ScriptVerdict,
+    SearchBounds,
     Skeleton,
+    SweepReport,
+    TautologyRule,
     VariableLimitError,
     Violation,
     channel_support,
@@ -35,6 +47,7 @@ from chainlogic import (
     skeleton,
     truth,
 )
+from chainlogic.proofcheck import LineCheck
 
 from conftest import reference_parse, syllogism_chain
 
@@ -567,11 +580,15 @@ def test_copy_and_pickle_keep_shared_subformulas_shared():
         assert all(copied == f and render(copied) == render(f) for copied in _copies(f))
 
 
-# One value of each of the seven value classes, built by keyword, with
-# its repr, its __match_args__ and the tuple its hash is the hash of: the
-# ones the frozen dataclass versions of these classes gave. Implies and
+# One value of each of the package's 20 value classes, built by keyword,
+# with its repr, its __match_args__ and the tuple its hash is the hash of:
+# the ones the frozen dataclass versions of these classes gave. Implies and
 # Box hash the cached hashes of their children (Bottom's is hash("false")).
 _P = Atom(channel=0, name="p")
+_LINE = ProofLine(id=2, formula=_P, rule=PremiseRule())
+_LINE_TEXT = "ProofLine(id=2, formula=Atom(channel=0, name='p'), rule=PremiseRule())"
+_CHECK = LineCheck(line_id=1, ok=False, reason="why", tainted=True)
+_CHECK_TEXT = "LineCheck(line_id=1, ok=False, reason='why', tainted=True)"
 _VALUES = [
     (Bottom(), "Bottom()", (), ()),
     (_P, "Atom(channel=0, name='p')", ("channel", "name"), (0, "p")),
@@ -587,6 +604,33 @@ _VALUES = [
     (Violation(kind="atom-channel", channel=3, detail="atoms declared outside"),
      "Violation(kind='atom-channel', channel=3, detail='atoms declared outside')",
      ("kind", "channel", "detail"), ("atom-channel", 3, "atoms declared outside")),
+    (TautologyRule(), "TautologyRule()", (), ()),
+    (PremiseRule(), "PremiseRule()", (), ()),
+    (AxiomRule(schema="gateway", k=0, phi=_P, n=1),
+     "AxiomRule(schema='gateway', k=0, phi=Atom(channel=0, name='p'), n=1, psi=None)",
+     ("schema", "k", "phi", "n", "psi"), ("gateway", 0, _P, 1, None)),
+    (ModusPonensRule(antecedent=1, implication=2),
+     "ModusPonensRule(antecedent=1, implication=2)", ("antecedent", "implication"), (1, 2)),
+    (NecessitationRule(channel=3, source=1), "NecessitationRule(channel=3, source=1)",
+     ("channel", "source"), (3, 1)),
+    (_LINE, _LINE_TEXT, ("id", "formula", "rule"), (2, _P, PremiseRule())),
+    (ProofScript(lines=(_LINE,), goal=_P),
+     f"ProofScript(lines=({_LINE_TEXT},), goal=Atom(channel=0, name='p'), premises_allowed=False)",
+     ("lines", "goal", "premises_allowed"), ((_LINE,), _P, False)),
+    (_CHECK, _CHECK_TEXT, ("line_id", "ok", "reason", "tainted"), (1, False, "why", True)),
+    (ScriptVerdict(accepted=False, checks=(_CHECK,), failure=(1, "why")),
+     f"ScriptVerdict(accepted=False, checks=({_CHECK_TEXT},), failure=(1, 'why'))",
+     ("accepted", "checks", "failure"), (False, (_CHECK,), (1, "why"))),
+    (ExhaustiveMode(), "ExhaustiveMode()", (), ()),
+    (RandomMode(seed=7, samples=3), "RandomMode(seed=7, samples=3)", ("seed", "samples"), (7, 3)),
+    (SearchBounds(num_channels=3, max_values_per_channel=2, mode=RandomMode(7, 3)),
+     "SearchBounds(num_channels=3, max_values_per_channel=2, atoms_per_channel=0, "
+     "mode=RandomMode(seed=7, samples=3), candidate_ceiling=1000000)",
+     ("num_channels", "max_values_per_channel", "atoms_per_channel", "mode",
+      "candidate_ceiling"), (3, 2, 0, RandomMode(7, 3), 10**6)),
+    (SweepReport(schema="gateway", trials=10, violations=0, first_witness=None),
+     "SweepReport(schema='gateway', trials=10, violations=0, first_witness=None)",
+     ("schema", "trials", "violations", "first_witness"), ("gateway", 10, 0, None)),
 ]
 
 
@@ -603,12 +647,16 @@ def test_value_classes_are_frozen_values(value, text, match_args, hashed):
     assert twin is not value and twin == value and hash(twin) == hash(value)
     assert not value != twin
     assert value.__eq__(object()) is NotImplemented and value != fields
+    with pytest.raises(TypeError, match=rf"^{cls.__name__}(\.__init__)?\(\) "):
+        cls(*fields, None)
     for name in ("x", *match_args):
         with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
             setattr(value, name, 1)
         with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
             delattr(value, name)
     assert repr(value) == text and hash(value) == hash(hashed)
+    for copied in _copies(value):
+        assert type(copied) is cls and copied == value and repr(copied) == text
 
 
 def test_value_classes_compare_by_class_and_fields():
@@ -637,7 +685,7 @@ def test_value_classes_compare_by_class_and_fields():
             assert indices == {4}
 
 
-@pytest.mark.parametrize("value", [v for v, *_ in _VALUES[4:]], ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize("value", [v for v, *_ in _VALUES[4:7]], ids=lambda v: type(v).__name__)
 def test_scope_skeleton_and_violation_copy_and_pickle(value):
     for copied in _copies(value):
         assert type(copied) is type(value) and copied == value and copied is not value

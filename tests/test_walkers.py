@@ -20,6 +20,7 @@ from chainlogic import (
     SearchBounds,
     VariableLimitError,
     channel_support,
+    conj,
     counterexample,
     evaluate,
     iff,
@@ -38,6 +39,7 @@ from chainlogic import (
 
 from conftest import (
     enum_evaluate,
+    full_relation,
     make_protocol,
     reference_channel_support,
     reference_is_tautology,
@@ -159,29 +161,52 @@ def test_tautology_check_holds_few_columns():
     assert peak < 2_000_000
 
 
-def _nested_iffs(depth):
-    f = Implies(Box(1, Atom(0, "p")), Atom(2, "q"))
+_BASE = Implies(Box(1, Atom(0, "p")), Atom(2, "q"))
+
+
+def _nested(depth, op=iff):
+    f = _BASE
     for _ in range(depth):
-        f = iff(f, f)
+        f = op(f, f)
     return f
+
+
+def _base_countermodel():
+    """Three channels where [1]p@0 holds at x and q@2 fails at w, so the
+    first run, (u, x, w), falsifies _BASE."""
+    return make_protocol(
+        (0, 2),
+        {0: ("u", "v"), 1: ("x", "y"), 2: ("w", "z")},
+        {1: [("u", "x"), ("v", "y")], 2: full_relation(("x", "y"), ("w", "z"))},
+        {0: {"p": ("u",)}, 1: {}, 2: {"q": ("z",)}},
+    )
+
+
+_SHARED_WALKS = [
+    ("evaluate", lambda f: evaluate(EvalContext(_base_countermodel()), ("u", "x", "w"), f)),
+    ("valid_in", lambda f: valid_in(EvalContext(_base_countermodel()), f)),
+    ("counterexample", lambda f: counterexample(EvalContext(_base_countermodel()), f)),
+    ("scoped_cnf", scoped_cnf),
+]
 
 
 @pytest.mark.parametrize(
     "name, walk",
     [
         ("hash", hash),
-        ("==", lambda f: f == _nested_iffs(30)),
+        ("==", lambda f: f == _nested(30)),
         ("skeleton", lambda f: skeleton(f).bindings),
         ("scope", lambda f: scope(f).indices),
         ("channel_support", channel_support),
         ("shift_channels", lambda f: shift_channels(f, 3)),
         ("is_tautology", is_tautology),
+        *_SHARED_WALKS,
     ],
 )
 def test_shared_subformulas_are_walked_once(name, walk):
     """30 nested iff(f, f) have a few hundred distinct nodes but about 4^30
     paths; each walker visits a shared node once."""
-    f = _nested_iffs(30)
+    f = _nested(30)
     start = time.perf_counter()
     result = walk(f)
     assert time.perf_counter() - start < 1.0, name
@@ -191,6 +216,10 @@ def test_shared_subformulas_are_walked_once(name, walk):
         "scope": frozenset({1, 2}),
         "channel_support": frozenset({0, 1, 2}),
         "is_tautology": True,
+        "evaluate": True,
+        "valid_in": True,
+        "counterexample": None,
+        "scoped_cnf": [],
     }
     if name in expected:
         assert result == expected[name]
@@ -202,6 +231,17 @@ def test_shared_subformulas_are_walked_once(name, walk):
         p = Atom(0, "p")
         atoms = shift_channels(Implies(p, p), 1)
         assert atoms.lhs is atoms.rhs
+
+
+@pytest.mark.parametrize("name, walk", _SHARED_WALKS)
+def test_shared_conjunctions_answer_as_their_base(name, walk):
+    """30 nested conj(f, f) are equivalent to f, which the first run
+    falsifies, and have about 2^30 paths; each answers as f does."""
+    start = time.perf_counter()
+    result = walk(_nested(30, conj))
+    assert time.perf_counter() - start < 1.0, name
+    assert result == walk(_BASE)
+    assert result in (False, ("u", "x", "w"), [[neg(_BASE.lhs), _BASE.rhs]])
 
 
 DEPTH = 100_000
