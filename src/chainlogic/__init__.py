@@ -22,23 +22,17 @@ _EXPORTS = {
         "FormulaSyntaxError",
         "Implies",
         "Scope",
-        "Skeleton",
-        "VariableLimitError",
         "channel_support",
-        "cnf_to_formula",
         "conj",
         "diamond",
         "disj",
         "iff",
-        "is_tautology",
         "member_phi",
         "neg",
         "parse",
         "render",
         "scope",
-        "scoped_cnf",
         "shift_channels",
-        "skeleton",
         "truth",
     ),
     "proofcheck": (
@@ -58,6 +52,14 @@ _EXPORTS = {
         "match_axiom",
         "script_from_dict",
         "script_to_dict",
+    ),
+    "propositional": (
+        "Skeleton",
+        "VariableLimitError",
+        "cnf_to_formula",
+        "is_tautology",
+        "scoped_cnf",
+        "skeleton",
     ),
     "protocol": (
         "ChainProtocol",

@@ -8,9 +8,10 @@ stdout with the same verdict as the text output.
 
 Each process runs one verb, so a module that only one verb uses is
 imported inside that verb's handler: ``proofcheck`` in ``_cmd_prove`` and
-``search`` in ``_cmd_falsify``. They are the larger part of the
-package's import time (no verb imports ``dataclasses``); ``scope``,
-``eval``, ``valid`` and ``counterexample`` never use them. ``formula``,
+``search`` in ``_cmd_falsify``, and both load ``propositional``, the
+tautology oracle. They are the larger part of the package's import time
+(no verb imports ``dataclasses``); ``scope``, ``eval``, ``valid`` and
+``counterexample`` never use them. ``formula``,
 ``protocol`` and ``semantics`` are imported here: four verbs use them, so
 deferring them would only move their cost into the first query.
 """

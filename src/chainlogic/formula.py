@@ -17,8 +17,6 @@ import re
 CHANNEL_MIN = -(1 << 63)
 CHANNEL_MAX = (1 << 63) - 1
 
-DEFAULT_VARIABLE_LIMIT = 24
-
 
 class FormulaSyntaxError(ValueError):
     """Malformed concrete syntax; carries the 0-based input offset."""
@@ -26,10 +24,6 @@ class FormulaSyntaxError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at offset {position})")
         self.position = position
-
-
-class VariableLimitError(ValueError):
-    """A truth-table check would need more variables than allowed."""
 
 
 class _Frozen:
@@ -628,21 +622,7 @@ def shift_channels(f: Formula, delta: int) -> Formula:
     ])
 
 
-# --- propositional skeleton and truth tables ------------------------------
-
-class Skeleton(_Frozen):
-    """Propositional shape of a formula.
-
-    The bindings are its maximal box/atom subformulas, numbered by first
-    occurrence in a left-to-right traversal; syntactically identical
-    subformulas share one variable.
-    """
-    bindings: tuple[Formula, ...]
-
-    @property
-    def num_vars(self) -> int:
-        return len(self.bindings)
-
+# --- propositional skeleton variables -------------------------------------
 
 def _variables(f: Formula) -> dict[Formula, int]:
     """f's maximal box/atom subformulas, each numbered by first occurrence."""
@@ -650,181 +630,6 @@ def _variables(f: Formula) -> dict[Formula, int]:
     for g in _literal_nodes(f, False):
         index.setdefault(g, len(index))
     return index
-
-
-def skeleton(f: Formula) -> Skeleton:
-    """Abstract maximal box/atom subformulas to variables, numbered by
-    first occurrence in a left-to-right traversal."""
-    return Skeleton(tuple(_variables(f)))
-
-
-def _variable_mask(i: int, num_vars: int) -> int:
-    # Bit j of the mask holds assignment j's value for variable i, which is
-    # bit i of j; built by doubling a 2^i-zeros / 2^i-ones block.
-    half = 1 << i
-    pattern = ((1 << half) - 1) << half
-    width = half << 1
-    total = 1 << num_vars
-    while width < total:
-        pattern |= pattern << width
-        width <<= 1
-    return pattern
-
-
-def _truth_table(f: Formula, max_vars: int):
-    """Skeleton variable numbering of f, each variable's truth-table column
-    as a bitmask over all assignments, and the all-ones mask."""
-    index = _variables(f)
-    n = len(index)
-    if n > max_vars:
-        raise VariableLimitError(
-            f"{n} skeleton variables exceed the limit of {max_vars}"
-        )
-    return index, [_variable_mask(i, n) for i in range(n)], (1 << (1 << n)) - 1
-
-
-def _mask(f: Formula, index: dict[Formula, int], masks: list[int], full: int) -> int:
-    """Truth-table column of f, with box/atom subformulas as variables.
-
-    Post-order with a stack of finished columns. Only an implication met a
-    second time is remembered, so a shared subformula is computed at most
-    twice, yet a formula that shares nothing holds no more columns at once
-    than a recursive walk: a column has 2^variables bits.
-    """
-    columns = []
-    met = set()
-    remembered = {}
-    stack = [f]
-    pop, push = stack.pop, stack.append
-    while stack:
-        g = pop()
-        t = type(g)
-        if t is Implies:
-            i = id(g)
-            c = remembered.get(i)
-            if c is None:
-                push((i, i in met))
-                met.add(i)
-                push(g.rhs)
-                push(g.lhs)
-                continue
-        elif t is tuple:  # (id of an implication, met before), sides done
-            i, again = g
-            b = columns.pop()
-            c = (full ^ columns.pop()) | b
-            if again:
-                remembered[i] = c
-        else:
-            c = 0 if t is Bottom else masks[index[g]]
-        columns.append(c)
-    return columns[0]
-
-
-def is_tautology(f: Formula, max_vars: int = DEFAULT_VARIABLE_LIMIT) -> bool:
-    """Exhaustive truth-table check over the propositional skeleton.
-
-    Box and atom subformulas are opaque variables, so the check is exact
-    for propositional consequences and deliberately blind to modal ones.
-    Raises VariableLimitError beyond ``max_vars`` distinct variables.
-    """
-    index, masks, full = _truth_table(f, max_vars)
-    return _mask(f, index, masks, full) == full
-
-
-# --- scope-sorted conjunctive normal form ---------------------------------
-
-def _merge_clause(left, right):
-    seen = set()
-    out = []
-    for lit in (*left, *right):
-        var, pol = lit
-        if (var, not pol) in seen:
-            return None  # clause contains a literal and its negation
-        if lit not in seen:
-            seen.add(lit)
-            out.append(lit)
-    return out
-
-
-def _cnf_clauses(f: Formula, index: dict[Formula, int]):
-    """Clauses of f as lists of (variable, polarity) literals, each listed
-    once, where it first appears. a -> b is !a | b and !(a -> b) is a & !b,
-    so an lhs takes the opposite polarity. Work items are (formula,
-    polarity, sides done); a finished item leaves its clauses on ``done``
-    and in ``kept``, so a shared implication is converted once a polarity."""
-    done = []
-    kept = {}  # (id of an implication, polarity) -> its clauses
-    stack = [(f, True, False)]
-    while stack:
-        g, pol, sides_done = stack.pop()
-        if sides_done:
-            right = done.pop()
-            left = done.pop()
-            if pol:
-                clauses = (_merge_clause(cl, cr) for cl in left for cr in right)
-                clauses = list({tuple(c): c for c in clauses if c is not None}.values())
-            else:
-                clauses = left + right
-            done.append(kept.setdefault((id(g), pol), clauses))
-        elif (id(g), pol) in kept:
-            done.append(kept[id(g), pol])
-        elif type(g) is Implies:
-            stack += ((g, pol, True), (g.rhs, pol, False), (g.lhs, not pol, False))
-        elif type(g) is Bottom:
-            done.append([[]] if pol else [])
-        else:
-            done.append([[(index[g], pol)]])
-    return done[0]
-
-
-def scoped_cnf(
-    f: Formula, max_vars: int = DEFAULT_VARIABLE_LIMIT
-) -> list[list[Formula]]:
-    """Conjunctive normal form whose literals each mention at most one channel.
-
-    Literals are the maximal box/atom subformulas of f or their negations
-    (written L -> false), so every literal's scope has size at most one.
-    Clause and literal order follow first appearance in a left-to-right
-    traversal, making the output deterministic. The result is equivalent
-    to f at skeleton level; the equivalence is re-checked here by truth
-    table and a failure would be an internal error.
-    """
-    index, masks, full = _truth_table(f, max_vars)
-    clauses = _cnf_clauses(f, index)
-
-    got = full
-    for clause in clauses:
-        clause_mask = 0
-        for var, pol in clause:
-            clause_mask |= masks[var] if pol else (full ^ masks[var])
-        got &= clause_mask
-    if got != _mask(f, index, masks, full):
-        raise RuntimeError("internal error: CNF is not equivalent to its input")
-
-    bindings = tuple(index)
-    return [
-        [bindings[var] if pol else Implies(bindings[var], Bottom()) for var, pol in clause]
-        for clause in clauses
-    ]
-
-
-def cnf_to_formula(clauses: list[list[Formula]]) -> Formula:
-    """Fold CNF output back into one core formula (left-associated)."""
-    if not clauses:
-        return truth()
-
-    def clause_formula(lits: list[Formula]) -> Formula:
-        if not lits:
-            return Bottom()
-        g = lits[0]
-        for lit in lits[1:]:
-            g = disj(g, lit)
-        return g
-
-    out = clause_formula(clauses[0])
-    for clause in clauses[1:]:
-        out = conj(out, clause_formula(clause))
-    return out
 
 
 def iff(a: Formula, b: Formula) -> Formula:

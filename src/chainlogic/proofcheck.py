@@ -5,6 +5,13 @@ ponens and necessitation. Premise lines are allowed when a script opts in,
 but anything derived from a premise is tainted and necessitation refuses
 tainted sources: premises only ever combine through modus ponens.
 
+A tautology line is decided by ``propositional.is_tautology`` over the
+line's skeleton: the signs that the line being false forces are
+propagated first, which settles a chained syllogism outright, and a truth
+table is built only over the skeleton variables they leave unfixed. A
+line whose skeleton has more variables than the limit is rejected, asking
+for the step to be split, whatever propagation would make of it.
+
 Justifications carry explicit instantiation parameters, so the checker
 verifies a claimed instance instead of searching for one; verdicts are
 reproducible and checking is linear in the script.
@@ -31,15 +38,14 @@ from .formula import (
     FormulaSyntaxError,
     Implies,
     Scope,
-    VariableLimitError,
     _Frozen,
     conj,
     disj,
-    is_tautology,
     parse,
     render,
     scope,
 )
+from .propositional import VariableLimitError, is_tautology
 
 SCHEMAS = (
     "distributivity",

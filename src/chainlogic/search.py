@@ -94,7 +94,6 @@ from .formula import (
     _Frozen,
     _flatten,
     _leaves,
-    _variable_mask,
     diamond,
     disj,
     parse,
@@ -102,6 +101,7 @@ from .formula import (
     shift_channels,
 )
 from .proofcheck import SCHEMAS, gateway_side, instantiate_axiom
+from .propositional import _variable_mask
 from .protocol import ExplicitChainProtocol, ExplicitLocal
 from .semantics import EvalContext, counterexample
 

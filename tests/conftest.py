@@ -24,7 +24,8 @@ from chainlogic import (
     runs_fixing,
     truth,
 )
-from chainlogic.formula import CHANNEL_MAX, CHANNEL_MIN, Formula, VariableLimitError
+from chainlogic.formula import CHANNEL_MAX, CHANNEL_MIN, Formula
+from chainlogic.propositional import VariableLimitError
 
 
 def syllogism_chain(rng, m):

@@ -678,19 +678,19 @@ print(json.dumps([
 @pytest.mark.parametrize(
     "argv, code, loaded, not_loaded",
     [
-        ([], None, [], ["search", "proofcheck"]),
-        (["scope", "[2]p@3"], 0, [], ["search", "proofcheck"]),
+        ([], None, [], ["search", "proofcheck", "propositional"]),
+        (["scope", "[2]p@3"], 0, [], ["search", "proofcheck", "propositional"]),
         (["eval", "--protocol", "{protocol}", "--run", "u,x,z", "--formula", "p@0"],
-         0, [], ["search", "proofcheck"]),
+         0, [], ["search", "proofcheck", "propositional"]),
         (PHONE + ["eval", "--run", "a,b", "--formula", "eq_a@0"],
-         0, [], ["search", "proofcheck"]),
+         0, [], ["search", "proofcheck", "propositional"]),
         (PHONE + ["valid", "--formula", "eq_a@0 | !eq_a@0"],
-         0, [], ["search", "proofcheck"]),
-        (["prove", "--script", "{script}"], 0, ["proofcheck"], ["search"]),
+         0, [], ["search", "proofcheck", "propositional"]),
+        (["prove", "--script", "{script}"], 0, ["proofcheck", "propositional"], ["search"]),
         (["falsify", "--formula", "[1]p@0 -> [2]p@0", "--channels", "3", "--max-values", "2"],
-         1, ["search"], []),
+         1, ["search", "propositional"], []),
         (PHONE + ["counterexample", "--formula", "eq_a@0"],
-         1, [], ["search", "proofcheck"]),
+         1, [], ["search", "proofcheck", "propositional"]),
     ],
 )
 def test_each_verb_loads_only_the_modules_it_runs(

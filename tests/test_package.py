@@ -16,10 +16,13 @@ import chainlogic
 PUBLIC = {
     "formula": [
         "Atom", "Bottom", "Box", "Formula", "FormulaSyntaxError", "Implies",
-        "Scope", "Skeleton", "VariableLimitError", "channel_support",
-        "cnf_to_formula", "conj", "diamond", "disj", "iff", "is_tautology",
-        "member_phi", "neg", "parse", "render", "scope", "scoped_cnf",
-        "shift_channels", "skeleton", "truth",
+        "Scope", "channel_support", "conj", "diamond", "disj", "iff",
+        "member_phi", "neg", "parse", "render", "scope", "shift_channels",
+        "truth",
+    ],
+    "propositional": [
+        "Skeleton", "VariableLimitError", "cnf_to_formula", "is_tautology",
+        "scoped_cnf", "skeleton",
     ],
     "proofcheck": [
         "AxiomRule", "ModusPonensRule", "NecessitationRule", "PremiseRule",

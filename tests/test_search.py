@@ -23,6 +23,7 @@ from chainlogic import (
     check_script,
     counterexample,
     corpus,
+    disj,
     display_gateway_family,
     embed_formula,
     enumerate_protocols,
@@ -45,7 +46,7 @@ from chainlogic import (
     valid_in,
 )
 
-from chainlogic.formula import _flatten
+from chainlogic.formula import _flatten, _leaves
 
 from conftest import (
     candidate_key,
@@ -672,6 +673,74 @@ def test_schemas_are_sound_on_the_telephone(length, alphabet, chain, count):
                 refuted += 1
                 assert is_run(t, r) and evaluate(ctx, r, f) is False, (schema, render(f))
         assert refuted, schema
+
+
+def _two_word(rng, f, words):
+    """f with each atom eq_w@k, with probability one half, renamed to the
+    disjunction eq_w@k | eq_u@k, drawn once per atom: u is the word of
+    another atom of f at channel k if f has one, else any word but w. The
+    substitution is uniform and keeps each atom's channel, so a schema
+    instance stays an instance with the same side condition. The truth sets
+    of a channel's atoms then join to two words, and where u is another
+    atom's word, that atom tells u from w."""
+    at = {}
+    for k, name in _leaves(f):
+        if name is not None:
+            at.setdefault(k, []).append(name)
+    names = {}
+
+    def rename(g):
+        t = type(g)
+        if t is Atom:
+            if g not in names:
+                others = [n for n in at[g.channel] if n != g.name]
+                others = others or ["eq_" + w for w in words if "eq_" + w != g.name]
+                names[g] = disj(g, Atom(g.channel, rng.choice(others))) if rng.random() < 0.5 else g
+            return names[g]
+        if t is Implies:
+            return Implies(rename(g.lhs), rename(g.rhs))
+        if t is Box:
+            return Box(g.channel, rename(g.body))
+        return g
+
+    return rename(f)
+
+
+@pytest.mark.parametrize("alphabet", ["ab", "abc"])
+def test_schemas_are_sound_on_the_telephone_with_two_word_truth_sets(alphabet):
+    # The guarded instances of test_schemas_are_sound_on_the_telephone, on
+    # two-letter words, renamed by _two_word: the truth sets a selective
+    # start reads hold two words, and every instance is valid.
+    t = telephone(2, alphabet, 3)
+    ctx = EvalContext(t)
+    window = (0, 1, 2)
+    words = ["".join(w) for w in itertools.product(alphabet, repeat=2)]
+    rng = random.Random(2)
+    memo = {}
+    for schema in _SWEEP_SCHEMAS:
+        for f in itertools.islice(_telephone_instances(rng, schema, window, words, True), 40):
+            f = _two_word(rng, f, words)
+            assert valid_in(ctx, f), (schema, render(f))
+            assert enum_counterexample(t, f, memo) is None, (schema, render(f))
+    # phi -> [k]phi with phi box-free over one channel j other than k
+    # breaks self-awareness's side condition. Each falsifying run passes
+    # through the truth-set union T at j, at a word where phi holds, which
+    # need not be T's least: counterexample must find the oracle's run.
+    past_first = 0
+    for _ in range(300):
+        k, j = rng.sample(window, 2)
+        names = ("eq_" + rng.choice(words), "eq_" + rng.choice(words))
+        phi = random_formula(rng, (j,), names, 2)
+        if any(name is None for _, name in _leaves(phi)):
+            continue  # a box at j
+        f, _ = instantiate_axiom("self_awareness", {"k": k, "phi": _two_word(rng, phi, words)})
+        r = counterexample(ctx, f)
+        assert r == enum_counterexample(t, f, memo), render(f)
+        if r is not None:
+            assert evaluate(ctx, r, f) is False, render(f)
+            least = min(name[3:] for c, name in _leaves(f) if c == j and name)
+            past_first += r[j] != least
+    assert past_first >= 5, past_first
 
 
 _SAMPLED_BOUNDS = ((3, 2, 2), (3, 3, 0), (4, 3, 2), (2, 2, 1))

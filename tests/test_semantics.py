@@ -30,7 +30,7 @@ from chainlogic import (
     telephone,
     valid_in,
 )
-from chainlogic.formula import DEFAULT_VARIABLE_LIMIT
+from chainlogic.propositional import DEFAULT_VARIABLE_LIMIT
 from chainlogic.protocol import HammingLocal, TelephoneProtocol
 
 from conftest import (
