@@ -127,7 +127,7 @@ def _cmd_prove(args, out) -> int:
 
 
 def _cmd_falsify(args, out) -> int:
-    from .search import ExhaustiveMode, RandomMode, SearchBounds, embed_formula, falsify
+    from .search import ExhaustiveMode, RandomMode, SearchBounds, _embedding, _falsify_embedded
 
     if (args.seed is None) != (args.samples is None):
         raise _UsageError("--seed and --samples must be given together")
@@ -142,9 +142,8 @@ def _cmd_falsify(args, out) -> int:
         atoms_per_channel=args.atoms,
         mode=mode,
     )
-    f = parse(args.formula)
-    shifted = embed_formula(f, bounds)
-    hit = falsify(shifted, bounds, budget=args.budget)
+    shifted, read = _embedding(parse(args.formula), bounds)
+    hit = _falsify_embedded(shifted, read, bounds, budget=args.budget)
     if hit is None:
         payload = {
             "command": "falsify",

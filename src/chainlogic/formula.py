@@ -35,20 +35,29 @@ class _Frozen:
     __match_args__: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
-        """Give a subclass without ``__slots__`` or ``__init__`` of its own
-        the constructor a frozen dataclass would get: one argument per
-        annotated field, defaulting to the class attribute of its name, then
-        ``__post_init__`` if the class has one. Compiled from source, as in
-        ``dataclasses``, it is as fast as one written by hand."""
+        """Give a subclass without an ``__init__`` of its own the constructor
+        a frozen dataclass would get: one argument per annotated field,
+        defaulting to the class attribute of its name, then
+        ``__post_init__`` if the class has one. A class that declares
+        ``__slots__`` and no field keeps ``object.__init__``. A field that is
+        a slot is set through its slot descriptor and has no default (the
+        class attribute of its name is the descriptor), and every other
+        slot in the MRO starts as None. Compiled from source, as in
+        ``dataclasses``, with each slot's bound setter as a global, it is
+        as fast as one written by hand."""
         own = vars(cls)
-        if "__slots__" in own or "__init__" in own:
+        names = tuple(own.get("__annotations__", ()))
+        if "__init__" in own or "__slots__" in own and not names:
             return
-        names = cls.__match_args__ = tuple(own.get("__annotations__", ()))
-        params = ["self"] + [f"{name}=_own[{name!r}]" if name in own else name for name in names]
-        body = [f"_set(self, {name!r}, {name})" for name in names]
+        cls.__match_args__ = names
+        slots = [s for c in cls.__mro__ for s in vars(c).get("__slots__", ())]
+        params = ["self"] + [n if n in slots or n not in own else f"{n}=_own[{n!r}]" for n in names]
+        body = [f"_set_{n}(self, {n})" if n in slots else f"_set(self, {n!r}, {n})" for n in names]
+        body += [f"_set_{s}(self, None)" for s in slots if s not in names]
         if hasattr(cls, "__post_init__"):
             body.append("self.__post_init__()")
         namespace = {"__name__": cls.__module__, "_set": object.__setattr__, "_own": own}
+        namespace.update({f"_set_{s}": getattr(cls, s).__set__ for s in slots})
         exec(f"def __init__({', '.join(params)}):\n " + "\n ".join(body or ["pass"]), namespace)
         cls.__init__ = namespace["__init__"]
         cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
@@ -193,9 +202,10 @@ class _Node(_Frozen):
     """Holds the cached structural hash of a non-constant formula node.
 
     A node's fields are the slots it names in ``__match_args__``; ``_hash``
-    is state but not a field: equality and repr ignore it. The constructors
-    fill the slots through the slot descriptors, since the frozen
-    ``__setattr__`` refuses assignment.
+    is state but not a field: equality and repr ignore it. The constructor
+    ``_Frozen`` compiles fills the slots through the slot descriptors,
+    since the frozen ``__setattr__`` refuses assignment, and starts
+    ``_hash`` as None.
     """
 
     __slots__ = ("_hash",)
@@ -214,14 +224,9 @@ class Atom(_Node):
     distinct atoms even though they share a name.
     """
 
-    __slots__ = __match_args__ = ("channel", "name")
+    __slots__ = ("channel", "name")
     channel: int
     name: str
-
-    def __init__(self, channel: int, name: str):
-        _set_atom_channel(self, channel)
-        _set_atom_name(self, name)
-        _set_hash(self, None)
 
     __hash__ = _structural_hash
 
@@ -229,14 +234,9 @@ class Atom(_Node):
 class Implies(_Node):
     """Material implication."""
 
-    __slots__ = __match_args__ = ("lhs", "rhs")
+    __slots__ = ("lhs", "rhs")
     lhs: "Formula"
     rhs: "Formula"
-
-    def __init__(self, lhs: "Formula", rhs: "Formula"):
-        _set_lhs(self, lhs)
-        _set_rhs(self, rhs)
-        _set_hash(self, None)
 
     __eq__ = _structural_eq
     __hash__ = _structural_hash
@@ -246,26 +246,15 @@ class Box(_Node):
     """Channel-indexed knowledge: the body holds on every run that agrees
     with the current one at this channel."""
 
-    __slots__ = __match_args__ = ("channel", "body")
+    __slots__ = ("channel", "body")
     channel: int
     body: "Formula"
-
-    def __init__(self, channel: int, body: "Formula"):
-        _set_box_channel(self, channel)
-        _set_body(self, body)
-        _set_hash(self, None)
 
     __eq__ = _structural_eq
     __hash__ = _structural_hash
 
 
 _set_hash = _Node._hash.__set__
-_set_atom_channel = Atom.channel.__set__
-_set_atom_name = Atom.name.__set__
-_set_lhs = Implies.lhs.__set__
-_set_rhs = Implies.rhs.__set__
-_set_box_channel = Box.channel.__set__
-_set_body = Box.body.__set__
 
 
 Formula = Bottom | Atom | Implies | Box

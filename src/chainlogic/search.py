@@ -102,10 +102,10 @@ from .formula import (
 )
 from .proofcheck import SCHEMAS, gateway_side, instantiate_axiom
 from .propositional import _variable_mask
-from .protocol import ExplicitChainProtocol, ExplicitLocal
+from .protocol import ExplicitChainProtocol, ExplicitLocal, _NAMED_ALPHABETS
 from .semantics import EvalContext, counterexample
 
-_VALUE_LABELS = "abcdefghijklmnopqrstuvwxyz"
+_VALUE_LABELS = _NAMED_ALPHABETS["latin"]
 _ATOM_NAMES = ("p", "q", "r", "s", "t", "u", "v", "w")
 _SLICE = 1024  # candidates of one block an exhaustive falsify decides at a time
 
@@ -224,7 +224,8 @@ def _run(groups: tuple, r: int) -> tuple:
 
 # Per value v, the table that spells label v as "1" and any other as "0".
 _SPELL = [
-    bytes.maketrans(_VALUE_LABELS.encode(), b"0" * v + b"1" + b"0" * (25 - v)) for v in range(26)
+    bytes.maketrans(_VALUE_LABELS.encode(), b"0" * v + b"1" + b"0" * (len(_VALUE_LABELS) - 1 - v))
+    for v in range(len(_VALUE_LABELS))
 ]
 
 
@@ -620,7 +621,12 @@ def falsify(f: Formula, bounds: SearchBounds, budget: int):
     Random mode walks each of the first ``budget`` samples with
     ``counterexample``, so it has the walk's limit on modal depth.
     """
-    g, read = _embedding(f, bounds)
+    return _falsify_embedded(*_embedding(f, bounds), bounds, budget)
+
+
+def _falsify_embedded(g: Formula, read: set, bounds: SearchBounds, budget: int):
+    """falsify on ``_embedding``'s result ``g, read``, for a caller that
+    also shows g and so embeds the formula once."""
     if budget < 0:
         raise SearchSpaceError(f"budget must not be negative, got {budget}")
     if isinstance(bounds.mode, RandomMode):

@@ -1,10 +1,14 @@
 import copy
+import importlib
 import pickle
+import pkgutil
 import random
+import re
 import sys
 
 import pytest
 
+import chainlogic
 from chainlogic import (
     Atom,
     AxiomRule,
@@ -47,6 +51,7 @@ from chainlogic import (
     skeleton,
     truth,
 )
+from chainlogic.formula import _Frozen
 from chainlogic.proofcheck import LineCheck
 
 from conftest import reference_parse, syllogism_chain
@@ -633,6 +638,34 @@ _VALUES = [
      ("schema", "trials", "violations", "first_witness"), ("gateway", 10, 0, None)),
 ]
 
+# What each class with a required field raises when called with no
+# argument. A slot field's class attribute is its slot descriptor, which is
+# no default.
+_MISSING = {
+    Atom: "missing 2 required positional arguments: 'channel' and 'name'",
+    Implies: "missing 2 required positional arguments: 'lhs' and 'rhs'",
+    Box: "missing 2 required positional arguments: 'channel' and 'body'",
+    Scope: "missing 1 required positional argument: 'indices'",
+    Skeleton: "missing 1 required positional argument: 'bindings'",
+    Violation: "missing 3 required positional arguments: 'kind', 'channel', and 'detail'",
+    AxiomRule: "missing 3 required positional arguments: 'schema', 'k', and 'phi'",
+    ModusPonensRule: "missing 2 required positional arguments: 'antecedent' and 'implication'",
+    NecessitationRule: "missing 2 required positional arguments: 'channel' and 'source'",
+    ProofLine: "missing 3 required positional arguments: 'id', 'formula', and 'rule'",
+    ProofScript: "missing 2 required positional arguments: 'lines' and 'goal'",
+    LineCheck: "missing 4 required positional arguments: 'line_id', 'ok', 'reason', and 'tainted'",
+    ScriptVerdict: "missing 3 required positional arguments: 'accepted', 'checks', and 'failure'",
+    RandomMode: "missing 2 required positional arguments: 'seed' and 'samples'",
+    SearchBounds: (
+        "missing 2 required positional arguments: "
+        "'num_channels' and 'max_values_per_channel'"
+    ),
+    SweepReport: (
+        "missing 4 required positional arguments: "
+        "'schema', 'trials', 'violations', and 'first_witness'"
+    ),
+}
+
 
 @pytest.mark.parametrize(
     "value, text, match_args, hashed", _VALUES, ids=[type(v).__name__ for v, *_ in _VALUES]
@@ -649,6 +682,10 @@ def test_value_classes_are_frozen_values(value, text, match_args, hashed):
     assert value.__eq__(object()) is NotImplemented and value != fields
     with pytest.raises(TypeError, match=rf"^{cls.__name__}(\.__init__)?\(\) "):
         cls(*fields, None)
+    if match_args:
+        missing = f"{cls.__name__}.__init__() {_MISSING[cls]}"
+        with pytest.raises(TypeError, match=f"^{re.escape(missing)}$"):
+            cls()
     for name in ("x", *match_args):
         with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
             setattr(value, name, 1)
@@ -659,6 +696,22 @@ def test_value_classes_are_frozen_values(value, text, match_args, hashed):
         assert type(copied) is cls and copied == value and repr(copied) == text
 
 
+def test_every_value_class_is_built_by_the_compiled_constructor():
+    # One construction path: each _Frozen subclass in the package with a
+    # field gets the constructor _Frozen compiles, and none writes its own.
+    for module in pkgutil.iter_modules(chainlogic.__path__):
+        importlib.import_module(f"chainlogic.{module.name}")
+    classes, seen = [], _Frozen.__subclasses__()
+    while seen:
+        cls = seen.pop()
+        classes.append(cls)
+        seen.extend(cls.__subclasses__())
+    assert {Atom, Implies, Box, Bottom, SweepReport, LineCheck} < set(classes)
+    for cls in classes:
+        init = vars(cls).get("__init__")
+        assert init is None or init.__code__.co_filename == "<string>", cls
+        if vars(cls).get("__annotations__"):
+            assert init is not None, cls
 def test_value_classes_compare_by_class_and_fields():
     assert Bottom() == Bottom() and Bottom().__eq__(_P) is NotImplemented
     assert _P.__eq__(Bottom()) is NotImplemented and _P != Atom(0, "q")
