@@ -138,7 +138,9 @@ def _structural_hash(self) -> int:
             if g.body._hash is None:
                 push(g.body)
                 continue
-            h = hash((g.channel, g.body._hash, None))
+            # The third entry sets a box apart from an atom and an
+            # implication; an int, as None's hash is its address.
+            h = hash((g.channel, g.body._hash, 0))
         else:
             h = hash((g.channel, g.name))
         stack.pop()

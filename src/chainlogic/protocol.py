@@ -59,72 +59,6 @@ class ExplicitLocal:
         return self._pred.get(cur, ())
 
 
-class HammingLocal:
-    """Computed local condition: adjacent words differ in at most one letter.
-
-    With a w-letter word over an s-letter alphabet each value has
-    1 + w*(s-1) neighbors, so the relation is never materialized:
-    ``successors`` builds a word's neighbours on each call and nothing is
-    kept per word.
-    """
-
-    def __init__(self, alphabet: tuple[str, ...]):
-        self._letters = tuple(sorted(set(alphabet)))
-        # Per letter, the alphabet's letters below it and above it.
-        self._around = {
-            c: (self._letters[:i], self._letters[i + 1 :])
-            for i, c in enumerate(self._letters)
-        }
-
-    def holds(self, prev: str, cur: str) -> bool:
-        """Whether cur is among ``successors(prev)``: the same length as
-        prev, and equal to it but for at most one position, where cur has a
-        letter of the alphabet. On words the relation is symmetric. The walk
-        in ``semantics`` relies on this equivalence: where it filters a
-        channel by a truth set T, it visits the sorted members of T that
-        ``holds`` admits instead of listing the neighbours, which are
-        sorted too, so the order is the one filtering gives."""
-        if len(prev) != len(cur):
-            return False
-        changed = None
-        for a, b in zip(prev, cur):
-            if a != b:
-                if changed is not None:
-                    return False
-                changed = b
-        return changed is None or changed in self._around
-
-    def _outside(self, letter: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        """The alphabet's letters below and above a letter not in it."""
-        return (
-            tuple(c for c in self._letters if c < letter),
-            tuple(c for c in self._letters if c > letter),
-        )
-
-    def successors(self, prev: str) -> tuple[str, ...]:
-        """prev and every word one letter away, in sorted order: a word that
-        changes position i to a smaller letter sorts before every word that
-        changes a later position, and one with a larger letter after them.
-        So the smaller words come position by position from the first, then
-        prev, then the larger words from the last position back."""
-        words = []
-        above = []
-        for i, original in enumerate(prev):
-            lower, upper = self._around.get(original) or self._outside(original)
-            head, tail = prev[:i], prev[i + 1 :]
-            for c in lower:
-                words.append(head + c + tail)
-            above.append((head, upper, tail))
-        words.append(prev)
-        for head, upper, tail in reversed(above):
-            for c in upper:
-                words.append(head + c + tail)
-        return tuple(words)
-
-    # The relation is symmetric.
-    predecessors = successors
-
-
 class ChainProtocol:
     """Common surface of the explicit and computed protocol realizations."""
 
@@ -264,6 +198,13 @@ class TelephoneProtocol(ChainProtocol):
     For every word w and in-window channel k the atom ``eq_w`` is declared
     at k and true exactly at w. Value sets and atom tables are computed,
     never materialized, so long words stay affordable.
+
+    The protocol is its own local condition: every hop has the one
+    relation the alphabet fixes, adjacency in the Hamming graph, so
+    ``local(k)`` returns the protocol. With a w-letter word over an
+    s-letter alphabet each value has 1 + w*(s-1) neighbours, so the
+    relation is never materialized: ``successors`` builds a word's
+    neighbours on each call and nothing is kept per word.
     """
 
     def __init__(self, word_len: int, alphabet, chain_len: int):
@@ -283,8 +224,8 @@ class TelephoneProtocol(ChainProtocol):
         self.word_len = word_len
         self.alphabet = alpha
         self.window = (0, chain_len - 1)
-        self._alpha_set = frozenset(alpha)
-        self._shared_local = HammingLocal(alpha)
+        # Per letter, the alphabet's letters below it and above it.
+        self._around = {c: (alpha[:i], alpha[i + 1 :]) for i, c in enumerate(alpha)}
 
     def iter_values(self, k: int):
         """Every word of the channel, once each, in sorted order."""
@@ -299,13 +240,63 @@ class TelephoneProtocol(ChainProtocol):
         return (
             isinstance(v, str)
             and len(v) == self.word_len
-            and all(c in self._alpha_set for c in v)
+            and all(c in self._around for c in v)
         )
 
     def local(self, k: int):
         if not self.window[0] < k <= self.window[1]:
             raise ValueError(f"no local condition at channel {k}")
-        return self._shared_local
+        return self
+
+    def holds(self, prev: str, cur: str) -> bool:
+        """Whether the hop from prev to cur is allowed, at any channel: cur
+        is among ``successors(prev)``, the same length as prev, and equal to
+        it but for at most one position, where cur has a letter of the
+        alphabet. On words the relation is symmetric. The walk in
+        ``semantics`` relies on this equivalence: where it filters a channel
+        by a truth set T, it visits the sorted members of T that ``holds``
+        admits instead of listing the neighbours, which are sorted too, so
+        the order is the one filtering gives."""
+        if len(prev) != len(cur):
+            return False
+        changed = None
+        for a, b in zip(prev, cur):
+            if a != b:
+                if changed is not None:
+                    return False
+                changed = b
+        return changed is None or changed in self._around
+
+    def _outside(self, letter: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """The alphabet's letters below and above a letter not in it."""
+        return (
+            tuple(c for c in self.alphabet if c < letter),
+            tuple(c for c in self.alphabet if c > letter),
+        )
+
+    def successors(self, prev: str) -> tuple[str, ...]:
+        """prev and every word one letter away, its neighbours at any hop,
+        in sorted order: a word that changes position i to a smaller letter
+        sorts before every word that changes a later position, and one with
+        a larger letter after them. So the smaller words come position by
+        position from the first, then prev, then the larger words from the
+        last position back."""
+        words = []
+        above = []
+        for i, original in enumerate(prev):
+            lower, upper = self._around.get(original) or self._outside(original)
+            head, tail = prev[:i], prev[i + 1 :]
+            for c in lower:
+                words.append(head + c + tail)
+            above.append((head, upper, tail))
+        words.append(prev)
+        for head, upper, tail in reversed(above):
+            for c in upper:
+                words.append(head + c + tail)
+        return tuple(words)
+
+    # The relation is symmetric.
+    predecessors = successors
 
     def atom_declared(self, k: int, name: str) -> bool:
         return name.startswith("eq_") and self.has_value(k, name[3:])

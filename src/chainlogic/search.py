@@ -94,13 +94,10 @@ from .formula import (
     _Frozen,
     _flatten,
     _leaves,
-    diamond,
-    disj,
     parse,
     scope,
     shift_channels,
 )
-from .proofcheck import SCHEMAS, gateway_side, instantiate_axiom
 from .propositional import _variable_mask
 from .protocol import ExplicitChainProtocol, ExplicitLocal, _NAMED_ALPHABETS
 from .semantics import EvalContext, counterexample
@@ -718,6 +715,8 @@ def _sample_instances(
     rng in the order a sweep's trials interleave them with their draws.
     What depends on the bounds alone, such as gateway's (k, n) pairs, is
     built once."""
+    from .proofcheck import gateway_side, instantiate_axiom
+
     window = tuple(range(bounds.num_channels))
     names = bounds.atom_names
     pairs = tuple((k, n) for k in window for n in window if k != n)
@@ -775,6 +774,8 @@ def soundness_sweep(
     Disabling side conditions samples unconstrained parameters, which is
     how the sweeps demonstrate that the conditions carry weight.
     """
+    from .proofcheck import SCHEMAS
+
     if schema not in SCHEMAS:
         raise SearchSpaceError(f"unknown axiom schema {schema!r}")
     if trials < 0:
@@ -809,12 +810,8 @@ def display_gateway_family() -> tuple[Formula, Formula, Formula]:
     """The three flagship chain laws, grounded with atoms at channels 0..2:
     far-knowledge transfer for a possibility, gaining an intermediate
     knower, and splitting a known disjunction across the middle channel."""
-    f1 = Implies(
-        Box(0, diamond(2, parse("p@2"))), Box(1, diamond(2, parse("p@2")))
+    return (
+        parse("[0]<2>p@2 -> [1]<2>p@2"),
+        parse("[0][2]p@2 -> [0][1][2]p@2"),
+        parse("[1]([0]p@0 | [2]p@2) -> [1]p@0 | [1]p@2"),
     )
-    f2 = Implies(Box(0, parse("[2]p@2")), Box(0, Box(1, parse("[2]p@2"))))
-    f3 = Implies(
-        Box(1, disj(parse("[0]p@0"), parse("[2]p@2"))),
-        disj(Box(1, parse("p@0")), Box(1, parse("p@2"))),
-    )
-    return f1, f2, f3

@@ -289,18 +289,19 @@ def _filter_set(p: TelephoneProtocol, plan: _Plan, state, j: int):
     return truth
 
 
-def _candidates(p: TelephoneProtocol, plan: _Plan, state, j: int, local, x):
+def _candidates(p: TelephoneProtocol, plan: _Plan, state, j: int, x):
     """The values of channel j, a telephone channel with literals, that the
-    walk visits from ``state``: the neighbours of x by ``local``. Where j
-    is filtered (``_filter_set``), any value outside T would be dropped, so
+    walk visits from ``state``: the neighbours of x, x at channel j - 1 or
+    j + 1, as the telephone's one relation is symmetric. Where j is
+    filtered (``_filter_set``), any value outside T would be dropped, so
     the walk lists none: it visits the members t of T, sorted, that are
-    neighbours of x (``holds(x, t)``, which is exactly membership among
-    them, in either direction: the relation is symmetric). Neighbour lists
-    are sorted too, so the order is the one filtering them would give."""
+    neighbours of x (``p.holds(x, t)``, which is exactly membership among
+    them). Neighbour lists are sorted too, so the order is the one
+    filtering them would give."""
     truth = _filter_set(p, plan, state, j)
     if truth is None:
-        return local.successors(x)
-    return sorted(t for t in truth if local.holds(x, t))
+        return p.successors(x)
+    return sorted(t for t in truth if p.holds(x, t))
 
 
 # --- the walk -----------------------------------------------------------------
@@ -400,9 +401,7 @@ def _first_falsifying(ctx: EvalContext, plan: _Plan, pin, ordered=False):
             frames.append((it, before, key))
             path.append(u)
             if computed and nxt in groups:
-                # Down the chain the anchor is u, and the relation is into j.
-                local = p.local(j) if nxt < k else p.local(nxt)
-                it = iter(_candidates(p, plan, s, nxt, local, anchor))
+                it = iter(_candidates(p, plan, s, nxt, anchor))
             elif nxt < k:
                 it = iter(p.local(j).predecessors(u))
             else:

@@ -15,6 +15,7 @@ from chainlogic import (
     ExplicitChainProtocol,
     cli,
     corpus,
+    parse,
     protocol_to_dict,
     script_to_dict,
     search,
@@ -389,6 +390,24 @@ def test_falsify_not_found(capsys):
     assert "proves nothing" in out
 
 
+def test_falsify_random_mode_found(capsys):
+    # Sample 14 of seed 3 is the first the walk refutes; the payload shows
+    # it and its witness as the library returns them.
+    code, doc = run_json(
+        capsys,
+        [
+            "falsify", "--formula", "[1]p@0 -> [2]p@0",
+            "--channels", "3", "--max-values", "2",
+            "--seed", "3", "--samples", "60", "--budget", "60",
+        ],
+    )
+    bounds = search.SearchBounds(3, 2, 1, mode=search.RandomMode(3, 60))
+    p, witness = search.falsify(parse("[1]p@0 -> [2]p@0"), bounds, 60)
+    assert (code, doc["found"]) == (1, True)
+    assert doc["protocol"] == protocol_to_dict(p)
+    assert doc["run"] == list(witness) == ["a", "b", "a"]
+
+
 def test_falsify_help_describes_every_option(capsys):
     code, out, _ = run(capsys, ["falsify", "--help"])
     assert code == 0
@@ -688,7 +707,7 @@ print(json.dumps([
          0, [], ["search", "proofcheck", "propositional"]),
         (["prove", "--script", "{script}"], 0, ["proofcheck", "propositional"], ["search"]),
         (["falsify", "--formula", "[1]p@0 -> [2]p@0", "--channels", "3", "--max-values", "2"],
-         1, ["search", "propositional"], []),
+         1, ["search", "propositional"], ["proofcheck"]),
         (PHONE + ["counterexample", "--formula", "eq_a@0"],
          1, [], ["search", "proofcheck", "propositional"]),
     ],

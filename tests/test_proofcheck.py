@@ -350,6 +350,10 @@ def test_reference_errors_are_format_errors():
     )
     with pytest.raises(ProofFormatError):
         check_script(duplicated)
+    # A rule that is none of the rule classes is a format error too.
+    unknown = ProofScript(lines=(ProofLine(1, f, "mp"),), goal=f)
+    with pytest.raises(ProofFormatError, match="^unknown rule 'mp'$"):
+        check_script(unknown)
 
 
 def test_tautology_variable_limit_rejects_line():

@@ -1,12 +1,14 @@
 import itertools
 import json
 import random
+import re
 import string
 
 import pytest
 
 from chainlogic import (
     EvalContext,
+    ExplicitChainProtocol,
     ProtocolFormatError,
     SearchBounds,
     RandomMode,
@@ -25,7 +27,7 @@ from chainlogic import (
     splice,
     telephone,
 )
-from chainlogic.protocol import HammingLocal, TelephoneProtocol
+from chainlogic.protocol import TelephoneProtocol
 
 from conftest import (
     brute_force_runs,
@@ -259,7 +261,7 @@ def test_hamming_neighbours_match_set_and_sort(alphabet):
     rng = random.Random(len(alphabet))
     outside = "#AbY~"
     for word_len in range(1, 6):
-        cond = HammingLocal(tuple(alphabet))
+        cond = telephone(1, alphabet, 2).local(1)
         for i in range(60):
             pool = alphabet + outside if i % 3 == 0 else alphabet
             prev = "".join(rng.choice(pool) for _ in range(word_len))
@@ -274,7 +276,7 @@ def test_hamming_holds_is_membership_in_successors(alphabet):
     # alphabet's. The seed depends on the alphabet only.
     rng = random.Random(sum(map(ord, alphabet)))
     pool = alphabet + "#AbY~"
-    cond = HammingLocal(tuple(alphabet))
+    cond = telephone(1, alphabet, 2).local(1)
     agreed = 0
     for _ in range(2_000):
         x = "".join(rng.choice(pool) for _ in range(rng.randint(0, 4)))
@@ -347,6 +349,31 @@ def test_telephone_preconditions():
             build(2, "ab", 1)
         with pytest.raises(ValueError, match="single characters"):
             build(2, ("a", "bc"), 2)
+
+
+def test_channel_errors_name_the_channel_and_the_window():
+    # Both protocol kinds refuse a local condition at the first channel or
+    # past the last, and a value question outside the window.
+    for p in (two_value_cube(), telephone(2, "ab", 3)):
+        lo, hi = p.window
+        for k in (lo, hi + 1):
+            with pytest.raises(ValueError, match=f"^no local condition at channel {k}$"):
+                p.local(k)
+        asks = [lambda k: p.has_value(k, "a"), p.iter_values]
+        if not isinstance(p, TelephoneProtocol):
+            asks.append(p.values)
+        for k in (lo - 1, hi + 1):
+            message = f"channel {k} is outside the window [{lo}, {hi}]"
+            for ask in asks:
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    ask(k)
+    with pytest.raises(ProtocolFormatError, match=r"^empty window \[2, 1\]$"):
+        ExplicitChainProtocol((2, 1), {}, {})
+    p = two_value_cube()
+    run = ("0",) * 3
+    for r1, r2 in ((run[:2], run), (run, run + ("0",))):
+        with pytest.raises(ValueError, match="^runs must cover exactly the window$"):
+            splice(p, r1, r2, 1)
 
 
 def test_a_named_alphabet_is_resolved():

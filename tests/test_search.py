@@ -32,6 +32,7 @@ from chainlogic import (
     instantiate_axiom,
     is_run,
     parse,
+    proofcheck,
     protocol,
     protocol_from_dict,
     protocol_to_dict,
@@ -503,6 +504,35 @@ def test_falsify_finds_and_reverifies_witness():
     assert not evaluate(EvalContext(p), r, embed_formula(f, bounds))
 
 
+def test_random_falsify_returns_the_first_refuted_sample():
+    # Random mode walks the samples in stream order: the hit is the first
+    # sample the walk refutes, with the walk's witness, and a budget that
+    # stops short of it finds nothing.
+    f = parse("[1]p@0 -> [2]p@0")
+    bounds = SearchBounds(3, 2, 1, mode=RandomMode(3, 60))
+    for i, p in enumerate(enumerate_protocols(bounds)):
+        witness = counterexample(EvalContext(p), f)
+        if witness is not None:
+            break
+    assert i == 14
+    hit = falsify(f, bounds, budget=60)
+    assert hit is not None
+    assert (protocol_to_dict(hit[0]), hit[1]) == (protocol_to_dict(p), witness)
+    assert falsify(f, bounds, budget=i) is None
+
+
+def test_sampling_and_sweep_reports_state_their_failures():
+    # A run test that every draw fails ends the sampler with an error, and
+    # a report with violations counts them.
+    with pytest.raises(SearchSpaceError, match="^could not sample a protocol with runs$"):
+        search._draw(random.Random(0), SearchBounds(2, 2, 1), lambda sizes, masks: False)
+    report = search.SweepReport("gateway", 10, 3, None)
+    assert report.summary() == (
+        "gateway: 10 sampled instances, 3 violations "
+        "(a clean sweep supports soundness only within the sampled space)"
+    )
+
+
 def test_falsify_translates_channels():
     low = falsify(parse("p@0 -> [1]p@0"), SearchBounds(2, 2, 1), budget=10_000)
     high = falsify(parse("p@7 -> [8]p@7"), SearchBounds(2, 2, 1), budget=10_000)
@@ -902,14 +932,14 @@ def test_sampling_builds_only_accepted_draws(monkeypatch):
 
     monkeypatch.setattr(ExplicitChainProtocol, "__init__", counted_init)
 
-    def counting(name):
-        real = getattr(search, name)
+    def counting(name, module=search):
+        real = getattr(module, name)
 
         def counted(*args):
             calls.append(name)
             return real(*args)
 
-        monkeypatch.setattr(search, name, counted)
+        monkeypatch.setattr(module, name, counted)
 
     def no_run_count(p):
         raise AssertionError("sampling counted runs")
@@ -921,7 +951,7 @@ def test_sampling_builds_only_accepted_draws(monkeypatch):
     monkeypatch.setattr(search, "run_count", no_run_count, raising=False)
     counting("_build_protocol")
     counting("_random_candidate")
-    counting("instantiate_axiom")
+    counting("instantiate_axiom", proofcheck)
     bounds = SearchBounds(3, 2, 2)
     rng = random.Random(6)
     with monkeypatch.context() as m:

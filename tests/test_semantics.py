@@ -31,7 +31,7 @@ from chainlogic import (
     valid_in,
 )
 from chainlogic.propositional import DEFAULT_VARIABLE_LIMIT
-from chainlogic.protocol import HammingLocal, TelephoneProtocol
+from chainlogic.protocol import TelephoneProtocol
 
 from conftest import (
     enum_counterexample,
@@ -552,11 +552,11 @@ class _DrawnTelephone(TelephoneProtocol):
         return self.truth
 
 
-def _walk_candidates(p, plan, local, x):
+def _walk_candidates(p, plan, x):
     """The values the walk visits at channel 1 of the telephone p from the
     start state of ``plan``, next to x, got as ``_first_falsifying`` gets
     them."""
-    return list(semantics._candidates(p, plan, plan.start, 1, local, x))
+    return list(semantics._candidates(p, plan, plan.start, 1, x))
 
 
 def test_filtered_candidates_are_the_filtered_neighbours(monkeypatch):
@@ -620,10 +620,10 @@ def test_filtered_candidates_are_the_filtered_neighbours(monkeypatch):
                 words = expected(p.iter_values(0))
                 assert got == (words if f is filtered else words[:1]), (truth, f)
                 for x in p.iter_values(0):
-                    got = _walk_candidates(p, plan, p.local(1), x)
+                    got = _walk_candidates(p, plan, x)
                     assert got == expected(p.local(1).successors(x)), (x, truth, f)
                 for x in p.iter_values(2):
-                    got = _walk_candidates(p, plan, p.local(2), x)
+                    got = _walk_candidates(p, plan, x)
                     assert got == expected(p.local(2).predecessors(x)), (x, truth, f)
                     checked += 1
     assert checked > 1_000
@@ -644,8 +644,8 @@ def test_filtered_telephone_channels_build_no_neighbours(monkeypatch):
 
         monkeypatch.setattr(cls, name, counted)
 
-    counting(HammingLocal, "successors", "neighbours")
-    counting(HammingLocal, "predecessors", "neighbours")
+    counting(TelephoneProtocol, "successors", "neighbours")
+    counting(TelephoneProtocol, "predecessors", "neighbours")
     counting(TelephoneProtocol, "iter_values", "iter_values")
     latin = "abcdefghijklmnopqrstuvwxyz"
     t = telephone(3, latin, 3)
@@ -714,8 +714,8 @@ def test_valid_probes_the_most_selective_channel(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
-    counting(HammingLocal, "successors")
-    counting(HammingLocal, "predecessors")
+    counting(TelephoneProtocol, "successors")
+    counting(TelephoneProtocol, "predecessors")
     counting(TelephoneProtocol, "iter_values")
     counting(semantics, "_step")
     latin = "abcdefghijklmnopqrstuvwxyz"
@@ -1030,6 +1030,30 @@ def test_walks_from_several_starts_match_oracle():
             refuted += expected is not None
             checked += 1
     assert checked // 5 < refuted < checked - checked // 5, refuted
+
+
+def test_distant_eq_atoms_match_oracle():
+    # Two words can sit on runs at channels g apart only if they differ in
+    # at most g letters. Each pair of eq atoms is on that boundary: its
+    # words differ in one letter more than its channels are apart, which
+    # makes !(eq_u@i & eq_w@j) valid, or in exactly as many, which leaves it
+    # refuted. Each is checked bare, on the unpinned walk, and under one
+    # box at either end, on walks pinned there.
+    rng = random.Random(89)
+    words = ["".join(w) for w in itertools.product("abc", repeat=2)]
+    for n in range(3, 7):
+        p = telephone(2, "abc", n)
+        ctx = EvalContext(p)
+        for gap, apart in ((1, 2), (1, 1), (2, 2)) * 2:
+            i = rng.randrange(n - gap)
+            u = rng.choice(words)
+            w = rng.choice([x for x in words if sum(a != b for a, b in zip(u, x)) == apart])
+            body = parse(f"!(eq_{u}@{i} & eq_{w}@{i + gap})")
+            for f in (body, Box(i, body), Box(i + gap, body)):
+                expected = enum_counterexample(p, f, {})
+                assert (expected is None) == (apart > gap), f
+                assert counterexample(ctx, f) == expected, f
+                assert valid_in(ctx, f) == (expected is None), f
 
 
 def test_nested_out_of_window_boxes_fit_the_recursion_limit():
