@@ -100,6 +100,21 @@ class _Frozen:
         return "".join(parts)
 
 
+def _json_object(obj, allowed: frozenset, required: tuple, where: str, error: type) -> None:
+    """Raise ``error`` unless obj is a JSON object with keys among
+    ``allowed`` and every key of ``required``. The message names ``where``
+    and the keys at fault: unknown keys sorted, missing keys in the order
+    of ``required``. The file loaders of protocols and proof scripts check
+    each object they read with it; a well-formed object allocates nothing."""
+    if not isinstance(obj, dict):
+        raise error(f"{where} must be a JSON object")
+    if not allowed.issuperset(obj):
+        raise error(f"unknown keys in {where}: {', '.join(sorted(map(str, obj.keys() - allowed)))}")
+    for key in required:
+        if key not in obj:
+            raise error(f"{where} lacks {', '.join(repr(k) for k in required if k not in obj)}")
+
+
 class Bottom(_Frozen):
     """The false constant."""
 

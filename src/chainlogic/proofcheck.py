@@ -39,6 +39,7 @@ from .formula import (
     Implies,
     Scope,
     _Frozen,
+    _json_object,
     conj,
     disj,
     parse,
@@ -262,14 +263,14 @@ def check_script(script: ProofScript) -> ScriptVerdict:
 
 # --- file format ---------------------------------------------------------
 
-_TOP_KEYS = {"goal", "premises_allowed", "lines"}
-_LINE_KEYS = {"id", "formula", "rule"}
+_TOP_KEYS = frozenset({"goal", "premises_allowed", "lines"})
+_LINE_KEYS = frozenset({"id", "formula", "rule"})
 _RULE_KEYS = {
-    "taut": {"type"},
-    "premise": {"type"},
-    "mp": {"type", "from", "impl"},
-    "nec": {"type", "k", "from"},
-    "axiom": {"type", "schema", "k", "n", "phi", "psi"},
+    "taut": frozenset({"type"}),
+    "premise": frozenset({"type"}),
+    "mp": frozenset({"type", "from", "impl"}),
+    "nec": frozenset({"type", "k", "from"}),
+    "axiom": frozenset({"type", "schema", "k", "n", "phi", "psi"}),
 }
 
 
@@ -310,30 +311,25 @@ def _formula(obj: dict, key: str, where: str, known: dict) -> Formula:
 
 
 def _rule_from_dict(obj: dict, line_id: int, known: dict) -> Rule:
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise ProofFormatError(f'line {line_id}: rule must be an object with "type"')
-    kind = obj["type"]
-    if not isinstance(kind, str) or kind not in _RULE_KEYS:
-        raise ProofFormatError(f"line {line_id}: unknown rule type {kind!r}")
-    unknown = sorted(set(obj) - _RULE_KEYS[kind])
-    if unknown:
-        raise ProofFormatError(
-            f"line {line_id}: unknown rule keys: {', '.join(unknown)}"
-        )
+    where = f"line {line_id}"
+    kind = obj.get("type") if isinstance(obj, dict) else None
+    if type(kind) is not str or kind not in _RULE_KEYS:
+        given = obj if kind is None else kind
+        raise ProofFormatError(f'{where}: rule must be an object with a known "type", got {given!r}')
+    _json_object(obj, _RULE_KEYS[kind], (), where, ProofFormatError)
     if kind == "taut":
         return TautologyRule()
     if kind == "premise":
         return PremiseRule()
-    where = f"line {line_id}"
     if kind == "mp":
         return ModusPonensRule(_integer(obj, "from", where), _integer(obj, "impl", where))
     if kind == "nec":
         return NecessitationRule(_integer(obj, "k", where), _integer(obj, "from", where))
     schema = obj.get("schema")
     if schema not in SCHEMAS:
-        raise ProofFormatError(f"line {line_id}: unknown axiom schema {schema!r}")
+        raise ProofFormatError(f"{where}: unknown axiom schema {schema!r}")
     if "k" not in obj or "phi" not in obj:
-        raise ProofFormatError(f'line {line_id}: axiom rules need "k" and "phi"')
+        raise ProofFormatError(f'{where}: axiom rules need "k" and "phi"')
     return AxiomRule(
         schema=schema,
         k=_integer(obj, "k", where),
@@ -344,25 +340,20 @@ def _rule_from_dict(obj: dict, line_id: int, known: dict) -> Rule:
 
 
 def script_from_dict(doc: dict) -> ProofScript:
-    if not isinstance(doc, dict):
-        raise ProofFormatError("proof script must be a JSON object")
-    unknown = sorted(set(doc) - _TOP_KEYS)
-    if unknown:
-        raise ProofFormatError(f"unknown keys: {', '.join(unknown)}")
-    if "goal" not in doc or "lines" not in doc:
-        raise ProofFormatError('proof scripts need "goal" and "lines"')
+    """Decode the JSON proof script shape into a ProofScript.
+
+    Structural errors raise ProofFormatError: the script, each line entry
+    and each rule go through ``formula._json_object``, which names the
+    object and the unknown or missing keys, so unknown keys are rejected
+    here as in protocol documents. A rule's "type" is checked first, then
+    the rule's keys against those of its type."""
+    _json_object(doc, _TOP_KEYS, ("goal", "lines"), "proof script", ProofFormatError)
     if not isinstance(doc["lines"], list):
         raise ProofFormatError('"lines" must be a list')
     known: dict[str, Formula] = {}  # text -> formula, for this call only
     lines = []
     for entry in doc["lines"]:
-        if not isinstance(entry, dict):
-            raise ProofFormatError("line entries must be objects")
-        unknown = sorted(set(entry) - _LINE_KEYS)
-        if unknown:
-            raise ProofFormatError(f"unknown line keys: {', '.join(unknown)}")
-        if not {"id", "formula", "rule"} <= set(entry):
-            raise ProofFormatError('line entries need "id", "formula", and "rule"')
+        _json_object(entry, _LINE_KEYS, ("id", "formula", "rule"), "line entry", ProofFormatError)
         line_id = _integer(entry, "id", "line entry")
         lines.append(
             ProofLine(

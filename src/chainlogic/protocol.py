@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 
-from .formula import _Frozen
+from .formula import _Frozen, _json_object
 
 
 class ProtocolFormatError(ValueError):
@@ -442,30 +442,21 @@ prefix_splice = splice
 
 # --- file format -------------------------------------------------------------
 
-_TOP_KEYS = {"window", "channels", "local"}
-_CHANNEL_KEYS = {"index", "values", "atoms"}
-_LOCAL_KEYS = {"channel", "pairs"}
-
-
-def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        raise ProtocolFormatError(f"unknown keys in {where}: {', '.join(unknown)}")
+_TOP_KEYS = frozenset({"window", "channels", "local"})
+_CHANNEL_KEYS = frozenset({"index", "values", "atoms"})
+_LOCAL_KEYS = frozenset({"channel", "pairs"})
 
 
 def protocol_from_dict(doc: dict) -> ExplicitChainProtocol:
     """Decode the JSON protocol document shape into an explicit protocol.
 
-    Structural errors raise ProtocolFormatError; the constructor names a
+    Structural errors raise ProtocolFormatError: the document and each
+    channel and local entry go through ``formula._json_object``, which names
+    the object and the unknown or missing keys, and the constructor names a
     channel with no value set or no local condition. Semantic problems
     (pair or atom domains) are left to the protocol's validate() method.
     """
-    if not isinstance(doc, dict):
-        raise ProtocolFormatError("protocol document must be a JSON object")
-    _reject_unknown(doc, _TOP_KEYS, "protocol document")
-    for key in _TOP_KEYS:
-        if key not in doc:
-            raise ProtocolFormatError(f"missing key {key!r}")
+    _json_object(doc, _TOP_KEYS, ("window", "channels", "local"), "protocol document", ProtocolFormatError)
     # Indices must be genuine integers: JSON true/false are Python ints too.
     window = doc["window"]
     if (
@@ -483,11 +474,7 @@ def protocol_from_dict(doc: dict) -> ExplicitChainProtocol:
     if not isinstance(doc["channels"], list):
         raise ProtocolFormatError('"channels" must be a list')
     for entry in doc["channels"]:
-        if not isinstance(entry, dict):
-            raise ProtocolFormatError("channel entries must be objects")
-        _reject_unknown(entry, _CHANNEL_KEYS, "channel entry")
-        if "index" not in entry or "values" not in entry:
-            raise ProtocolFormatError('channel entries need "index" and "values"')
+        _json_object(entry, _CHANNEL_KEYS, ("index", "values"), "channel entry", ProtocolFormatError)
         k = entry["index"]
         if type(k) is not int or not lo <= k <= hi:
             raise ProtocolFormatError(f"channel index {k!r} outside the window")
@@ -513,11 +500,7 @@ def protocol_from_dict(doc: dict) -> ExplicitChainProtocol:
     if not isinstance(doc["local"], list):
         raise ProtocolFormatError('"local" must be a list')
     for entry in doc["local"]:
-        if not isinstance(entry, dict):
-            raise ProtocolFormatError("local entries must be objects")
-        _reject_unknown(entry, _LOCAL_KEYS, "local entry")
-        if "channel" not in entry or "pairs" not in entry:
-            raise ProtocolFormatError('local entries need "channel" and "pairs"')
+        _json_object(entry, _LOCAL_KEYS, ("channel", "pairs"), "local entry", ProtocolFormatError)
         k = entry["channel"]
         if type(k) is not int or not lo < k <= hi:
             raise ProtocolFormatError(

@@ -104,3 +104,76 @@ def test_malformed_input_exits_cleanly(tmp_path, capsys):
             codes.add(code)
     # The inputs reach past the parsers: every exit code occurs.
     assert codes == {0, 1, 2}
+
+
+def _delete_key(rng, doc):
+    """doc with one key deleted from one of its objects, at any depth, with
+    the path to that object and the key."""
+    doc = json.loads(json.dumps(doc))
+    objects, stack = [], [((), doc)]
+    while stack:
+        path, node = stack.pop()
+        if isinstance(node, dict):
+            objects.append((path, node))
+            stack.extend((path + (key,), child) for key, child in node.items())
+        elif isinstance(node, list):
+            stack.extend((path + (i,), child) for i, child in enumerate(node))
+    path, obj = rng.choice([(path, obj) for path, obj in objects if obj])
+    key = rng.choice(list(obj))
+    del obj[key]
+    return doc, path, key
+
+
+_AXIOM_NEEDS = {"gateway": {"n"}, "distributivity": {"psi"}, "disjunction": {"psi"}}
+
+
+def _required(doc, path):
+    """The keys the format requires of the object at path in doc."""
+    if path == ():
+        return {"window", "channels", "local"} if "window" in doc else {"goal", "lines"}
+    head = path[0]
+    if len(path) == 2:
+        return {"channels": {"index", "values"}, "local": {"channel", "pairs"},
+                "lines": {"id", "formula", "rule"}}[head]
+    if head == "lines" and path[2:] == ("rule",):
+        rule = doc[head][path[1]][path[2]]
+        kind = rule.get("type")
+        if kind == "axiom":
+            return {"type", "schema", "k", "phi"} | _AXIOM_NEEDS.get(rule.get("schema"), set())
+        return {"type"} | {"mp": {"from", "impl"}, "nec": {"k", "from"}}.get(kind, set())
+    return set()
+
+
+def test_deleted_keys_exit_cleanly(tmp_path):
+    rng = random.Random(2000)
+    protocol_doc = protocol_to_dict(gateway_countermodel())
+    script_doc = script_to_dict(corpus()["prop4"])
+    required_hits = 0
+    for i in range(60):
+        protocol, path, key = _delete_key(rng, protocol_doc)
+        protocol_file = tmp_path / f"protocol{i}.json"
+        protocol_file.write_text(json.dumps(protocol), encoding="utf-8")
+        script, script_path, script_key = _delete_key(rng, script_doc)
+        script_file = tmp_path / f"script{i}.json"
+        script_file.write_text(json.dumps(script), encoding="utf-8")
+        formula = rng.choice(FORMULAS)
+        calls = [
+            (["eval", "--protocol", str(protocol_file), "--run", "u,x,z",
+              "--formula", formula], protocol_doc, path, key),
+            (["valid", "--protocol", str(protocol_file), "--formula", formula],
+             protocol_doc, path, key),
+            (["prove", "--script", str(script_file)], script_doc, script_path, script_key),
+        ]
+        for argv, original, where, deleted in calls:
+            out, err = io.StringIO(), io.StringIO()
+            code = run_cli(argv, stdout=out, stderr=err)
+            message = err.getvalue()
+            assert code in (0, 1, 2), argv
+            assert "Traceback" not in message, argv
+            assert ("error: " in message) == (code == 2), argv
+            if deleted in _required(original, where):
+                required_hits += 1
+                assert code == 2, (argv, where, deleted)
+                assert deleted in message, (where, deleted, message)
+    # The deletions reach the missing-key checks, not only optional keys.
+    assert required_hits > 30

@@ -789,6 +789,30 @@ def test_sample_stream_digest_is_unchanged():
     assert h.hexdigest() == "4a79575a7d3f3d86c46b42ba5a738e6866d6072e93a16af10a2996a433613346"
 
 
+def test_enforced_draws_meet_their_side_conditions(monkeypatch):
+    """Under enforcement the sampler draws parameters that already meet the
+    schema's side condition, so it yields every instance it builds."""
+    seen = []
+
+    def recording(schema, params):
+        instance, side_ok = real(schema, params)
+        seen.append(side_ok)
+        return instance, side_ok
+
+    real = proofcheck.instantiate_axiom
+    monkeypatch.setattr(proofcheck, "instantiate_axiom", recording)
+    for schema, channels in itertools.product(_SWEEP_SCHEMAS, (1, 2, 3, 4)):
+        if schema == "gateway" and channels < 2:
+            continue  # soundness_sweep refuses it: k and n must differ
+        instances = search._sample_instances(
+            schema, random.Random(channels), SearchBounds(channels, 2, 2), True
+        )
+        del seen[:]
+        for _ in range(300):
+            next(instances)
+        assert len(seen) == 300 and all(seen), (schema, channels)
+
+
 def test_sweep_report_digest_is_unchanged():
     """Trials, violations and the rendered first witness of 400-trial sweeps
     of all five schemas at two seeds, side conditions on and off (the
